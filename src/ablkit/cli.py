@@ -15,8 +15,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import abl as abl_mod
 from .abl import PrePostContext, abl_distribution, born_distribution, disturbed_final_probability, joint_probability
 from .counterfactual import DEFAULT_GAP_MIN, find_counterexample
@@ -28,7 +26,7 @@ from .errors import (
     UndefinedTermError,
     ZeroProjectionError,
 )
-from .histories import CONSISTENCY_TOL, HistoryFamily, disturbance_check, enumerate_coarse_grainings, is_consistent
+from .histories import CONSISTENCY_TOL, HistoryFamily, _set_partitions, disturbance_check, enumerate_coarse_grainings, is_consistent
 from .linalg import ALG_TOL, inner
 from .scenario_io import counterexample_scenario, dump_scenario, load_scenario, scenario_to_jsonable
 from .scenarios import BUILTIN_NAMES, Scenario, builtin
@@ -120,17 +118,6 @@ def _blocks_label(blocks: list[list[float]]) -> str:
     return "".join("{" + ",".join(f"{e:g}" for e in block) + "}" for block in blocks)
 
 
-def _coarse_blocks(base, grained) -> list[list[float]]:
-    # Recover which base eigenvalues each coarse branch absorbed.
-    blocks = []
-    for _, coarse_proj in grained:
-        block = [base.eigenvalues[i] for i in range(len(base))
-                 if np.allclose(coarse_proj.matrix @ base.matrix(i), base.matrix(i),
-                                rtol=0.0, atol=1e-8)]
-        blocks.append(block)
-    return blocks
-
-
 def cmd_consistency(args) -> int:
     scenario, source = _load(args)
     name, observable = _pick_observable(scenario, args)
@@ -141,11 +128,14 @@ def cmd_consistency(args) -> int:
     coarse = None
     if args.coarse_grainings:
         coarse = []
-        for grained in enumerate_coarse_grainings(observable):
-            sub_family = HistoryFamily.from_context(scenario.context, grained)
+        # Both enumerate the partitions of the branch set in the same order.
+        for partition, grained in zip(_set_partitions(len(observable)),
+                                      enumerate_coarse_grainings(observable)):
+            sub_family = HistoryFamily(family.initial, grained, family.final)
             sub_report = is_consistent(sub_family, criterion=args.criterion, tol=tol)
             sub_disturbance = disturbance_check(sub_family, tol=tol)
-            coarse.append((_coarse_blocks(observable, grained), sub_report, sub_disturbance))
+            blocks = [[observable.eigenvalues[i] for i in block] for block in partition]
+            coarse.append((blocks, sub_report, sub_disturbance))
     if args.json:
         payload = {
             "command": "consistency",
@@ -202,16 +192,20 @@ def cmd_simulate(args) -> int:
         name, observable = _pick_observable(scenario, args)
         target = disturbed_final_probability(ctx, observable)
         target_kind = "disturbed"
-    estimate = estimate_final_probability(ctx, observable, args.trials, args.seed,
-                                          workers=args.workers)
-    final_stderr = math.sqrt(max(target * (1.0 - target), 0.0) / args.trials)
-    final_z = _z_score(estimate - target, final_stderr)
     branches = None
-    if observable is not None:
+    if observable is None:
+        estimate = estimate_final_probability(ctx, None, args.trials, args.seed,
+                                              workers=args.workers)
+    else:
+        # One ensemble gives both: its postselected count is the final
+        # probability's numerator.
         stats = estimate_abl(ctx, observable, args.trials, args.seed, workers=args.workers)
+        estimate = stats.postselected_count / args.trials
         exact = abl_distribution(ctx, observable).probabilities
         born = born_distribution(ctx.preselection, observable)
         branches = (stats, exact, born)
+    final_stderr = math.sqrt(max(target * (1.0 - target), 0.0) / args.trials)
+    final_z = _z_score(estimate - target, final_stderr)
     if args.json:
         payload = {
             "command": "simulate",
@@ -393,7 +387,7 @@ def main(argv=None) -> int:
     except (ScenarioParseError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (AblkitError, ValueError, KeyError) as err:
+    except (AblkitError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -170,7 +170,9 @@ def enumerate_coarse_grainings(base: ObservableDecomposition) -> list[Observable
     its branch set, each block's projector the sum over the block.
 
     Blocks are labeled by consecutive integers in order of first appearance,
-    so results are deterministic.  Refuses more than
+    so results are deterministic.  The k-th result is the coarse-graining of
+    the k-th partition ``_set_partitions(len(base))`` yields, with its
+    branches in the order of that partition's blocks.  Refuses more than
     :data:`MAX_ENUMERATED_BRANCHES` branches.
     """
     n = len(base)

@@ -26,6 +26,7 @@ emitting again is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -60,7 +61,15 @@ def _expect_list(node, path: str) -> list:
 def _number(node, path: str) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise _fail(path, f"expected a number, got {type(node).__name__}")
-    return float(node)
+    # JSON text can spell inf (1e999, or an integer too long for a float)
+    # and nan (the NaN literal json.loads accepts).
+    try:
+        value = float(node)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise _fail(path, f"expected a finite number, got {value}")
+    return value
 
 
 def _complex(node, path: str) -> complex:

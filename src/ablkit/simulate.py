@@ -5,13 +5,13 @@ intermediate observable (Born draw, then Lüders collapse), and finally
 measures a basis containing the postselection state; the trial is
 postselected when that final outcome is branch 0.  Trial ``i`` of a run
 draws all its randomness from ``substream(seed, i)``, so ensembles are
-bit-reproducible for a given (seed, trials) regardless of worker count or
-chunking.
+bit-reproducible for a given (seed, trials).  The ``workers`` keyword is
+validated and otherwise changes nothing: the trials run in one loop on the
+calling thread, so neither the counts nor how they are computed depend on it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,11 +56,10 @@ def _pick(cumulative: np.ndarray, u: float) -> int:
 class _TrialSampler:
     """Precomputed sampling tables for one (context, observable) pair.
 
-    Read-only after construction, so one instance is shared across worker
-    threads.  A trial consumes one uniform (no intermediate measurement) or
-    two (Born draw for the intermediate branch, then the final basis draw
-    from the collapsed state), making each trial a pure function of its
-    substream.
+    Read-only after construction.  A trial consumes one uniform (no
+    intermediate measurement) or two (Born draw for the intermediate branch,
+    then the final basis draw from the collapsed state), making each trial a
+    pure function of its substream.
     """
 
     def __init__(self, ctx: PrePostContext, observable: ObservableDecomposition | None):
@@ -101,31 +100,21 @@ def run_trial(ctx: PrePostContext, observable: ObservableDecomposition | None,
     return _TrialSampler(ctx, observable).sample(rng)
 
 
-def _chunk_counts(sampler: _TrialSampler, seed: int, start: int, stop: int) -> np.ndarray:
+def _ensemble_counts(sampler: _TrialSampler, trials: int, seed: int, workers: int) -> np.ndarray:
+    if trials < 1:
+        raise ValidationError(f"trials must be at least 1, got {trials}")
+    if workers < 1:
+        raise ValidationError(f"workers must be at least 1, got {workers}")
     # counts[0] = postselected trials; counts[1 + j] = postselected with
     # intermediate branch j.
     counts = np.zeros(1 + sampler.n_branches, dtype=np.int64)
-    for i in range(start, stop):
+    for i in range(trials):
         record = sampler.sample(substream(seed, i))
         if record.postselected:
             counts[0] += 1
             if record.intermediate_branch is not None:
                 counts[1 + record.intermediate_branch] += 1
     return counts
-
-
-def _ensemble_counts(sampler: _TrialSampler, trials: int, seed: int, workers: int) -> np.ndarray:
-    if trials < 1:
-        raise ValidationError(f"trials must be at least 1, got {trials}")
-    if workers < 1:
-        raise ValidationError(f"workers must be at least 1, got {workers}")
-    if workers == 1:
-        return _chunk_counts(sampler, seed, 0, trials)
-    edges = np.linspace(0, trials, workers + 1, dtype=np.int64)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(lambda span: _chunk_counts(sampler, seed, span[0], span[1]),
-                         zip(edges[:-1], edges[1:]))
-        return sum(parts)
 
 
 def estimate_abl(ctx: PrePostContext, observable: ObservableDecomposition,

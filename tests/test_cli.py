@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import ablkit.cli
+import ablkit.simulate
 from ablkit.abl import abl_distribution
 from ablkit.cli import main
 from ablkit.counterfactual import mixing_report
@@ -137,6 +139,44 @@ def test_simulate_workers_flag_is_bit_stable(capsys):
     assert base["final_probability"]["estimate"] == multi["final_probability"]["estimate"]
 
 
+def _count_substreams(monkeypatch):
+    drawn = []
+    original = ablkit.simulate.substream
+
+    def counted(seed, index):
+        drawn.append(index)
+        return original(seed, index)
+
+    monkeypatch.setattr(ablkit.simulate, "substream", counted)
+    return drawn
+
+
+def test_simulate_runs_one_ensemble(capsys, monkeypatch):
+    drawn = _count_substreams(monkeypatch)
+    payload = run_json(capsys, "simulate", "--builtin", "three-box", "--trials", "500", "--json")
+    assert len(drawn) == 500
+    assert payload["final_probability"]["estimate"] == payload["postselected"] / 500
+    drawn.clear()
+    run_json(capsys, "simulate", "--builtin", "three-box", "--trials", "500",
+             "--no-intermediate", "--json")
+    assert len(drawn) == 500
+
+
+def test_simulate_workers_change_nothing(capsys, monkeypatch):
+    drawn = _count_substreams(monkeypatch)
+    args = ("simulate", "--builtin", "three-box", "--trials", "500", "--seed", "4")
+    for extra in ((), ("--json",)):
+        one = run(capsys, *args, "--workers", "1", *extra)
+        one_order = list(drawn)
+        drawn.clear()
+        three = run(capsys, *args, "--workers", "3", *extra)
+        assert three[0] == one[0] == 0
+        assert three[1] == one[1].replace("workers 1", "workers 3").replace(
+            '"workers": 1', '"workers": 3')
+        assert drawn == one_order == list(range(500))
+        drawn.clear()
+
+
 def test_simulate_no_intermediate(capsys):
     payload = run_json(capsys, "simulate", "--builtin", "three-box", "--no-intermediate",
                        "--trials", "4000", "--seed", "1", "--json")
@@ -213,6 +253,28 @@ def test_scenario_validate_rejects_bad_file(capsys, tmp_path):
 def test_scenario_validate_missing_file(capsys):
     code, _, err = run(capsys, "scenario", "validate", "/no/such/file.json")
     assert code == 1
+
+
+@pytest.mark.parametrize("text", [
+    '{"dim": 1e999, "preselection": [], "postselection": [], "observables": {}}',
+    dump_scenario(builtin("three-box")).replace('"eigenvalue": 2.0', '"eigenvalue": NaN'),
+], ids=["infinite-dim", "nan-eigenvalue"])
+def test_scenario_validate_rejects_non_finite_numbers(capsys, tmp_path, text):
+    path = tmp_path / "non-finite.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "scenario", "validate", str(path))
+    assert code == 1
+    assert out == ""
+    assert "expected a finite number" in err
+
+
+def test_internal_key_error_is_not_hidden_as_exit_1(capsys, monkeypatch):
+    def broken(args):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(ablkit.cli, "cmd_abl", broken)
+    with pytest.raises(KeyError):
+        main(["abl", "--builtin", "three-box"])
 
 
 def test_usage_errors_exit_1(capsys):

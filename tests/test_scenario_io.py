@@ -139,6 +139,27 @@ def test_parse_error_empty_observables():
                   "at least one observable")
 
 
+def test_parse_error_infinite_dim():
+    # 1e999 reads as inf; int(inf) would raise OverflowError.
+    _expect_error('{"dim": 1e999, "preselection": [], "postselection": [], '
+                  '"observables": {}}', "dim: expected a finite number")
+
+
+def test_parse_error_nan_eigenvalue():
+    # json.loads accepts the NaN literal; emitting it back is not JSON.
+    _expect_error(MINIMAL.replace('"eigenvalue": -1', '"eigenvalue": NaN'),
+                  "observables.X[1].eigenvalue: expected a finite number")
+
+
+def test_parse_error_non_finite_amplitude():
+    _expect_error(MINIMAL.replace('"preselection": [[1, 0], [0, 0]]',
+                                  '"preselection": [[1, 0], [0, Infinity]]'),
+                  "preselection[1][1]: expected a finite number")
+    _expect_error(MINIMAL.replace('"preselection": [[1, 0], [0, 0]]',
+                                  '"preselection": [[1, 0], [0, 1' + '0' * 400 + ']]'),
+                  "preselection[1][1]: expected a finite number")
+
+
 def test_load_scenario_from_file(tmp_path):
     path = tmp_path / "box.json"
     path.write_text(dump_scenario(builtin("three-box")), encoding="utf-8")
