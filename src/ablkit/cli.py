@@ -387,7 +387,7 @@ def main(argv=None) -> int:
     except (ScenarioParseError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (AblkitError, ValueError) as err:
+    except AblkitError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .abl import DIV_TOL, born_distribution
-from .errors import DimensionMismatchError, UndefinedTermError
+from .errors import DimensionMismatchError, UndefinedTermError, ValidationError
 from .linalg import Ket, ObservableDecomposition
 from .sampling import random_basis, random_ket, substream
 
@@ -138,11 +138,11 @@ def find_counterexample(dim: int, seed: int, gap_min: float = DEFAULT_GAP_MIN,
     ``max_tries`` draws all fall short.
     """
     if not 2 <= dim <= 6:
-        raise ValueError(f"dim must be in [2, 6], got {dim}")
+        raise ValidationError(f"dim must be in [2, 6], got {dim}")
     if not gap_min > 0.0:
-        raise ValueError(f"gap_min must be positive, got {gap_min}")
+        raise ValidationError(f"gap_min must be positive, got {gap_min}")
     if max_tries < 1:
-        raise ValueError(f"max_tries must be at least 1, got {max_tries}")
+        raise ValidationError(f"max_tries must be at least 1, got {max_tries}")
     for t in range(max_tries):
         rng = substream(seed, t)
         a = random_ket(rng, dim)

@@ -135,6 +135,8 @@ def parse_scenario(text: str, *, fallback_name: str = "scenario") -> Scenario:
     except json.JSONDecodeError as err:
         raise ScenarioParseError(
             f"invalid JSON at line {err.lineno} column {err.colno}: {err.msg}") from err
+    except ValueError as err:  # e.g. an integer literal past Python's digit limit
+        raise ScenarioParseError(f"invalid JSON: {err}") from err
     top = _expect_mapping(root, "scenario")
     unknown = set(top) - _TOP_KEYS
     if unknown:
@@ -181,7 +183,10 @@ def parse_scenario(text: str, *, fallback_name: str = "scenario") -> Scenario:
 
 def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise ScenarioParseError(f"{path}: not UTF-8 text: {err}") from err
     return parse_scenario(text, fallback_name=str(path))
 
 

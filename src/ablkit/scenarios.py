@@ -37,6 +37,7 @@ from typing import Mapping
 import numpy as np
 
 from .abl import PrePostContext
+from .errors import ValidationError
 from .linalg import Ket, ObservableDecomposition, basis_containing, projector_from_kets
 
 BUILTIN_NAMES = ("three-box", "spin-pi3", "preselect-only", "identity-A", "identity-B")
@@ -163,7 +164,8 @@ def builtin(name: str) -> Scenario:
     """Look up a compiled-in scenario by name.
 
     ``spin:<theta>`` parses ``theta`` (radians) on the fly; the other names
-    are fixed.  Raises ``ValueError`` for anything unknown.
+    are fixed.  Raises :class:`ValidationError` (a ``ValueError``) for
+    anything unknown.
     """
     if name == "three-box":
         return three_box()
@@ -179,9 +181,9 @@ def builtin(name: str) -> Scenario:
         try:
             theta = float(name.partition(":")[2])
         except ValueError:
-            raise ValueError(f"bad spin angle in {name!r}") from None
+            raise ValidationError(f"bad spin angle in {name!r}") from None
         if not math.isfinite(theta):
-            raise ValueError(f"spin angle must be finite, got {name!r}")
+            raise ValidationError(f"spin angle must be finite, got {name!r}")
         return spin(theta)
-    raise ValueError(f"unknown builtin scenario {name!r}; "
-                     f"choose from {', '.join(BUILTIN_NAMES)} or spin:<theta>")
+    raise ValidationError(f"unknown builtin scenario {name!r}; "
+                          f"choose from {', '.join(BUILTIN_NAMES)} or spin:<theta>")

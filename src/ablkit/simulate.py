@@ -4,10 +4,13 @@ Each trial prepares the preselected state, optionally measures the
 intermediate observable (Born draw, then Lüders collapse), and finally
 measures a basis containing the postselection state; the trial is
 postselected when that final outcome is branch 0.  Trial ``i`` of a run
-draws all its randomness from ``substream(seed, i)``, so ensembles are
-bit-reproducible for a given (seed, trials).  The ``workers`` keyword is
-validated and otherwise changes nothing: the trials run in one loop on the
-calling thread, so neither the counts nor how they are computed depend on it.
+draws all its randomness from the first Philox block of substream
+``(seed, i)``, at counter ``[1, 0, 0, i]``, so ensembles are
+bit-reproducible for a given (seed, trials).  Ensembles are drawn
+``CHUNK`` trials at a time with ``substream_uniforms`` and tallied with
+array operations; ``run_trial`` on ``substream(seed, i)`` is the same trial
+drawn one at a time.  The ``workers`` keyword is validated and otherwise
+changes nothing.
 """
 
 from __future__ import annotations
@@ -19,7 +22,11 @@ import numpy as np
 from .abl import DIV_TOL, PrePostContext, born_distribution
 from .errors import NoPostselectedTrialsError, ValidationError
 from .linalg import Ket, ObservableDecomposition, complete_basis
-from .sampling import substream
+# substream is unused here; bench/workloads.py's tracer rebinds this name.
+from .sampling import substream, substream_uniforms  # noqa: F401
+
+#: Trials drawn and tallied per array pass; bounds the temporaries' size.
+CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -83,6 +90,27 @@ class _TrialSampler:
                 collapsed = collapsed / norm
                 cums[j] = np.cumsum(np.abs(final_states.conj() @ collapsed) ** 2)
             self.final_cums = cums
+        # _pick returns final outcome 0 exactly when no entry of the
+        # (nondecreasing) row is <= u, i.e. when u < row[0]; with a
+        # one-element basis its clamp always returns 0.
+        self.postselect_below = (self.final_cums[:, 0] if dim > 1
+                                 else np.full(len(self.final_cums), np.inf))
+
+    @property
+    def draws(self) -> int:
+        """Uniforms each trial consumes."""
+        return 1 if self.intermediate_cum is None else 2
+
+    def tally(self, u: np.ndarray) -> np.ndarray:
+        """Counts for the trials whose uniforms are the rows of ``u``:
+        ``[postselected, postselected with intermediate branch 0, ...]``,
+        the same as tallying :meth:`sample` row by row."""
+        if self.intermediate_cum is None:
+            return np.array([np.count_nonzero(u[:, 0] < self.postselect_below[0])])
+        branch = np.minimum(np.searchsorted(self.intermediate_cum, u[:, 0], side="right"),
+                            self.n_branches - 1)
+        hits = branch[u[:, 1] < self.postselect_below[branch]]
+        return np.concatenate(([hits.size], np.bincount(hits, minlength=self.n_branches)))
 
     def sample(self, rng: np.random.Generator) -> TrialRecord:
         if self.intermediate_cum is None:
@@ -103,17 +131,16 @@ def run_trial(ctx: PrePostContext, observable: ObservableDecomposition | None,
 def _ensemble_counts(sampler: _TrialSampler, trials: int, seed: int, workers: int) -> np.ndarray:
     if trials < 1:
         raise ValidationError(f"trials must be at least 1, got {trials}")
+    if trials > 2 ** 64:
+        raise ValidationError(f"trials must be at most 2**64 (one substream each), got {trials}")
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
     # counts[0] = postselected trials; counts[1 + j] = postselected with
     # intermediate branch j.
     counts = np.zeros(1 + sampler.n_branches, dtype=np.int64)
-    for i in range(trials):
-        record = sampler.sample(substream(seed, i))
-        if record.postselected:
-            counts[0] += 1
-            if record.intermediate_branch is not None:
-                counts[1 + record.intermediate_branch] += 1
+    for start in range(0, trials, CHUNK):
+        u = substream_uniforms(seed, start, min(start + CHUNK, trials), sampler.draws)
+        counts += sampler.tally(u)
     return counts
 
 

@@ -140,26 +140,28 @@ def test_simulate_workers_flag_is_bit_stable(capsys):
 
 
 def _count_substreams(monkeypatch):
+    # The simulator draws trials in index ranges through substream_uniforms;
+    # record every trial index each call covers.
     drawn = []
-    original = ablkit.simulate.substream
+    original = ablkit.simulate.substream_uniforms
 
-    def counted(seed, index):
-        drawn.append(index)
-        return original(seed, index)
+    def counted(seed, start, stop, k):
+        drawn.extend(range(start, stop))
+        return original(seed, start, stop, k)
 
-    monkeypatch.setattr(ablkit.simulate, "substream", counted)
+    monkeypatch.setattr(ablkit.simulate, "substream_uniforms", counted)
     return drawn
 
 
 def test_simulate_runs_one_ensemble(capsys, monkeypatch):
     drawn = _count_substreams(monkeypatch)
     payload = run_json(capsys, "simulate", "--builtin", "three-box", "--trials", "500", "--json")
-    assert len(drawn) == 500
+    assert drawn == list(range(500))
     assert payload["final_probability"]["estimate"] == payload["postselected"] / 500
     drawn.clear()
     run_json(capsys, "simulate", "--builtin", "three-box", "--trials", "500",
              "--no-intermediate", "--json")
-    assert len(drawn) == 500
+    assert drawn == list(range(500))
 
 
 def test_simulate_workers_change_nothing(capsys, monkeypatch):
@@ -275,6 +277,55 @@ def test_internal_key_error_is_not_hidden_as_exit_1(capsys, monkeypatch):
     monkeypatch.setattr(ablkit.cli, "cmd_abl", broken)
     with pytest.raises(KeyError):
         main(["abl", "--builtin", "three-box"])
+
+
+def test_internal_value_error_is_not_hidden_as_exit_1(capsys, monkeypatch):
+    def broken(args):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(ablkit.cli, "cmd_abl", broken)
+    with pytest.raises(ValueError):
+        main(["abl", "--builtin", "three-box"])
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 128)])
+def test_simulate_seed_out_of_range_exit_1(capsys, seed):
+    code, out, err = run(capsys, "simulate", "--builtin", "three-box", "--trials", "30",
+                         "--seed", seed)
+    assert (code, out) == (1, "")
+    assert err == f"error: seed must be in [0, 2**128), got {seed}\n"
+
+
+def test_simulate_trials_beyond_the_index_space_exit_1(capsys, monkeypatch):
+    drawn = _count_substreams(monkeypatch)
+    code, out, err = run(capsys, "simulate", "--builtin", "three-box",
+                         "--trials", str(2 ** 64 + 1))
+    assert (code, out, drawn) == (1, "", [])
+    assert err == f"error: trials must be at most 2**64 (one substream each), got {2 ** 64 + 1}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("abl", "--builtin", "spin:x"), "bad spin angle in 'spin:x'"),
+    (("abl", "--builtin", "spin:inf"), "spin angle must be finite"),
+    (("counterexample", "--gap-min", "-1"), "gap_min must be positive, got -1.0"),
+    (("counterexample", "--gap-min", "nan"), "gap_min must be positive, got nan"),
+], ids=["spin-angle", "spin-inf", "gap-negative", "gap-nan"])
+def test_bad_user_values_exit_1(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",
+    b'{"dim": ' + b"1" * 5000 + b"}",
+], ids=["not-utf8", "integer-past-digit-limit"])
+def test_scenario_validate_rejects_undecodable_files(capsys, tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "scenario", "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
 
 
 def test_usage_errors_exit_1(capsys):

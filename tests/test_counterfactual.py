@@ -11,7 +11,7 @@ from ablkit.counterfactual import (
     sharp_shanks_total,
     vaidman_total,
 )
-from ablkit.errors import DimensionMismatchError, UndefinedTermError
+from ablkit.errors import DimensionMismatchError, UndefinedTermError, ValidationError
 from ablkit.linalg import Ket, ObservableDecomposition, basis_containing
 from ablkit.sampling import random_basis, random_ket, substream
 from ablkit.scenarios import spin
@@ -199,3 +199,13 @@ def test_draws_come_from_per_try_substreams():
     rng = substream(55, example.tries - 1)
     a = random_ket(rng, 2)
     np.testing.assert_array_equal(a.amplitudes, example.preselection.amplitudes)
+
+
+@pytest.mark.parametrize("bad", [dict(dim=1), dict(dim=7), dict(gap_min=0.0),
+                                 dict(gap_min=math.nan), dict(max_tries=0)],
+                         ids=["dim-1", "dim-7", "gap-0", "gap-nan", "tries-0"])
+def test_search_arguments_raise_validation_error(bad):
+    kwargs = dict(dim=2, seed=0, gap_min=0.05, max_tries=10)
+    kwargs.update(bad)
+    with pytest.raises(ValidationError):
+        find_counterexample(**kwargs)

@@ -3,7 +3,7 @@ import pytest
 
 from ablkit.errors import ValidationError
 from ablkit.linalg import ObservableDecomposition
-from ablkit.sampling import random_basis, random_ket, substream
+from ablkit.sampling import random_basis, random_ket, substream, substream_uniforms
 
 
 def test_substream_reproducible():
@@ -34,6 +34,38 @@ def test_substream_validation():
         substream(2 ** 128, 0)
     with pytest.raises(ValidationError):
         substream(0, 2 ** 64)
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2 ** 100 + 7, 2 ** 128 - 1])
+@pytest.mark.parametrize("start", [0, 2 ** 64 - 257], ids=["first", "last"])
+def test_substream_uniforms_match_substreams(seed, start):
+    # windows at the first index and ending at the last index, 2**64 - 1
+    stop = start + 257
+    for k in (1, 2, 3, 4):
+        expected = np.array([substream(seed, i).random(k) for i in range(start, stop)])
+        np.testing.assert_array_equal(substream_uniforms(seed, start, stop, k), expected)
+
+
+def test_substream_uniforms_empty_range():
+    assert substream_uniforms(1, 5, 5, 2).shape == (0, 2)
+
+
+@pytest.mark.parametrize("seed, start, stop", [
+    (-1, 0, 1), (2 ** 128, 0, 1), (0, -1, 1), (0, 0, 2 ** 64 + 1), (0, 2 ** 64, 2 ** 64 + 1),
+])
+def test_substream_uniforms_validation_matches_substream(seed, start, stop):
+    bad = stop - 1 if start >= 0 else start
+    with pytest.raises(ValidationError) as scalar:
+        substream(seed, bad)
+    with pytest.raises(ValidationError) as vector:
+        substream_uniforms(seed, start, stop, 2)
+    assert str(vector.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("k", [0, 5])
+def test_substream_uniforms_word_count(k):
+    with pytest.raises(ValidationError):
+        substream_uniforms(0, 0, 1, k)
 
 
 def test_random_ket_is_normalized():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ablkit.abl import abl_distribution, born_distribution
+from ablkit.errors import ValidationError
 from ablkit.linalg import Ket, basis_containing
 from ablkit.scenarios import BUILTIN_NAMES, Scenario, builtin, spin, three_box
 
@@ -109,3 +110,10 @@ def test_observable_accessor():
     assert s.observable("B") is s.observables["B"]
     with pytest.raises(KeyError):
         s.observable("missing")
+
+
+@pytest.mark.parametrize("name", ["spin:abc", "spin:inf", "spin:nan", "four-box"])
+def test_bad_builtin_names_raise_validation_error(name):
+    # a ValueError subclass, and an AblkitError the CLI maps to exit 1
+    with pytest.raises(ValidationError):
+        builtin(name)

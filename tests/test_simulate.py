@@ -1,7 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ablkit.simulate
 
 from ablkit.abl import PrePostContext, abl_distribution, disturbed_final_probability
 from ablkit.errors import NoPostselectedTrialsError, ValidationError
@@ -9,10 +14,12 @@ from ablkit.linalg import Ket, basis_containing
 from ablkit.sampling import substream
 from ablkit.scenarios import spin, three_box
 from ablkit.simulate import (
+    CHUNK,
     EnsembleStats,
     TrialRecord,
     estimate_abl,
     estimate_final_probability,
+    _TrialSampler,
     run_trial,
 )
 
@@ -126,3 +133,55 @@ def test_input_validation():
         estimate_abl(CTX, C, 100, 0, workers=0)
     with pytest.raises(ValidationError):
         estimate_final_probability(CTX, None, -5, 0)
+
+
+def _scalar_counts(records, n_branches):
+    # [postselected, postselected with intermediate branch j, ...], as the
+    # ensemble counts them
+    post = [r for r in records if r.postselected]
+    branches = [r.intermediate_branch for r in post if r.intermediate_branch is not None]
+    return [len(post), *np.bincount(branches, minlength=n_branches).tolist()]
+
+
+def _assert_counts_match(ctx, obs, trials, seed, expected):
+    assert estimate_final_probability(ctx, obs, trials, seed) == expected[0] / trials
+    if obs is None:
+        return
+    if expected[0] == 0:
+        with pytest.raises(NoPostselectedTrialsError):
+            estimate_abl(ctx, obs, trials, seed)
+        return
+    stats = estimate_abl(ctx, obs, trials, seed)
+    assert [stats.postselected_count, *stats.branch_counts.tolist()] == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.one_of(
+           st.sampled_from(["C", "A", None]).map(lambda name: (SCENARIO, name)),
+           st.tuples(st.floats(0.0, 2.0 * math.pi).map(spin), st.sampled_from(["Sn", None]))),
+       seed=st.integers(0, 2 ** 128 - 1),
+       trials=st.integers(1, 60),
+       chunk=st.sampled_from([1, 7, CHUNK]))
+def test_ensemble_counts_equal_scalar_trials(case, seed, trials, chunk):
+    scenario, name = case
+    ctx = scenario.context
+    obs = None if name is None else scenario.observables[name]
+    records = [run_trial(ctx, obs, substream(seed, i)) for i in range(trials)]
+    expected = _scalar_counts(records, 0 if obs is None else len(obs))
+    # small chunk sizes make short ensembles cross chunk boundaries
+    with mock.patch.object(ablkit.simulate, "CHUNK", chunk):
+        _assert_counts_match(ctx, obs, trials, seed, expected)
+
+
+def test_ensemble_counts_cross_a_chunk_boundary():
+    trials, seed = CHUNK + 3, 2 ** 100 + 7
+    sampler = _TrialSampler(CTX, C)  # the tables run_trial builds for every trial
+    records = [sampler.sample(substream(seed, i)) for i in range(trials)]
+    _assert_counts_match(CTX, C, trials, seed, _scalar_counts(records, len(C)))
+
+
+def test_trials_beyond_the_index_space_are_refused():
+    with pytest.raises(ValidationError, match=r"trials must be at most 2\*\*64"):
+        estimate_abl(CTX, C, 2 ** 64 + 1, 0)
+    with pytest.raises(ValidationError, match=r"seed must be in \[0, 2\*\*128\)"):
+        estimate_final_probability(CTX, None, 10, 2 ** 128)
