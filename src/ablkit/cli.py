@@ -66,10 +66,17 @@ def _add_scenario_args(parser: argparse.ArgumentParser):
                         help="observable to ask about (default: the scenario's default)")
 
 
+def _read_scenario(path: str) -> Scenario:
+    try:
+        return load_scenario(path)
+    except OSError as err:  # missing, a directory, unreadable, ...
+        raise ScenarioParseError(str(err)) from err
+
+
 def _load(args) -> tuple[Scenario, str]:
     if args.builtin is not None:
         return builtin(args.builtin), args.builtin
-    return load_scenario(args.scenario), args.scenario
+    return _read_scenario(args.scenario), args.scenario
 
 
 def _pick_observable(scenario: Scenario, args):
@@ -304,7 +311,7 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_scenario_validate(args) -> int:
-    scenario = load_scenario(args.path)
+    scenario = _read_scenario(args.path)
     if args.json:
         _print_json({
             "command": "scenario-validate",
@@ -384,9 +391,6 @@ def main(argv=None) -> int:
     except _DOMAIN_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (ScenarioParseError, FileNotFoundError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except AblkitError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

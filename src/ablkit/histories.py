@@ -23,7 +23,7 @@ import numpy as np
 
 from .abl import PrePostContext
 from .errors import TooManyBranchesError, ValidationError, DimensionMismatchError
-from .linalg import ObservableDecomposition, Projector
+from .linalg import ObservableDecomposition, Projector, _projector_ranks
 
 #: Default tolerance for consistency verdicts and the disturbance identity.
 CONSISTENCY_TOL = 1e-9
@@ -172,22 +172,29 @@ def enumerate_coarse_grainings(base: ObservableDecomposition) -> list[Observable
     Blocks are labeled by consecutive integers in order of first appearance,
     so results are deterministic.  The k-th result is the coarse-graining of
     the k-th partition ``_set_partitions(len(base))`` yields, with its
-    branches in the order of that partition's blocks.  Refuses more than
+    branches in the order of that partition's blocks.  Each distinct block
+    (at most ``2**n - 1`` of them) is summed once, in ascending branch order,
+    and all are validated as one projector stack; the partitions share those
+    projectors, and each partition's decomposition still checks its own
+    completeness and orthogonality.  Refuses more than
     :data:`MAX_ENUMERATED_BRANCHES` branches.
     """
     n = len(base)
     if n > MAX_ENUMERATED_BRANCHES:
         raise TooManyBranchesError(
             f"{n} branches would enumerate too many partitions (cap is {MAX_ENUMERATED_BRANCHES})")
-    out = []
-    for blocks in _set_partitions(n):
-        projectors = []
+    partitions = [[tuple(block) for block in blocks] for blocks in _set_partitions(n)]
+    slots: dict[tuple[int, ...], int] = {}
+    for blocks in partitions:
         for block in blocks:
-            m = np.zeros((base.dim, base.dim), dtype=np.complex128)
-            rank = 0
-            for idx in block:
-                m += base.matrix(idx)
-                rank += base.projector(idx).rank
-            projectors.append(Projector(m, rank=rank))
-        out.append(ObservableDecomposition.from_projectors(projectors))
-    return out
+            slots.setdefault(block, len(slots))
+    sums = np.zeros((len(slots), base.dim, base.dim), dtype=np.complex128)
+    for k, block in enumerate(slots):
+        for idx in block:
+            sums[k] += base.stack[idx]
+    ranks = _projector_ranks(sums, [sum(base.projector(idx).rank for idx in block)
+                                    for block in slots])
+    sums.setflags(write=False)
+    projectors = [Projector._validated(m, rank) for m, rank in zip(sums, ranks)]
+    return [ObservableDecomposition.from_projectors([projectors[slots[block]] for block in blocks])
+            for blocks in partitions]

@@ -20,14 +20,20 @@ Schema (complex numbers are two-element ``[re, im]`` arrays)::
 Parsed values go through the same validation as directly constructed ones,
 and parse errors name the offending field.  Emission is canonical (sorted
 keys, two-space indent, exact float round-trip), so emitting, parsing, and
-emitting again is byte-identical.
+emitting again is byte-identical.  Amplitude arrays are parsed and emitted
+whole: a vector or matrix of plain numbers converts in one numpy call (any
+other array goes through the element-by-element checks, which name the
+offending field), and emission renders each array from its float view with
+``float.__repr__``, byte-identical to
+``json.dumps(scenario_to_jsonable(s), sort_keys=True, indent=2)``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any
+from itertools import chain
+from typing import Any, Callable
 
 import numpy as np
 
@@ -79,10 +85,32 @@ def _complex(node, path: str) -> complex:
     return complex(_number(pair[0], f"{path}[0]"), _number(pair[1], f"{path}[1]"))
 
 
+def _bulk_complex(items: list, shape: tuple[int, ...]) -> np.ndarray | None:
+    """``items`` as a complex array of ``shape`` when every leaf is a finite
+    int or float and each innermost list is a ``[re, im]`` pair; ``None``
+    otherwise, so that the caller can name the offending field."""
+    try:
+        pairs = np.array(items, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if pairs.shape != shape + (2,) or not np.isfinite(pairs).all():
+        return None
+    # numpy also converts bools and numeric strings, which the schema refuses.
+    leaves = items
+    for _ in shape:
+        leaves = chain.from_iterable(leaves)
+    if not set(map(type, leaves)) <= {int, float}:
+        return None
+    return pairs.view(np.complex128).reshape(shape)
+
+
 def _vector(node, path: str, dim: int) -> np.ndarray:
     items = _expect_list(node, path)
     if len(items) != dim:
         raise _fail(path, f"expected {dim} amplitudes, got {len(items)}")
+    vector = _bulk_complex(items, (dim,))
+    if vector is not None:
+        return vector
     return np.array([_complex(c, f"{path}[{k}]") for k, c in enumerate(items)],
                     dtype=np.complex128)
 
@@ -117,8 +145,10 @@ def _branch(node, path: str, dim: int) -> Branch:
             rows = _expect_list(spec["matrix"], f"{path}.matrix")
             if len(rows) != dim:
                 raise _fail(f"{path}.matrix", f"expected {dim} rows, got {len(rows)}")
-            matrix = np.array([_vector(row, f"{path}.matrix[{r}]", dim)
-                               for r, row in enumerate(rows)])
+            matrix = _bulk_complex(rows, (dim, dim))
+            if matrix is None:
+                matrix = np.array([_vector(row, f"{path}.matrix[{r}]", dim)
+                                   for r, row in enumerate(rows)])
             projector = Projector(matrix)
     except AblkitError as err:
         if isinstance(err, ScenarioParseError):
@@ -190,37 +220,73 @@ def load_scenario(path) -> Scenario:
     return parse_scenario(text, fallback_name=str(path))
 
 
-def _complex_out(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _pairs(a: np.ndarray) -> np.ndarray:
+    # Float64 view of a complex array with a trailing [re, im] axis.
+    a = np.ascontiguousarray(a)
+    return a.view(np.float64).reshape(a.shape + (2,))
 
 
-def _vector_out(v: np.ndarray) -> list[list[float]]:
-    return [_complex_out(z) for z in v]
-
-
-def scenario_to_jsonable(scenario: Scenario) -> dict[str, Any]:
-    """Plain-JSON form of a scenario; branches are emitted in explicit
-    matrix form, which is lossless."""
+def _tree(scenario: Scenario, leaf: Callable[[np.ndarray], Any]) -> dict[str, Any]:
+    # The emitted structure, with ``leaf`` applied to each amplitude array's
+    # float view.
     observables = {}
     for name, obs in scenario.observables.items():
         observables[name] = [
-            {"eigenvalue": eigenvalue, "matrix": [_vector_out(row) for row in projector.matrix]}
+            {"eigenvalue": eigenvalue, "matrix": leaf(_pairs(projector.matrix))}
             for eigenvalue, projector in obs
         ]
     return {
         "dim": scenario.dim,
         "name": scenario.name,
         "description": scenario.description,
-        "preselection": _vector_out(scenario.context.preselection.amplitudes),
-        "postselection": _vector_out(scenario.context.postselection.amplitudes),
+        "preselection": leaf(_pairs(scenario.context.preselection.amplitudes)),
+        "postselection": leaf(_pairs(scenario.context.postselection.amplitudes)),
         "observables": observables,
         "default_observable": scenario.default_observable,
     }
 
 
+def scenario_to_jsonable(scenario: Scenario) -> dict[str, Any]:
+    """Plain-JSON form of a scenario; branches are emitted in explicit
+    matrix form, which is lossless."""
+    return _tree(scenario, np.ndarray.tolist)
+
+
+def _indent(level: int) -> str:
+    return "\n" + "  " * level
+
+
+def _render_array(pairs: np.ndarray, level: int) -> str:
+    # One %r slot per float, laid out as json's indent=2 encoder would nest
+    # the lists; %r is float.__repr__, the encoder's float form.
+    template = "%r"
+    for depth in range(pairs.ndim, 0, -1):
+        inner = _indent(level + depth)
+        template = ("[" + inner + ("," + inner).join([template] * pairs.shape[depth - 1])
+                    + _indent(level + depth - 1) + "]")
+    return template % tuple(pairs.ravel().tolist())
+
+
+def _render(node, level: int) -> str:
+    if isinstance(node, np.ndarray):
+        return _render_array(node, level)
+    if isinstance(node, dict) and node:
+        items = [json.dumps(key) + ": " + _render(value, level + 1)
+                 for key, value in sorted(node.items())]
+    elif isinstance(node, list) and node:
+        items = [_render(value, level + 1) for value in node]
+    else:
+        return json.dumps(node)
+    inner = _indent(level + 1)
+    brackets = "{}" if isinstance(node, dict) else "[]"
+    return brackets[0] + inner + ("," + inner).join(items) + _indent(level) + brackets[1]
+
+
 def dump_scenario(scenario: Scenario) -> str:
-    """Canonical text form: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(scenario_to_jsonable(scenario), sort_keys=True, indent=2) + "\n"
+    """Canonical text form: sorted keys, two-space indent, trailing newline;
+    the same text as ``json.dumps(scenario_to_jsonable(scenario),
+    sort_keys=True, indent=2) + "\\n"``."""
+    return _render(_tree(scenario, lambda pairs: pairs), 0) + "\n"
 
 
 def _ket_from_rank1(projector: Projector) -> Ket:

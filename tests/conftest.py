@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ablkit.abl import PrePostContext
-from ablkit.linalg import Ket
+from ablkit.linalg import Ket, ObservableDecomposition, Projector
 from ablkit.scenarios import three_box
 
 
@@ -26,3 +26,19 @@ def make_context(rng: np.random.Generator, dim: int, min_overlap: float = 1e-6) 
         b = b / np.linalg.norm(b)
         if abs(np.vdot(b, a)) ** 2 >= min_overlap:
             return PrePostContext(Ket(a), Ket(b))
+
+
+def mixed_rank_decomposition(seed: int, ranks, eigenvalues=None) -> ObservableDecomposition:
+    """Decomposition of dimension ``sum(ranks)`` with one branch per entry of
+    ``ranks``, each projecting onto the next ``rank`` columns of a random
+    unitary."""
+    rng = np.random.default_rng(seed)
+    dim = sum(ranks)
+    unitary, _ = np.linalg.qr(rng.standard_normal((dim, dim))
+                              + 1j * rng.standard_normal((dim, dim)))
+    projectors, start = [], 0
+    for rank in ranks:
+        cols = unitary[:, start:start + rank]
+        projectors.append(Projector(cols @ cols.conj().T, rank=rank))
+        start += rank
+    return ObservableDecomposition.from_projectors(projectors, eigenvalues)

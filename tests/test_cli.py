@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -255,6 +257,38 @@ def test_scenario_validate_rejects_bad_file(capsys, tmp_path):
 def test_scenario_validate_missing_file(capsys):
     code, _, err = run(capsys, "scenario", "validate", "/no/such/file.json")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["scenario", "validate", "{dir}"],
+    ["abl", "--scenario", "{dir}"],
+    ["consistency", "--scenario", "{dir}", "--coarse-grainings"],
+])
+def test_scenario_path_that_is_a_directory_exits_1(capsys, tmp_path, argv):
+    # An unreadable file takes the same path (PermissionError is an OSError
+    # too), but it cannot be made unreadable to a test that runs as root.
+    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+
+# captured.json holds the exit code, stderr and a digest of stdout of each
+# command below, recorded before scenario emission and coarse-graining
+# enumeration were rewritten on whole arrays; dim-12.json is the scenario-cli
+# benchmark's dim-12 file for seed 1, and three-box.json the canonical form of
+# the built-in three-box scenario.
+CLI_ORACLE = pathlib.Path(__file__).with_name("cli_oracle")
+
+
+@pytest.mark.parametrize("case", json.loads((CLI_ORACLE / "captured.json").read_text()),
+                         ids=lambda case: " ".join(case["argv"]))
+def test_output_is_byte_identical_to_capture(capsys, monkeypatch, case):
+    monkeypatch.chdir(CLI_ORACLE)  # --json output names the path it was given
+    code, out, err = run(capsys, *case["argv"])
+    assert (code, err) == (case["exit"], case["stderr"])
+    stdout = out.encode("utf-8")
+    assert len(stdout) == case["stdout_bytes"]
+    assert hashlib.sha256(stdout).hexdigest() == case["stdout_sha256"]
 
 
 @pytest.mark.parametrize("text", [

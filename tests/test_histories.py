@@ -6,6 +6,7 @@ from ablkit.errors import DimensionMismatchError, TooManyBranchesError, Validati
 from ablkit.histories import (
     ConsistencyReport,
     HistoryFamily,
+    _set_partitions,
     decoherence_functional,
     decoherence_matrix,
     disturbance_check,
@@ -23,7 +24,7 @@ from ablkit.linalg import (
 from ablkit.sampling import random_basis, random_ket
 from ablkit.scenarios import three_box
 
-from conftest import make_context
+from conftest import make_context, mixed_rank_decomposition
 
 SCENARIO = three_box()
 CTX = SCENARIO.context
@@ -251,3 +252,46 @@ def test_coarse_graining_verdicts_three_box():
     assert sum(r.consistent for r in two_block) == 2
     worst = max(r.max_violation for r in two_block)
     assert worst == pytest.approx(2 / 9, abs=1e-10)
+
+
+def _coarse_grainings_oracle(base):
+    # The per-partition loop enumerate_coarse_grainings ran before it built
+    # each distinct block once: every block summed and validated afresh.
+    out = []
+    for blocks in _set_partitions(len(base)):
+        projectors = []
+        for block in blocks:
+            m = np.zeros((base.dim, base.dim), dtype=np.complex128)
+            rank = 0
+            for idx in block:
+                m += base.matrix(idx)
+                rank += base.projector(idx).rank
+            projectors.append(Projector(m, rank=rank))
+        out.append(ObservableDecomposition.from_projectors(projectors))
+    return out
+
+
+_RANKS = [[1], [2], [1, 1], [2, 1], [1, 1, 1], [1, 3, 1], [1, 1, 1, 1], [2, 1, 1, 2],
+          [1, 2, 1, 1, 1], [1, 1, 1, 1, 1, 1], [2, 1, 3, 1, 1, 2]]
+
+
+@pytest.mark.parametrize("base", [
+    *(pytest.param(mixed_rank_decomposition(k, ranks), id=f"ranks{ranks}")
+      for k, ranks in enumerate(_RANKS)),
+    *(pytest.param(SCENARIO.observables[name], id=f"three-box-{name}")
+      for name in ("C", "Cprime", "Cdprime")),
+])
+def test_enumerate_matches_per_partition_loop_bit_for_bit(base):
+    got, want = enumerate_coarse_grainings(base), _coarse_grainings_oracle(base)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.stack.tobytes() == w.stack.tobytes()
+        assert [p.rank for _, p in g] == [p.rank for _, p in w]
+        assert g.eigenvalues == w.eigenvalues
+
+
+def test_enumerate_shares_one_projector_per_distinct_block():
+    base = mixed_rank_decomposition(7, [1, 2, 1, 1])
+    grainings = enumerate_coarse_grainings(base)
+    projectors = {id(p) for g in grainings for _, p in g}
+    assert len(projectors) == 2 ** len(base) - 1

@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from ablkit.abl import abl_distribution
+from ablkit.abl import PrePostContext, abl_distribution
 from ablkit.counterfactual import find_counterexample, mixing_report
 from ablkit.errors import ScenarioParseError
+from ablkit.linalg import Ket, basis_containing
 from ablkit.scenario_io import (
     counterexample_scenario,
     dump_scenario,
@@ -13,7 +15,9 @@ from ablkit.scenario_io import (
     parse_scenario,
     scenario_to_jsonable,
 )
-from ablkit.scenarios import BUILTIN_NAMES, builtin
+from ablkit.scenarios import BUILTIN_NAMES, Scenario, builtin
+
+from conftest import mixed_rank_decomposition
 
 MINIMAL = """
 {
@@ -196,3 +200,186 @@ def test_dump_is_canonical_json():
     assert text.endswith("\n")
     parsed = json.loads(text)
     assert json.dumps(parsed, sort_keys=True, indent=2) + "\n" == text
+
+
+# --- canonical emission against the json encoder -------------------------
+
+def _jsonable_oracle(scenario):
+    # The per-element form scenario_to_jsonable had before emission worked on
+    # whole float arrays; dump_scenario must print exactly what the json
+    # encoder prints for it.
+    def vector(v):
+        return [[float(z.real), float(z.imag)] for z in v]
+
+    return {
+        "dim": scenario.dim,
+        "name": scenario.name,
+        "description": scenario.description,
+        "preselection": vector(scenario.context.preselection.amplitudes),
+        "postselection": vector(scenario.context.postselection.amplitudes),
+        "observables": {
+            name: [{"eigenvalue": e, "matrix": [vector(row) for row in p.matrix]} for e, p in obs]
+            for name, obs in scenario.observables.items()
+        },
+        "default_observable": scenario.default_observable,
+    }
+
+
+def _assert_emission_matches_oracle(scenario):
+    oracle = _jsonable_oracle(scenario)
+    assert dump_scenario(scenario) == json.dumps(oracle, sort_keys=True, indent=2) + "\n"
+    # repr tells -0.0 from 0.0 and a numpy scalar from a float
+    assert repr(scenario_to_jsonable(scenario)) == repr(oracle)
+
+
+@pytest.mark.parametrize("name", list(BUILTIN_NAMES) + ["spin:0", "spin:0.7", "spin:-2.5"])
+def test_emission_matches_json_encoder_on_builtins(name):
+    _assert_emission_matches_oracle(builtin(name))
+
+
+@settings(max_examples=40, deadline=None)
+@given(theta=st.floats(-10.0, 10.0))
+def test_emission_matches_json_encoder_on_spin(theta):
+    _assert_emission_matches_oracle(builtin(f"spin:{theta!r}"))
+
+
+def _random_scenario(seed, ranks, eigenvalues, name, description):
+    observable = mixed_rank_decomposition(seed, ranks, eigenvalues)
+    rng = np.random.default_rng(seed + 1)
+    pre, post = (Ket.normalized(rng.standard_normal(observable.dim)
+                                + 1j * rng.standard_normal(observable.dim))
+                 for _ in range(2))
+    return Scenario(name=name, description=description, context=PrePostContext(pre, post),
+                    observables={"O": observable, "B": basis_containing(post)},
+                    default_observable="O")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       ranks=st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda r: sum(r) <= 8),
+       data=st.data(), name=st.text(), description=st.text())
+def test_emission_matches_json_encoder_on_random_scenarios(seed, ranks, data, name, description):
+    eigenvalues = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=len(ranks),
+                                     max_size=len(ranks), unique=True))
+    _assert_emission_matches_oracle(_random_scenario(seed, ranks, eigenvalues, name, description))
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=6, max_size=6))
+@example(values=[-0.0, 5e-324, 1e300, -1e300, -5e-324, 0.0])
+@example(values=[1e16, 1e-5, 1e-4, 123456789012345678.0, 0.1, -0.0])
+def test_emission_matches_json_encoder_on_any_finite_amplitude(values):
+    # The renderer must print any finite float as the encoder does, not only
+    # normalized amplitudes, so the preselection's array is overwritten here
+    # behind Ket's validation.
+    scenario = _random_scenario(3, [1, 2], [0, 1], "extremes", "")
+    amplitudes = np.array(values[0::2]) + 1j * np.array(values[1::2])
+    object.__setattr__(scenario.context.preselection, "amplitudes", amplitudes)
+    _assert_emission_matches_oracle(scenario)
+
+
+def test_emission_of_non_ascii_and_empty_text():
+    scenario = _random_scenario(5, [2, 1], [7, -3], "Ψ-box ✓ é\U0001f600", "")
+    _assert_emission_matches_oracle(scenario)
+    assert '"description": "",' in dump_scenario(scenario)
+
+
+# --- bulk number parsing keeps the per-field errors ----------------------
+
+def _matrix_form():
+    return {"dim": 2, "preselection": [[1, 0], [0, 0]], "postselection": [[0.6, 0], [0.8, 0]],
+            "observables": {"Z": [
+                {"eigenvalue": 1, "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]},
+                {"eigenvalue": -1, "kets": [[[0, 0], [1, 0]]]}]}}
+
+
+def _leaf_parent(doc, where):
+    # The [re, im] pair list a case edits: the preselection, row 1 of the
+    # first branch's matrix, or the second branch's ket.
+    if where == "preselection":
+        return doc["preselection"]
+    if where == "matrix":
+        return doc["observables"]["Z"][0]["matrix"][1]
+    return doc["observables"]["Z"][1]["kets"][0]
+
+
+_FIELD = {"preselection": "preselection[1][1]",
+          "matrix": "observables.Z[0].matrix[1][0][1]",
+          "ket": "observables.Z[1].kets[0][1][0]"}
+
+
+@pytest.mark.parametrize("where", ["preselection", "matrix", "ket"])
+@pytest.mark.parametrize("literal, message", [
+    ("true", "expected a number, got bool"),
+    ('"1"', "expected a number, got str"),
+    ("null", "expected a number, got NoneType"),
+    ("[0]", "expected a number, got list"),
+    ("1e999", "expected a finite number, got inf"),
+])
+def test_parse_error_text_for_bad_numbers(where, literal, message):
+    doc = _matrix_form()
+    pairs = _leaf_parent(doc, where)
+    if where == "ket":
+        pairs[1][0] = "@"
+    else:
+        pairs[1 if where == "preselection" else 0][1] = "@"
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(json.dumps(doc).replace('"@"', literal))
+    assert str(err.value) == f"{_FIELD[where]}: {message}"
+
+
+@pytest.mark.parametrize("where, message", [
+    ("preselection", "preselection[0]: expected a [re, im] pair, got 3 elements"),
+    ("matrix", "observables.Z[0].matrix[1][0]: expected a [re, im] pair, got 3 elements"),
+    ("ket", "observables.Z[1].kets[0][0]: expected a [re, im] pair, got 3 elements"),
+])
+def test_parse_error_text_for_three_element_pair(where, message):
+    doc = _matrix_form()
+    _leaf_parent(doc, where)[0] = [0, 0, 0]
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(json.dumps(doc))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("where, message", [
+    ("preselection", "preselection: expected 2 amplitudes, got 1"),
+    ("matrix", "observables.Z[0].matrix[1]: expected 2 amplitudes, got 1"),
+    ("ket", "observables.Z[1].kets[0]: expected 2 amplitudes, got 1"),
+])
+def test_parse_error_text_for_short_row(where, message):
+    doc = _matrix_form()
+    del _leaf_parent(doc, where)[1]
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(json.dumps(doc))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("where, message", [
+    ("preselection", "preselection: ket norm^2 = 1.329227995784916e+36, expected 1 within 1e-09"),
+    ("matrix", "observables.Z[0]: projector matrix is not Hermitian"),
+    ("ket", "observables.Z[1].kets[0]: ket norm^2 = 1.329227995784916e+36, "
+            "expected 1 within 1e-09"),
+])
+def test_large_integer_amplitudes_convert_as_float_does(where, message):
+    # 2**60 + 1 rounds to 2**60 as float() rounds it; the validation errors
+    # then print the same numbers as the element-by-element conversion did.
+    doc = _matrix_form()
+    pairs = _leaf_parent(doc, where)
+    if where == "ket":
+        pairs[1][0] = 2 ** 60 + 1
+    else:
+        pairs[1 if where == "preselection" else 0][1] = 2 ** 60 + 1
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(json.dumps(doc))
+    assert str(err.value) == message
+
+
+def test_bulk_parse_keeps_each_number_bit_for_bit():
+    doc = _matrix_form()
+    doc["preselection"] = [[1, -0.0], [-0.0, 5e-324]]
+    scenario = parse_scenario(json.dumps(doc))
+    expected = np.array([complex(1.0, -0.0), complex(-0.0, 5e-324)])
+    assert scenario.context.preselection.amplitudes.tobytes() == expected.tobytes()
+    matrix = doc["observables"]["Z"][0]["matrix"]
+    expected = np.array([[complex(float(re), float(im)) for re, im in row] for row in matrix])
+    assert scenario.observables["Z"].matrix(0).tobytes() == expected.tobytes()
