@@ -5,11 +5,14 @@ intermediate projective measurement of ``C = sum_i c_i P_i``, conditioned on
 preparing ``|a>`` beforehand and successfully postselecting ``|b>``
 afterwards:
 
-    P(c_i | a, b) = Tr(P_b P_i P_a P_i) / sum_j Tr(P_b P_j P_a P_j)
+    P(c_i | a, b) = |<b|P_i|a>|^2 / sum_j |<b|P_j|a>|^2
 
 The numerator terms are the joint probabilities "outcome i, then
 postselection succeeds"; the denominator is the total probability that the
-postselection succeeds at all, given that C was measured.  This module also
+postselection succeeds at all, given that C was measured.  Every rank-1
+quantity reads the amplitudes ``x_j = <b|P_j|a>`` from one product
+``observable.stack @ a``; the trace form ``Tr(P_b P_j P_a P_j)`` serves only
+the projector endpoints of :func:`abl_probabilities`.  This module also
 covers the ordinary Born distribution, the Lüders update after a projective
 outcome, and the postselection probability as disturbed by an intervening
 measurement.
@@ -41,12 +44,6 @@ class PrePostContext:
         if self.preselection.dim != self.postselection.dim:
             raise DimensionMismatchError(
                 f"preselection dim {self.preselection.dim} != postselection dim {self.postselection.dim}")
-        p_init = np.outer(self.preselection.amplitudes, self.preselection.amplitudes.conj())
-        p_final = np.outer(self.postselection.amplitudes, self.postselection.amplitudes.conj())
-        p_init.setflags(write=False)
-        p_final.setflags(write=False)
-        object.__setattr__(self, "_initial", p_init)
-        object.__setattr__(self, "_final", p_final)
 
     @property
     def dim(self) -> int:
@@ -54,13 +51,19 @@ class PrePostContext:
 
     @property
     def initial_projector(self) -> np.ndarray:
-        """Rank-1 projector matrix onto the preselected state."""
-        return self._initial
+        """Rank-1 projector matrix onto the preselected state, built on access."""
+        return _outer(self.preselection)
 
     @property
     def final_projector(self) -> np.ndarray:
-        """Rank-1 projector matrix onto the postselected state."""
-        return self._final
+        """Rank-1 projector matrix onto the postselected state, built on access."""
+        return _outer(self.postselection)
+
+
+def _outer(ket: Ket) -> np.ndarray:
+    m = np.outer(ket.amplitudes, ket.amplitudes.conj())
+    m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,18 +87,11 @@ def born_distribution(state: Ket, observable: ObservableDecomposition) -> np.nda
     return (projected.real ** 2 + projected.imag ** 2).sum(axis=1)
 
 
-def _joints(p_initial: np.ndarray, observable: ObservableDecomposition,
-            p_final: np.ndarray) -> np.ndarray:
-    # Tr(P_f P_j P_i P_j) for every branch j at once; endpoints of any rank.
-    stack = observable.stack
-    traces = np.einsum("jab,jba->j", p_final @ stack, p_initial @ stack)
-    return np.maximum(traces.real, 0.0)
-
-
 def _context_joints(ctx: PrePostContext, observable: ObservableDecomposition) -> np.ndarray:
     if ctx.dim != observable.dim:
         raise DimensionMismatchError(f"context dim {ctx.dim} != observable dim {observable.dim}")
-    return _joints(ctx.initial_projector, observable, ctx.final_projector)
+    x = (observable.stack @ ctx.preselection.amplitudes) @ ctx.postselection.amplitudes.conj()
+    return x.real ** 2 + x.imag ** 2
 
 
 def joint_probability(ctx: PrePostContext, observable: ObservableDecomposition, branch: int) -> float:
@@ -130,7 +126,10 @@ def abl_probabilities(initial, observable: ObservableDecomposition, final,
     """
     p_init = operator_matrix(initial, dim=observable.dim)
     p_final = operator_matrix(final, dim=observable.dim)
-    return _conditionals(_joints(p_init, observable, p_final), div_tol)
+    stack = observable.stack
+    # Tr(P_f P_j P_i P_j) for every branch j at once.
+    traces = np.einsum("jab,jba->j", p_final @ stack, p_init @ stack)
+    return _conditionals(np.maximum(traces.real, 0.0), div_tol)
 
 
 def abl_distribution(ctx: PrePostContext, observable: ObservableDecomposition) -> AblDistribution:

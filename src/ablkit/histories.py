@@ -3,15 +3,17 @@
 A history family here is the two-time chain (preselect, measure one
 observable, postselect).  Its decoherence functional is
 
-    D(i, j) = Tr(P_b P_i P_a P_j)
+    D(i, j) = Tr(P_b P_i P_a P_j) = x_i conj(x_j),  x_i = <b|P_i|a>
 
-whose diagonal holds the joint probabilities of the chain.  The family is
-consistent (medium decoherence) when every off-diagonal entry vanishes;
-under the weaker criterion only the real parts have to vanish.  For a
-consistent family the intervening measurement does not disturb the
-postselection statistics: sum_j D(j, j) equals |<b|a>|^2.  That disturbance
-identity is checked separately so callers can see both predicates; the
-implication only runs from consistency to the identity, not back.
+whose diagonal holds the joint probabilities of the chain.  A family
+computes its amplitudes ``x`` once, at construction, and every quantity
+below reads them.  The family is consistent (medium decoherence) when every
+off-diagonal entry vanishes; under the weaker criterion only the real parts
+have to vanish.  For a consistent family the intervening measurement does
+not disturb the postselection statistics: sum_j D(j, j) equals |<b|a>|^2.
+That disturbance identity is checked separately so callers can see both
+predicates; the implication only runs from consistency to the identity, not
+back.
 """
 
 from __future__ import annotations
@@ -57,8 +59,13 @@ class HistoryFamily:
             raise DimensionMismatchError("initial, intermediate, and final dimensions differ")
         if self.initial.rank != 1 or self.final.rank != 1:
             raise ValidationError("initial and final projectors must be rank 1")
-        object.__setattr__(self, "_pre", _state_of(self.initial))
-        object.__setattr__(self, "_post", _state_of(self.final))
+        pre, post = _state_of(self.initial), _state_of(self.final)
+        # Per-row np.vdot keeps the rounding residue of cancelling terms (1e-18
+        # for the three-box coarse families) that a zero tolerance sees and the
+        # captured CLI outputs pin; a stacked matmul can round it to exactly 0.
+        object.__setattr__(self, "_x", np.array([np.vdot(post, p)
+                                                 for p in self.intermediate.stack @ pre]))
+        object.__setattr__(self, "_overlap", np.vdot(post, pre))
 
     @property
     def dim(self) -> int:
@@ -97,15 +104,6 @@ class DisturbanceCheck:
     holds: bool
 
 
-def _amplitudes(family: HistoryFamily) -> np.ndarray:
-    # x_i = <b|P_i|a>, so D(i, j) = x_i conj(x_j) and D(i, i) = |x_i|^2.
-    # np.vdot keeps the rounding residue of cancelling terms (1e-18 for the
-    # three-box coarse families) that a zero tolerance is meant to see; a
-    # stacked matmul or einsum can round it to exactly 0.
-    projected = family.intermediate.stack @ family._pre
-    return np.array([np.vdot(family._post, p) for p in projected])
-
-
 def decoherence_functional(family: HistoryFamily, i: int, j: int) -> complex:
     """Single entry D(i, j) = Tr(P_b P_i P_a P_j)."""
     n = len(family.intermediate)
@@ -115,9 +113,8 @@ def decoherence_functional(family: HistoryFamily, i: int, j: int) -> complex:
 
 
 def decoherence_matrix(family: HistoryFamily) -> np.ndarray:
-    x = _amplitudes(family)
     # Adding 0.0 turns the -0.0 parts of exactly real products into +0.0.
-    d = np.outer(x, x.conj()) + 0.0
+    d = np.outer(family._x, family._x.conj()) + 0.0
     d.setflags(write=False)
     return d
 
@@ -130,6 +127,8 @@ def is_consistent(family: HistoryFamily, *, criterion: str = "medium",
     """
     if criterion not in _CRITERIA:
         raise ValueError(f"criterion must be one of {_CRITERIA}, got {criterion!r}")
+    if not tol >= 0.0:
+        raise ValidationError(f"tolerance must be non-negative, got {tol}")
     d = decoherence_matrix(family)
     off = d - np.diag(np.diag(d))
     magnitude = np.abs(off) if criterion == "medium" else np.abs(off.real)
@@ -141,8 +140,10 @@ def disturbance_check(family: HistoryFamily, *, tol: float = CONSISTENCY_TOL) ->
     """Compare the postselection probability with and without the
     intermediate measurement.  Consistency of the family implies the two
     agree; the converse is not checked because it does not hold."""
-    undisturbed = float(abs(np.vdot(family._post, family._pre)) ** 2)
-    x = _amplitudes(family)
+    if not tol >= 0.0:
+        raise ValidationError(f"tolerance must be non-negative, got {tol}")
+    undisturbed = float(abs(family._overlap) ** 2)
+    x = family._x
     disturbed = float(np.sum(x.real ** 2 + x.imag ** 2))
     return DisturbanceCheck(undisturbed, disturbed, abs(undisturbed - disturbed) <= tol)
 

@@ -1,16 +1,16 @@
 """Monte Carlo simulation of pre/postselected runs.
 
 Each trial prepares the preselected state, optionally measures the
-intermediate observable (Born draw, then Lüders collapse), and finally
-measures a basis containing the postselection state; the trial is
-postselected when that final outcome is branch 0.  Trial ``i`` of a run
-draws all its randomness from the first Philox block of substream
-``(seed, i)``, at counter ``[1, 0, 0, i]``, so ensembles are
-bit-reproducible for a given (seed, trials).  Ensembles are drawn
-``CHUNK`` trials at a time with ``substream_uniforms`` and tallied with
-array operations; ``run_trial`` on ``substream(seed, i)`` is the same trial
-drawn one at a time.  The ``workers`` keyword is validated and otherwise
-changes nothing.
+intermediate observable (Born draw, then Lüders collapse onto a renormalized
+row of the amplitudes ``observable.stack @ a``), and finally measures a basis
+containing the postselection state; the trial is postselected when that
+final outcome is branch 0.  Trial ``i`` of a run draws all its randomness
+from the first Philox block of substream ``(seed, i)``, at counter
+``[1, 0, 0, i]``, so ensembles are bit-reproducible for a given (seed,
+trials).  Ensembles are drawn ``CHUNK`` trials at a time with
+``substream_uniforms`` and tallied with array operations; ``run_trial`` on
+``substream(seed, i)`` is the same trial drawn one at a time.  The
+``workers`` keyword is validated and otherwise changes nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .abl import DIV_TOL, PrePostContext, born_distribution
 from .errors import NoPostselectedTrialsError, ValidationError
-from .linalg import Ket, ObservableDecomposition, complete_basis
+from .linalg import ObservableDecomposition, complete_basis
 # substream is unused here; bench/workloads.py's tracer rebinds this name.
 from .sampling import substream, substream_uniforms  # noqa: F401
 
@@ -73,23 +73,22 @@ class _TrialSampler:
         dim = ctx.dim
         final_states = np.array(complete_basis([ctx.postselection.amplitudes], dim))
         self.n_branches = 0 if observable is None else len(observable)
+        a = ctx.preselection.amplitudes
         if observable is None:
             self.intermediate_cum = None
-            weights = np.abs(final_states.conj() @ ctx.preselection.amplitudes) ** 2
-            self.final_cums = np.cumsum(weights)[None, :]
+            live, unit = np.ones(1, dtype=bool), a[None, :]
         else:
-            born = born_distribution(ctx.preselection, observable)
-            self.intermediate_cum = np.cumsum(born)
-            cums = np.zeros((len(observable), dim))
-            for j in range(len(observable)):
-                collapsed = observable.matrix(j) @ ctx.preselection.amplitudes
-                norm = float(np.linalg.norm(collapsed))
-                if norm <= DIV_TOL:
-                    # Branch has Born weight ~0 and can never be drawn.
-                    continue
-                collapsed = collapsed / norm
-                cums[j] = np.cumsum(np.abs(final_states.conj() @ collapsed) ** 2)
-            self.final_cums = cums
+            self.intermediate_cum = np.cumsum(born_distribution(ctx.preselection, observable))
+            # Branches of Born weight ~0 are never drawn; their rows stay 0.
+            collapsed = observable.stack @ a
+            norms = np.array([np.linalg.norm(c) for c in collapsed])
+            live = norms > DIV_TOL
+            unit = collapsed[live] / norms[live, None]
+        # These thresholds decide counts: per-row norms and stacked matvecs
+        # keep them bitwise those of collapsing one branch at a time.
+        self.final_cums = np.zeros((len(live), dim))
+        self.final_cums[live] = np.cumsum(
+            np.abs(final_states.conj() @ unit[:, :, None])[:, :, 0] ** 2, axis=1)
         # _pick returns final outcome 0 exactly when no entry of the
         # (nondecreasing) row is <= u, i.e. when u < row[0]; with a
         # one-element basis its clamp always returns 0.

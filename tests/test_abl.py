@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ablkit.abl import (
+    DIV_TOL,
     AblDistribution,
     PrePostContext,
     abl_distribution,
@@ -18,11 +21,12 @@ from ablkit.errors import (
     ImpossiblePostselectionError,
     ZeroProjectionError,
 )
+from ablkit.histories import HistoryFamily, decoherence_matrix, disturbance_check
 from ablkit.linalg import Ket, ObservableDecomposition, basis_containing, projector_from_kets
 from ablkit.sampling import random_basis, random_ket
 from ablkit.scenarios import spin, three_box
 
-from conftest import make_context
+from conftest import make_context, mixed_rank_decomposition
 
 SCENARIO = three_box()
 CTX = SCENARIO.context
@@ -122,6 +126,29 @@ def test_impossible_postselection_raises():
         abl_distribution(ctx, a_basis)
 
 
+@pytest.mark.parametrize("denominator, defined", [(2e-12, True), (5e-13, False)])
+def test_denominators_either_side_of_div_tol(denominator, defined):
+    # a = |0>, observable {|0>, |1>}: x_0 = conj(b_0) and x_1 = 0, so the
+    # ABL denominator is |b_0|^2.
+    assert (denominator > DIV_TOL) == defined
+    b = Ket(np.array([np.sqrt(denominator), np.sqrt(1.0 - denominator)]))
+    ctx = PrePostContext(Ket.normalized([1, 0]), b)
+    obs = ObservableDecomposition.from_eigenbasis([Ket.normalized([1, 0]),
+                                                   Ket.normalized([0, 1])])
+    cutoff = "is below the division cutoff 1e-12"
+    if not defined:
+        with pytest.raises(ImpossiblePostselectionError, match=cutoff):
+            abl_distribution(ctx, obs)
+        with pytest.raises(ImpossiblePostselectionError, match=cutoff):
+            abl_probabilities(ctx.initial_projector, obs, ctx.final_projector)
+        return
+    dist = abl_distribution(ctx, obs)
+    for probs, denom in ((dist.probabilities, dist.denominator),
+                         abl_probabilities(ctx.initial_projector, obs, ctx.final_projector)):
+        assert denom == pytest.approx(denominator, rel=1e-12)
+        np.testing.assert_array_equal(probs, [1.0, 0.0])
+
+
 def test_abl_probabilities_accepts_multirank_endpoints():
     # postselect on a 2-dimensional subspace instead of a single state
     span = projector_from_kets([CTX.postselection, Ket.normalized([-1, 1, 0])])
@@ -212,3 +239,42 @@ def test_disturbed_final_probability_is_sum_of_joints():
         obs = ObservableDecomposition.from_eigenbasis(random_basis(rng, dim))
         total = sum(joint_probability(ctx, obs, i) for i in range(len(obs)))
         assert disturbed_final_probability(ctx, obs) == total
+
+
+@st.composite
+def _contexts_and_observables(draw):
+    """A Haar-random context and a rank-mixed observable, dims 1-8."""
+    dim = draw(st.integers(1, 8))
+    ranks, left = [], dim
+    while left:
+        ranks.append(draw(st.integers(1, left)))
+        left -= ranks[-1]
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return make_context(np.random.default_rng(seed), dim), mixed_rank_decomposition(seed, ranks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_contexts_and_observables())
+def test_amplitude_kernel_properties(case):
+    ctx, obs = case
+    dist = abl_distribution(ctx, obs)
+    # the trace form over projector endpoints is the oracle for the rank-1 path
+    probs, denominator = abl_probabilities(ctx.initial_projector, obs, ctx.final_projector)
+    np.testing.assert_allclose(dist.probabilities, probs, rtol=0, atol=1e-12)
+    assert dist.denominator == pytest.approx(denominator, abs=1e-12)
+    assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
+    # time symmetry: |<b|P_i|a>|^2 = |<a|P_i|b>|^2
+    swapped = abl_distribution(PrePostContext(ctx.postselection, ctx.preselection), obs)
+    np.testing.assert_allclose(swapped.probabilities, dist.probabilities, rtol=0, atol=1e-12)
+    disturbed = disturbed_final_probability(ctx, obs)
+    joints = sum(joint_probability(ctx, obs, i) for i in range(len(obs)))
+    assert disturbed == pytest.approx(joints, abs=1e-12)
+    assert disturbed == pytest.approx(dist.denominator, abs=1e-12)
+    family = HistoryFamily.from_context(ctx, obs)
+    d = decoherence_matrix(family)
+    np.testing.assert_allclose(d, d.conj().T, rtol=0, atol=1e-12)
+    assert np.linalg.eigvalsh(d).min() >= -1e-12
+    trace = np.trace(d)
+    assert trace.imag == pytest.approx(0.0, abs=1e-12)
+    assert trace.real == pytest.approx(disturbance_check(family).disturbed, abs=1e-12)
+    assert trace.real == pytest.approx(disturbed, abs=1e-12)

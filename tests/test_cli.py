@@ -350,6 +350,18 @@ def test_bad_user_values_exit_1(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("tolerance, shown", [("nan", "nan"), ("-1", "-1.0")])
+def test_consistency_tolerance_must_be_non_negative(capsys, tolerance, shown):
+    for extra in ((), ("--coarse-grainings", "--json")):
+        code, out, err = run(capsys, "consistency", "--builtin", "three-box",
+                             "--observable", "Cprime", "--tolerance", tolerance, *extra)
+        assert (code, out) == (1, "")
+        assert err == f"error: tolerance must be non-negative, got {shown}\n"
+    # zero stays a valid tolerance
+    assert run_json(capsys, "consistency", "--builtin", "three-box", "--observable", "Cprime",
+                    "--tolerance", "0", "--json")["tolerance"] == 0.0
+
+
 @pytest.mark.parametrize("content", [
     b"\xff\xfe{}",
     b'{"dim": ' + b"1" * 5000 + b"}",

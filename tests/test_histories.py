@@ -156,6 +156,52 @@ def test_tolerance_threshold_is_respected():
     assert report.consistent and report.max_violation == 0.0
 
 
+def _rotated_family(theta: float) -> HistoryFamily:
+    # a = |0>, b = |+>, intermediate basis {|0>, |1>} rotated by theta.  Then
+    # x_0 = cos(theta) (cos(theta) + sin(theta)) / sqrt(2) and
+    # x_1 = -sin(theta) (cos(theta) - sin(theta)) / sqrt(2), so the
+    # off-diagonal is |x_0 x_1| = sin(4 theta) / 8, about sin(theta) / 2: an
+    # exact nonzero far above any rounding residue.
+    c, s = np.cos(theta), np.sin(theta)
+    ctx = PrePostContext(Ket.normalized([1, 0]), Ket.normalized([1, 1]))
+    basis = ObservableDecomposition.from_eigenbasis([Ket(np.array([c, s])),
+                                                     Ket(np.array([-s, c]))])
+    return HistoryFamily.from_context(ctx, basis)
+
+
+def test_tolerance_threshold_on_a_constructed_off_diagonal():
+    theta = 1e-6
+    v = np.sin(4 * theta) / 8
+    assert v == pytest.approx(np.sin(theta) / 2, rel=1e-11)
+    family = _rotated_family(theta)
+    assert is_consistent(family).max_violation == pytest.approx(v, rel=1e-9)
+    for criterion in ("medium", "weak"):
+        assert not is_consistent(family, criterion=criterion, tol=0.0).consistent
+        assert not is_consistent(family, criterion=criterion, tol=0.9 * v).consistent
+        assert is_consistent(family, criterion=criterion, tol=1.1 * v).consistent
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-300, float("-inf")])
+def test_tolerance_must_be_non_negative(tol):
+    message = f"tolerance must be non-negative, got {tol}"
+    with pytest.raises(ValidationError) as err:
+        is_consistent(FAMILY_BOX1, tol=tol)
+    assert str(err.value) == message
+    with pytest.raises(ValidationError) as err:
+        disturbance_check(FAMILY_BOX1, tol=tol)
+    assert str(err.value) == message
+    # the criterion is checked first
+    with pytest.raises(ValueError, match="criterion must be one of"):
+        is_consistent(FAMILY_BOX1, criterion="strong", tol=tol)
+
+
+def test_zero_and_infinite_tolerances_are_valid():
+    for tol in (0.0, float("inf")):
+        assert is_consistent(FAMILY_BOXES, tol=tol).tolerance == tol
+        # 1/9 undisturbed against 1/3 disturbed
+        assert disturbance_check(FAMILY_BOXES, tol=tol).holds == (tol == float("inf"))
+
+
 def test_disturbance_check_frozen():
     check = disturbance_check(FAMILY_BOXES)
     assert check.undisturbed == pytest.approx(1 / 9, abs=1e-12)

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 import ablkit.simulate
 
-from ablkit.abl import PrePostContext, abl_distribution, disturbed_final_probability
+from ablkit.abl import DIV_TOL, PrePostContext, abl_distribution, disturbed_final_probability
 from ablkit.errors import NoPostselectedTrialsError, ValidationError
-from ablkit.linalg import Ket, basis_containing
-from ablkit.sampling import substream
-from ablkit.scenarios import spin, three_box
+from ablkit.linalg import Ket, ObservableDecomposition, basis_containing, complete_basis
+from ablkit.sampling import random_basis, substream
+from ablkit.scenarios import BUILTIN_NAMES, builtin, spin, three_box
 from ablkit.simulate import (
     CHUNK,
     EnsembleStats,
@@ -22,6 +22,8 @@ from ablkit.simulate import (
     _TrialSampler,
     run_trial,
 )
+
+from conftest import make_context, mixed_rank_decomposition
 
 SCENARIO = three_box()
 CTX = SCENARIO.context
@@ -185,3 +187,62 @@ def test_trials_beyond_the_index_space_are_refused():
         estimate_abl(CTX, C, 2 ** 64 + 1, 0)
     with pytest.raises(ValidationError, match=r"seed must be in \[0, 2\*\*128\)"):
         estimate_final_probability(CTX, None, 10, 2 ** 128)
+
+
+def _tables_oracle(ctx, observable):
+    # The sampler's tables as it built them one branch at a time, before the
+    # collapse was batched: (final_cums, postselect_below).
+    dim = ctx.dim
+    final_states = np.array(complete_basis([ctx.postselection.amplitudes], dim))
+    if observable is None:
+        weights = np.abs(final_states.conj() @ ctx.preselection.amplitudes) ** 2
+        cums = np.cumsum(weights)[None, :]
+    else:
+        cums = np.zeros((len(observable), dim))
+        for j in range(len(observable)):
+            collapsed = observable.matrix(j) @ ctx.preselection.amplitudes
+            norm = float(np.linalg.norm(collapsed))
+            if norm <= DIV_TOL:
+                continue
+            collapsed = collapsed / norm
+            cums[j] = np.cumsum(np.abs(final_states.conj() @ collapsed) ** 2)
+    return cums, (cums[:, 0] if dim > 1 else np.full(len(cums), np.inf))
+
+
+def _assert_tables_bitwise(ctx, observable):
+    sampler = _TrialSampler(ctx, observable)
+    cums, below = _tables_oracle(ctx, observable)
+    # Thresholds decide counts, so equal to the last bit, not to a tolerance.
+    for got, want in ((sampler.final_cums, cums), (sampler.postselect_below, below)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "spin:0", "spin:0.7", "spin:-2.5"])
+def test_sampler_tables_match_per_branch_collapse_on_builtins(name):
+    scenario = builtin(name)
+    # three-box A and B have branches of Born weight 0 (rows left at 0)
+    for observable in [None, *scenario.observables.values()]:
+        _assert_tables_bitwise(scenario.context, observable)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["eigenbasis", "mixed-rank", "around-pre", "none"]))
+def test_sampler_tables_match_per_branch_collapse_on_random_draws(data, dim, seed, kind):
+    rng = np.random.default_rng(seed)
+    ctx = make_context(rng, dim)
+    if kind == "eigenbasis":
+        observable = ObservableDecomposition.from_eigenbasis(random_basis(rng, dim))
+    elif kind == "mixed-rank":
+        ranks, left = [], dim
+        while left:
+            ranks.append(data.draw(st.integers(1, left)))
+            left -= ranks[-1]
+        observable = mixed_rank_decomposition(seed, ranks)
+    elif kind == "around-pre":
+        # every branch but 0 has Born weight ~0
+        observable = basis_containing(ctx.preselection)
+    else:
+        observable = None
+    _assert_tables_bitwise(ctx, observable)
