@@ -52,18 +52,12 @@ class PrePostContext:
     @property
     def initial_projector(self) -> np.ndarray:
         """Rank-1 projector matrix onto the preselected state, built on access."""
-        return _outer(self.preselection)
+        return self.preselection.projector().matrix
 
     @property
     def final_projector(self) -> np.ndarray:
         """Rank-1 projector matrix onto the postselected state, built on access."""
-        return _outer(self.postselection)
-
-
-def _outer(ket: Ket) -> np.ndarray:
-    m = np.outer(ket.amplitudes, ket.amplitudes.conj())
-    m.setflags(write=False)
-    return m
+        return self.postselection.projector().matrix
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .abl import PrePostContext
 from .errors import TooManyBranchesError, ValidationError, DimensionMismatchError
-from .linalg import ObservableDecomposition, Projector, _projector_ranks
+from .linalg import Branch, ObservableDecomposition, Projector
 
 #: Default tolerance for consistency verdicts and the disturbance identity.
 CONSISTENCY_TOL = 1e-9
@@ -74,8 +74,7 @@ class HistoryFamily:
     @classmethod
     def from_context(cls, ctx: PrePostContext,
                      observable: ObservableDecomposition) -> "HistoryFamily":
-        return cls(Projector(ctx.initial_projector, rank=1), observable,
-                   Projector(ctx.final_projector, rank=1))
+        return cls(ctx.preselection.projector(), observable, ctx.postselection.projector())
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,10 +174,10 @@ def enumerate_coarse_grainings(base: ObservableDecomposition) -> list[Observable
     the k-th partition ``_set_partitions(len(base))`` yields, with its
     branches in the order of that partition's blocks.  Each distinct block
     (at most ``2**n - 1`` of them) is summed once, in ascending branch order,
-    and all are validated as one projector stack; the partitions share those
-    projectors, and each partition's decomposition still checks its own
-    completeness and orthogonality.  Refuses more than
-    :data:`MAX_ENUMERATED_BRANCHES` branches.
+    and the partitions share those projectors.  Nothing is validated again:
+    a coarse-graining of a validated resolution of the identity is one, with
+    residues at most ``|I|*|J|`` times the base's for blocks ``I`` and ``J``.
+    Refuses more than :data:`MAX_ENUMERATED_BRANCHES` branches.
     """
     n = len(base)
     if n > MAX_ENUMERATED_BRANCHES:
@@ -193,9 +192,10 @@ def enumerate_coarse_grainings(base: ObservableDecomposition) -> list[Observable
     for k, block in enumerate(slots):
         for idx in block:
             sums[k] += base.stack[idx]
-    ranks = _projector_ranks(sums, [sum(base.projector(idx).rank for idx in block)
-                                    for block in slots])
     sums.setflags(write=False)
-    projectors = [Projector._validated(m, rank) for m, rank in zip(sums, ranks)]
-    return [ObservableDecomposition.from_projectors([projectors[slots[block]] for block in blocks])
+    projectors = [Projector._validated(m, sum(base.projector(idx).rank for idx in block))
+                  for m, block in zip(sums, slots)]
+    return [ObservableDecomposition._validated(
+                tuple(Branch(float(k), projectors[slots[block]]) for k, block in enumerate(blocks)),
+                sums[[slots[block] for block in blocks]])
             for blocks in partitions]

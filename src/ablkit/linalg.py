@@ -4,8 +4,10 @@ Kets, projectors, and projective decompositions of observables (spectral
 resolutions of the identity), plus inner products, operator application,
 and traces of operator products.  A decomposition also carries its branch
 projectors as one stacked array, which the probability kernels work on.
-Everything is validated eagerly at construction time and immutable
-afterwards, so instances are safe to share between threads.
+Validation happens once, at construction from raw numbers; what is derived
+from validated objects (a ket's projector, a coarse-graining) is valid by
+construction and not checked again.  Everything is immutable, so instances
+are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -89,27 +91,7 @@ class Ket:
 
     def projector(self) -> "Projector":
         """The rank-1 projector onto this state."""
-        return Projector(np.outer(self.amplitudes, self.amplitudes.conj()), rank=1)
-
-
-def _projector_ranks(stack: np.ndarray, ranks: Sequence[int] | None = None) -> list[int]:
-    """Validate an ``(n, d, d)`` stack of projector matrices in one pass.
-
-    Each matrix must be Hermitian and idempotent with a trace matching its
-    rank; ``ranks`` defaults to the rounded traces.  Returns the ranks.
-    """
-    if _max_abs(stack - stack.conj().swapaxes(1, 2)) > ALG_TOL:
-        raise ValidationError("projector matrix is not Hermitian")
-    if _max_abs(stack @ stack - stack) > ALG_TOL:
-        raise ValidationError("projector matrix is not idempotent")
-    traces = np.trace(stack, axis1=1, axis2=2).real.tolist()
-    ranks = [int(round(t)) for t in traces] if ranks is None else [int(r) for r in ranks]
-    for trace, rank in zip(traces, ranks):
-        if rank <= 0:
-            raise ValidationError("projector rank must be a positive integer")
-        if abs(trace - rank) > ALG_TOL * stack.shape[1]:
-            raise ValidationError(f"projector trace {trace!r} does not match rank {rank}")
-    return ranks
+        return Projector._validated(np.outer(self.amplitudes, self.amplitudes.conj()), 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,14 +107,26 @@ class Projector:
 
     def __post_init__(self):
         m = operator_matrix(self.matrix).copy()
-        (rank,) = _projector_ranks(m[None], None if self.rank is None else [self.rank])
+        if _max_abs(m - m.conj().T) > ALG_TOL:
+            raise ValidationError("projector matrix is not Hermitian")
+        if _max_abs(m @ m - m) > ALG_TOL:
+            raise ValidationError("projector matrix is not idempotent")
+        trace = float(np.trace(m).real)
+        rank = int(round(trace)) if self.rank is None else int(self.rank)
+        if rank <= 0:
+            raise ValidationError("projector rank must be a positive integer")
+        if abs(trace - rank) > ALG_TOL * m.shape[0]:
+            raise ValidationError(f"projector trace {trace!r} does not match rank {rank}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "rank", rank)
 
     @classmethod
     def _validated(cls, matrix: np.ndarray, rank: int) -> "Projector":
-        # For read-only matrices that already passed _projector_ranks.
+        # For a matrix that is a projector by construction, made read-only
+        # here: a validated ket's |v><v| (Hermitian to rounding, residues
+        # norm^2 - 1, within NORM_TOL) or a sum of a decomposition's branches.
+        matrix.setflags(write=False)
         proj = object.__new__(cls)
         object.__setattr__(proj, "matrix", matrix)
         object.__setattr__(proj, "rank", rank)
@@ -225,8 +219,8 @@ class ObservableDecomposition:
                         eigenvalues: Sequence[float] | None = None) -> "ObservableDecomposition":
         """Nondegenerate decomposition with one rank-1 branch per basis ket.
 
-        The rank-1 projectors are built and validated as one stack, with the
-        same checks and errors as constructing each :class:`Projector`.
+        The rank-1 projectors are built as one stack equal to the kets'
+        :meth:`Ket.projector`, with the same checks and errors.
         """
         if eigenvalues is None:
             eigenvalues = [float(k) for k in range(len(kets))]
@@ -240,11 +234,21 @@ class ObservableDecomposition:
     @classmethod
     def _from_amplitudes(cls, amps: np.ndarray,
                          eigenvalues: Sequence[float]) -> "ObservableDecomposition":
-        # One rank-1 branch per row of ``amps``, all checked as one stack.
+        # One rank-1 branch per unit row of ``amps``, built as Ket.projector().
         stack = amps[:, :, None] * amps[:, None, :].conj()
-        _projector_ranks(stack, [1] * len(stack))
         stack.setflags(write=False)
         return cls(tuple(Branch(e, Projector._validated(m, 1)) for e, m in zip(eigenvalues, stack)))
+
+    @classmethod
+    def _validated(cls, branches: tuple[Branch, ...],
+                   stack: np.ndarray) -> "ObservableDecomposition":
+        # Mirrors Projector._validated for a coarse-graining of a validated
+        # decomposition; ``stack`` holds the branch matrices in order.
+        stack.setflags(write=False)
+        obs = object.__new__(cls)
+        object.__setattr__(obs, "branches", branches)
+        object.__setattr__(obs, "stack", stack)
+        return obs
 
 
 def inner(x: Ket, y: Ket) -> complex:

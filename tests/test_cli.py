@@ -106,6 +106,42 @@ def test_consistency_criterion_flag(capsys, tmp_path):
     assert weak["consistent"] is True
 
 
+_IRT = 1 / math.sqrt(2)
+_BETA = math.pi / 4 + 1.5e-10
+_NEAR_TOLERANCE = {
+    # preselection norm^2 = 1 + 5e-10, inside the ket tolerance
+    "norm-band": {
+        "dim": 2,
+        "preselection": [[1.00000000025, 0], [0, 0]],
+        "postselection": [[_IRT, 0], [_IRT, 0]],
+        "observables": {"Z": [
+            {"eigenvalue": 1, "kets": [[[1, 0], [0, 0]]]},
+            {"eigenvalue": -1, "kets": [[[0, 0], [1, 0]]]},
+        ]},
+    },
+    # branches overlap by sin(1.5e-10); their sum is idempotent only to 1.5e-10
+    "beta": {
+        "dim": 2,
+        "preselection": [[1, 0], [0, 0]],
+        "postselection": [[_IRT, 0], [_IRT, 0]],
+        "observables": {"C": [
+            {"eigenvalue": 1, "kets": [[[_IRT, 0], [_IRT, 0]]]},
+            {"eigenvalue": 2, "kets": [[[-math.sin(_BETA), 0], [math.cos(_BETA), 0]]]},
+        ]},
+    },
+}
+
+
+@pytest.mark.parametrize("flags", [(), ("--coarse-grainings",)], ids=["plain", "coarse"])
+@pytest.mark.parametrize("name", sorted(_NEAR_TOLERANCE))
+def test_consistency_accepts_what_parsing_accepts(capsys, tmp_path, name, flags):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_NEAR_TOLERANCE[name]), encoding="utf-8")
+    code, out, err = run(capsys, "consistency", "--scenario", str(path), *flags)
+    assert (code, err) == (0, "")
+    assert "consistent" in out
+
+
 def test_consistency_coarse_grainings(capsys):
     payload = run_json(capsys, "consistency", "--builtin", "three-box",
                        "--coarse-grainings", "--json")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ablkit.abl import PrePostContext, abl_distribution
 from ablkit.errors import DimensionMismatchError, TooManyBranchesError, ValidationError
@@ -14,6 +16,7 @@ from ablkit.histories import (
     is_consistent,
 )
 from ablkit.linalg import (
+    ALG_TOL,
     Ket,
     ObservableDecomposition,
     Projector,
@@ -341,3 +344,84 @@ def test_enumerate_shares_one_projector_per_distinct_block():
     grainings = enumerate_coarse_grainings(base)
     projectors = {id(p) for g in grainings for _, p in g}
     assert len(projectors) == 2 ** len(base) - 1
+
+
+def test_enumerate_accepts_a_basis_within_tolerance():
+    # the branches overlap by sin(1.5e-10), which the base accepts; their sum
+    # is idempotent only to 1.5e-10, within |I|*|J| times the base's residues
+    beta = np.pi / 4 + 1.5e-10
+    base = ObservableDecomposition.from_eigenbasis(
+        [Ket.normalized([1, 1]), Ket(np.array([-np.sin(beta), np.cos(beta)]))])
+    whole, split = enumerate_coarse_grainings(base)
+    assert [p.rank for _, p in whole] == [2]
+    np.testing.assert_array_equal(split.stack, base.stack)
+
+
+def test_from_context_accepts_a_preselection_in_the_norm_band():
+    ctx = PrePostContext(Ket(np.array([np.sqrt(1 + 5e-10), 0.0])), Ket.normalized([1, 1]))
+    z_basis = ObservableDecomposition.from_eigenbasis(
+        [Ket.normalized([1, 0]), Ket.normalized([0, 1])])
+    family = HistoryFamily.from_context(ctx, z_basis)
+    assert (family.initial.rank, family.final.rank) == (1, 1)
+    np.testing.assert_array_equal(family.initial.matrix, ctx.initial_projector)
+    assert is_consistent(family).consistent
+
+
+# Rounding of the block sums and their products, far below ALG_TOL.
+_ROUNDING = 1e-15
+
+
+@st.composite
+def _bases_and_contexts(draw):
+    """A Haar-random basis, optionally nudged toward the tolerances, or a
+    rank-mixed decomposition (dims 1-6), with a Haar-random context whose
+    preselection may be drawn inside one branch, which makes the family
+    consistent."""
+    dim = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng([seed, 1])
+    if draw(st.booleans()):
+        ranks, left = [], dim
+        while left:
+            ranks.append(draw(st.integers(1, left)))
+            left -= ranks[-1]
+        base = mixed_rank_decomposition(seed, ranks)
+    else:
+        nudge = draw(st.sampled_from([0.0, 1e-11, 3e-11]))
+        kets = [Ket.normalized(k.amplitudes + nudge * (rng.standard_normal(dim)
+                                                       + 1j * rng.standard_normal(dim)))
+                for k in random_basis(rng, dim)]
+        try:
+            base = ObservableDecomposition.from_eigenbasis(kets)
+        except ValidationError:
+            assume(False)
+    ctx = make_context(rng, dim)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(base) - 1))
+        inside = base.stack[k] @ (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        ctx = PrePostContext(Ket.normalized(inside), ctx.postselection)
+    return base, ctx
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_bases_and_contexts())
+def test_coarse_grainings_keep_the_bases_residues(case):
+    # What enumerate_coarse_grainings no longer re-checks: every
+    # coarse-graining is a resolution of the identity with residues at most
+    # |I|*|J| times the base's, and consistency carries over at |I|*|J|*tol.
+    base, ctx = case
+    eye = np.eye(base.dim)
+    tol = is_consistent(HistoryFamily.from_context(ctx, base), tol=0.0).max_violation + 1e-14
+    for blocks, grained in zip(_set_partitions(len(base)), enumerate_coarse_grainings(base)):
+        stack = grained.stack
+        assert np.abs(stack - stack.conj().swapaxes(1, 2)).max() <= ALG_TOL
+        assert np.abs(stack.sum(axis=0) - eye).max() <= ALG_TOL * base.dim + _ROUNDING
+        d = decoherence_matrix(HistoryFamily.from_context(ctx, grained))
+        for a, block_a in enumerate(blocks):
+            square = stack[a] @ stack[a] - stack[a]
+            assert np.abs(square).max() <= len(block_a) ** 2 * ALG_TOL + _ROUNDING
+            for b, block_b in enumerate(blocks):
+                if a != b:
+                    scale = len(block_a) * len(block_b)
+                    assert np.abs(stack[a] @ stack[b]).max() <= scale * ALG_TOL + _ROUNDING
+                    assert abs(d[a, b]) <= scale * tol

@@ -257,9 +257,10 @@ def _branchwise(kets, eigenvalues):
     ([unit(3, 0), unit(3, 1)], [0.0, 1.0], ValidationError, "sum to the identity"),
     ([unit(2, 0), unit(3, 1)], [0.0, 1.0], DimensionMismatchError, "differ in dimension"),
     ([unit(2, 0), unit(2, 1)], [1.0, 1.0], ValidationError, "pairwise distinct"),
-    # a ket accepted at norm^2 = 1 + 5e-10 whose projector fails idempotence
+    # a ket accepted at norm^2 = 1 + 5e-10 has a valid projector, but the
+    # completeness residue 5e-10 exceeds ALG_TOL * d = 2e-10
     ([Ket(np.array([np.sqrt(1 + 5e-10), 0.0])), unit(2, 1)], [0.0, 1.0],
-     ValidationError, "not idempotent"),
+     ValidationError, "sum to the identity"),
 ], ids=["non-orthogonal", "nearly-orthogonal", "incomplete", "mixed-dimension",
         "repeated-labels", "norm-off-by-5e-10"])
 def test_from_eigenbasis_rejects_like_branch_constructor(kets, eigenvalues, error, message):
@@ -268,6 +269,17 @@ def test_from_eigenbasis_rejects_like_branch_constructor(kets, eigenvalues, erro
     with pytest.raises(error, match=message) as stacked:
         ObservableDecomposition.from_eigenbasis(kets, eigenvalues)
     assert str(stacked.value) == str(branchwise.value)
+
+
+def test_ket_projector_in_the_norm_band():
+    # norm^2 = 1 + 5e-10 is inside NORM_TOL, and so are the projector's
+    # idempotence and trace residues, which equal norm^2 - 1
+    ket = Ket(np.array([np.sqrt(1 + 5e-10), 0.0]))
+    proj = ket.projector()
+    assert proj.rank == 1
+    np.testing.assert_array_equal(proj.matrix, np.outer(ket.amplitudes, ket.amplitudes.conj()))
+    with pytest.raises(ValueError):
+        proj.matrix[0, 0] = 0.0
 
 
 def test_from_eigenbasis_matches_branch_constructor():
