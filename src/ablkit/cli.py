@@ -5,12 +5,15 @@ Subcommands: ``abl``, ``consistency``, ``simulate``, ``counterexample``, and
 errors, 2 for domain errors (impossible postselection, no postselected
 trials, no counterexample found).  Numbers print with 12 significant
 digits; ``--json`` emits a machine-readable report whose floats round-trip
-exactly.
+exactly.  ``main`` builds the argument parser on its first call and reuses
+it for the rest of the process; each call still looks its handler up by
+name, so a handler rebound on this module takes effect.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -376,15 +379,26 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    # Parsing leaves no state behind in the parser: each call starts from
+    # a fresh namespace filled with the defaults, so one tree serves every
+    # command of the process.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
+    # The handler is looked up by name on each call, not taken from the
+    # parser built on the first one, so a handler rebound on this module
+    # since then is the one that runs.
+    handler = globals()[args.func.__name__]
     try:
-        return args.func(args)
+        return handler(args)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

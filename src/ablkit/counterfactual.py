@@ -74,12 +74,30 @@ def _check_inputs(a: Ket, final_basis: ObservableDecomposition,
 
 
 def _joint_table(a: Ket, final_basis: ObservableDecomposition,
-                 observable: ObservableDecomposition, branch: int) -> np.ndarray:
+                 observable: ObservableDecomposition) -> np.ndarray:
     # joints[l, j] = Tr(F_l P_j P_a P_j) = ||F_l P_j a||^2 for final-basis
     # branches F_l of any rank.
-    _check_inputs(a, final_basis, observable, branch)
     w = (observable.stack @ a.amplitudes) @ final_basis.stack.swapaxes(1, 2)
     return (w.real ** 2 + w.imag ** 2).sum(axis=2)
+
+
+def _sharp_shanks(joints: np.ndarray, denominators: np.ndarray, weights: np.ndarray,
+                  branch: int) -> float:
+    live = weights > DIV_TOL
+    undefined = np.flatnonzero(live & (denominators <= DIV_TOL))
+    if undefined.size:
+        l = int(undefined[0])
+        raise UndefinedTermError(
+            f"final outcome {l} has weight {float(weights[l])!r} but the ABL conditional is "
+            f"undefined (denominator {float(denominators[l])!r})")
+    return float(np.sum(weights[live] * (joints[live, branch] / denominators[live])))
+
+
+def _vaidman(joints: np.ndarray, denominators: np.ndarray, branch: int) -> float:
+    # The disturbed weight of an outcome is its ABL denominator, so outcomes
+    # with a vanishing denominator contribute zero.
+    live = denominators > DIV_TOL
+    return float(np.sum(denominators[live] * (joints[live, branch] / denominators[live])))
 
 
 def sharp_shanks_total(a: Ket, final_basis: ObservableDecomposition,
@@ -92,17 +110,9 @@ def sharp_shanks_total(a: Ket, final_basis: ObservableDecomposition,
     whose ABL denominator vanishes leaves the average undefined and raises
     :class:`UndefinedTermError`.
     """
-    joints = _joint_table(a, final_basis, observable, branch)
-    denominators = joints.sum(axis=1)
-    weights = born_distribution(a, final_basis)
-    live = weights > DIV_TOL
-    undefined = np.flatnonzero(live & (denominators <= DIV_TOL))
-    if undefined.size:
-        l = int(undefined[0])
-        raise UndefinedTermError(
-            f"final outcome {l} has weight {float(weights[l])!r} but the ABL conditional is "
-            f"undefined (denominator {float(denominators[l])!r})")
-    return float(np.sum(weights[live] * (joints[live, branch] / denominators[live])))
+    _check_inputs(a, final_basis, observable, branch)
+    joints = _joint_table(a, final_basis, observable)
+    return _sharp_shanks(joints, joints.sum(axis=1), born_distribution(a, final_basis), branch)
 
 
 def vaidman_total(a: Ket, final_basis: ObservableDecomposition,
@@ -110,20 +120,21 @@ def vaidman_total(a: Ket, final_basis: ObservableDecomposition,
     """Same average, but weighted by the final-outcome probabilities that
     obtain when the intermediate observable really is measured.  Equals the
     Born probability of ``branch`` up to rounding."""
-    joints = _joint_table(a, final_basis, observable, branch)
-    denominators = joints.sum(axis=1)
-    # The disturbed weight of an outcome is its ABL denominator, so outcomes
-    # with a vanishing denominator contribute zero.
-    live = denominators > DIV_TOL
-    return float(np.sum(denominators[live] * (joints[live, branch] / denominators[live])))
+    _check_inputs(a, final_basis, observable, branch)
+    joints = _joint_table(a, final_basis, observable)
+    return _vaidman(joints, joints.sum(axis=1), branch)
 
 
 def mixing_report(a: Ket, final_basis: ObservableDecomposition,
                   observable: ObservableDecomposition, branch: int) -> MixingReport:
+    """The Born, Sharp-Shanks and Vaidman totals of ``branch``, from one
+    joint table."""
     _check_inputs(a, final_basis, observable, branch)
     born_total = float(born_distribution(a, observable)[branch])
-    ss_total = sharp_shanks_total(a, final_basis, observable, branch)
-    vt = vaidman_total(a, final_basis, observable, branch)
+    joints = _joint_table(a, final_basis, observable)
+    denominators = joints.sum(axis=1)
+    ss_total = _sharp_shanks(joints, denominators, born_distribution(a, final_basis), branch)
+    vt = _vaidman(joints, denominators, branch)
     return MixingReport(born_total, ss_total, vt, float(abs(born_total - ss_total)))
 
 

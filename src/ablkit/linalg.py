@@ -6,8 +6,12 @@ and traces of operator products.  A decomposition also carries its branch
 projectors as one stacked array, which the probability kernels work on.
 Validation happens once, at construction from raw numbers; what is derived
 from validated objects (a ket's projector, a coarse-graining) is valid by
-construction and not checked again.  Everything is immutable, so instances
-are safe to share between threads.
+construction and not checked again.  A basis of kets is checked from its
+amplitudes alone: for rows ``a_i`` of ``A`` and ``P_i = a_i a_i^dagger``,
+``sum_i P_i = A^T conj(A)`` and
+``max|P_i P_j| = |<a_i|a_j>| max|a_i| max|a_j|``, so the checks cost two
+small products instead of ``n^2`` matrix products.  Everything is
+immutable, so instances are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -75,6 +79,15 @@ class Ket:
             raise ValidationError(f"ket norm^2 = {norm_sq!r}, expected 1 within {NORM_TOL}")
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
+
+    @classmethod
+    def _validated(cls, amplitudes: np.ndarray) -> "Ket":
+        # Mirrors Projector._validated for a complex128 vector whose norm the
+        # caller has checked; made read-only here.
+        amplitudes.setflags(write=False)
+        ket = object.__new__(cls)
+        object.__setattr__(ket, "amplitudes", amplitudes)
+        return ket
 
     @property
     def dim(self) -> int:
@@ -148,7 +161,7 @@ class Branch(NamedTuple):
     projector: Projector
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ObservableDecomposition:
     """A projective decomposition of an observable.
 
@@ -157,49 +170,61 @@ class ObservableDecomposition:
     completeness: the branch projectors sum to the identity.  ``stack`` holds
     the branch matrices as one read-only ``(n, d, d)`` array, the form every
     probability kernel works on.
+
+    A basis built from kets (:meth:`from_eigenbasis`, :func:`basis_containing`)
+    is validated from its amplitudes and builds its ``branches`` on first
+    read; ``len``, ``eigenvalues`` and ``stack`` never need them.
     """
 
-    branches: tuple[Branch, ...]
-    stack: np.ndarray = field(init=False, repr=False)
+    eigenvalues: tuple[float, ...]
+    stack: np.ndarray = field(repr=False)
+    _branches: tuple[Branch, ...] | None = field(repr=False)
 
-    def __post_init__(self):
-        branches = tuple(Branch(float(e), p) for e, p in self.branches)
+    def __init__(self, branches: Sequence[Branch]):
+        branches = tuple(Branch(float(e), p) for e, p in branches)
         if not branches:
             raise ValidationError("a decomposition needs at least one branch")
         dim = branches[0].projector.dim
         for _, proj in branches:
             if proj.dim != dim:
                 raise DimensionMismatchError("branch projectors differ in dimension")
-        labels = [e for e, _ in branches]
-        if len(set(labels)) != len(labels):
-            raise ValidationError(f"eigenvalue labels must be pairwise distinct, got {labels}")
+        labels = _distinct_labels([e for e, _ in branches])
         stack = np.array([p.matrix for _, p in branches])
         if _max_abs(stack.sum(axis=0) - np.eye(dim)) > ALG_TOL * dim:
-            raise ValidationError("branch projectors do not sum to the identity")
+            raise ValidationError(_INCOMPLETE)
         # P_i against every later branch in one product per row, which keeps
         # memory at O(n d^2).
         for i in range(len(branches) - 1):
             overlaps = np.abs(stack[i] @ stack[i + 1:])
             if overlaps.max() > ALG_TOL:
                 j = i + 1 + int(np.argmax(overlaps.max(axis=(1, 2)) > ALG_TOL))
-                raise ValidationError(f"branch projectors {i} and {j} are not orthogonal")
+                raise ValidationError(_overlapping(i, j))
+        self._set(labels, stack, branches)
+
+    def _set(self, labels: tuple[float, ...], stack: np.ndarray,
+             branches: tuple[Branch, ...] | None):
         stack.setflags(write=False)
-        object.__setattr__(self, "branches", branches)
+        object.__setattr__(self, "eigenvalues", labels)
         object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "_branches", branches)
+
+    @property
+    def branches(self) -> tuple[Branch, ...]:
+        if self._branches is None:
+            # Only rank-1 bases get here; each matrix is a view of the stack.
+            object.__setattr__(self, "_branches", tuple(
+                Branch(e, Projector._validated(m, 1)) for e, m in zip(self.eigenvalues, self.stack)))
+        return self._branches
 
     @property
     def dim(self) -> int:
         return self.stack.shape[1]
 
     def __len__(self) -> int:
-        return len(self.branches)
+        return len(self.eigenvalues)
 
     def __iter__(self):
         return iter(self.branches)
-
-    @property
-    def eigenvalues(self) -> tuple[float, ...]:
-        return tuple(e for e, _ in self.branches)
 
     def projector(self, branch: int) -> Projector:
         return self.branches[branch].projector
@@ -219,8 +244,9 @@ class ObservableDecomposition:
                         eigenvalues: Sequence[float] | None = None) -> "ObservableDecomposition":
         """Nondegenerate decomposition with one rank-1 branch per basis ket.
 
-        The rank-1 projectors are built as one stack equal to the kets'
-        :meth:`Ket.projector`, with the same checks and errors.
+        Validated from the kets' amplitudes, with the checks and errors of
+        the constructor given the kets' :meth:`Ket.projector`; the branch
+        matrices equal those projectors bit for bit.
         """
         if eigenvalues is None:
             eigenvalues = [float(k) for k in range(len(kets))]
@@ -234,21 +260,46 @@ class ObservableDecomposition:
     @classmethod
     def _from_amplitudes(cls, amps: np.ndarray,
                          eigenvalues: Sequence[float]) -> "ObservableDecomposition":
-        # One rank-1 branch per unit row of ``amps``, built as Ket.projector().
-        stack = amps[:, :, None] * amps[:, None, :].conj()
-        stack.setflags(write=False)
-        return cls(tuple(Branch(e, Projector._validated(m, 1)) for e, m in zip(eigenvalues, stack)))
+        # One rank-1 branch P_i = a_i a_i^dagger per unit row a_i of ``amps``,
+        # checked from the amplitudes as the module docstring explains.
+        labels = _distinct_labels([float(e) for e in eigenvalues])
+        n, dim = amps.shape
+        residue = amps.T @ amps.conj()
+        residue.flat[::dim + 1] -= 1.0
+        if _max_abs(residue) > ALG_TOL * dim:
+            raise ValidationError(_INCOMPLETE)
+        peaks = np.abs(amps).max(axis=1)
+        overlaps = np.abs(amps.conj() @ amps.T) * peaks * peaks[:, None]
+        overlaps.flat[::n + 1] = 0.0
+        if overlaps.max() > ALG_TOL:
+            # np.nonzero runs in row-major order.
+            i, j = np.nonzero(np.triu(overlaps) > ALG_TOL)
+            raise ValidationError(_overlapping(int(i[0]), int(j[0])))
+        obs = object.__new__(cls)
+        obs._set(labels, amps[:, :, None] * amps[:, None, :].conj(), None)
+        return obs
 
     @classmethod
     def _validated(cls, branches: tuple[Branch, ...],
                    stack: np.ndarray) -> "ObservableDecomposition":
         # Mirrors Projector._validated for a coarse-graining of a validated
         # decomposition; ``stack`` holds the branch matrices in order.
-        stack.setflags(write=False)
         obs = object.__new__(cls)
-        object.__setattr__(obs, "branches", branches)
-        object.__setattr__(obs, "stack", stack)
+        obs._set(tuple(e for e, _ in branches), stack, branches)
         return obs
+
+
+_INCOMPLETE = "branch projectors do not sum to the identity"
+
+
+def _overlapping(i: int, j: int) -> str:
+    return f"branch projectors {i} and {j} are not orthogonal"
+
+
+def _distinct_labels(labels: list[float]) -> tuple[float, ...]:
+    if len(set(labels)) != len(labels):
+        raise ValidationError(f"eigenvalue labels must be pairwise distinct, got {labels}")
+    return tuple(labels)
 
 
 def inner(x: Ket, y: Ket) -> complex:

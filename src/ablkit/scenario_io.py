@@ -46,6 +46,9 @@ from .scenarios import Scenario
 _TOP_KEYS = {"dim", "name", "description", "preselection", "postselection",
              "observables", "default_observable"}
 _BRANCH_KEYS = {"eigenvalue", "kets", "matrix"}
+#: Largest ``dim`` a scenario file may declare, checked before any array is
+#: built: an observable's ``(n, d, d)`` temporaries are 4 MiB each at 64.
+MAX_DIM = 64
 
 
 def _fail(path: str, message: str) -> ScenarioParseError:
@@ -178,6 +181,8 @@ def parse_scenario(text: str, *, fallback_name: str = "scenario") -> Scenario:
     dim = int(dim_raw)
     if dim != dim_raw or dim < 1:
         raise _fail("dim", f"expected a positive integer, got {top['dim']!r}")
+    if dim > MAX_DIM:
+        raise _fail("dim", f"{dim} exceeds the largest supported dimension {MAX_DIM}")
     preselection = _ket(top["preselection"], "preselection", dim)
     postselection = _ket(top["postselection"], "postselection", dim)
     observables: dict[str, ObservableDecomposition] = {}

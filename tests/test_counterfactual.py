@@ -209,3 +209,55 @@ def test_search_arguments_raise_validation_error(bad):
     kwargs.update(bad)
     with pytest.raises(ValidationError):
         find_counterexample(**kwargs)
+
+
+def _live_mask_inputs(k, st_sq):
+    """a = s on indices 1..k, b = t there too, each with its remaining
+    weight on an index the other leaves at 0.  Final outcome b then has
+    weight (k s t)^2 and ABL denominator k (s t)^2 over the observable of
+    unit kets, whatever the split of s t."""
+    dim = k + 2
+    s = 1e-3
+    t = math.sqrt(st_sq) / s
+    a = np.zeros(dim, dtype=complex)
+    a[1:1 + k] = s
+    a[0] = math.sqrt(1 - k * s * s)
+    b = np.zeros(dim, dtype=complex)
+    b[1:1 + k] = t
+    b[-1] = math.sqrt(1 - k * t * t)
+    observable = ObservableDecomposition.from_eigenbasis(
+        [Ket(v) for v in np.eye(dim, dtype=complex)])
+    return Ket(a), basis_containing(Ket(b)), observable
+
+
+@pytest.mark.parametrize("k, st_sq, weight, denominator, undefined", [
+    # the weight decides, under a denominator below DIV_TOL
+    (4, 1.25e-13, 2e-12, 5e-13, True),
+    (4, 3.125e-14, 5e-13, 1.25e-13, False),
+    # the denominator decides, under a weight above DIV_TOL
+    (3, 2e-12 / 3, 6e-12, 2e-12, False),
+    (3, 5e-13 / 3, 1.5e-12, 5e-13, True),
+], ids=["weight-2e-12", "weight-5e-13", "denominator-2e-12", "denominator-5e-13"])
+def test_sharp_shanks_live_mask_either_side_of_div_tol(k, st_sq, weight, denominator, undefined):
+    from ablkit.abl import DIV_TOL
+
+    a, final_basis, observable = _live_mask_inputs(k, st_sq)
+    # joints[l, j] = ||F_l P_j a||^2, computed matrix by matrix
+    joints = np.array([[np.linalg.norm(f @ p @ a.amplitudes) ** 2 for p in observable.stack]
+                       for f in final_basis.stack])
+    weights = np.array([np.linalg.norm(f @ a.amplitudes) ** 2 for f in final_basis.stack])
+    assert weights[0] == pytest.approx(weight, rel=1e-6)
+    assert joints[0].sum() == pytest.approx(denominator, rel=1e-6)
+    # outcome 0 is the only one near the cutoff
+    assert (joints[1:].sum(axis=1) > 1e3 * DIV_TOL).all()
+    if undefined:
+        with pytest.raises(UndefinedTermError, match="final outcome 0 ") as direct:
+            sharp_shanks_total(a, final_basis, observable, 0)
+        with pytest.raises(UndefinedTermError) as reported:
+            mixing_report(a, final_basis, observable, 0)
+        assert str(reported.value) == str(direct.value)
+        return
+    report = mixing_report(a, final_basis, observable, 0)
+    assert report.ss_total == sharp_shanks_total(a, final_basis, observable, 0)
+    assert report.vaidman_total == vaidman_total(a, final_basis, observable, 0)
+    assert report.vaidman_total == pytest.approx(report.born_total, abs=1e-12)

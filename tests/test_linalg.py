@@ -307,3 +307,111 @@ def test_decomposition_stack_is_read_only():
         obs.stack[0, 0, 0] = 0.0
     with pytest.raises(ValueError):
         obs.matrix(0)[0, 0] = 0.0
+
+
+# --- rank-1 bases checked from their amplitudes ------------------------------
+
+def _hadamard_kets(dim):
+    # Rows of a Sylvester-Hadamard matrix over sqrt(dim): every amplitude
+    # has modulus 1/sqrt(dim), so max|P_i P_j| = |<a_i|a_j>| / dim.
+    h = np.ones((1, 1))
+    while h.shape[0] < dim:
+        h = np.block([[h, h], [h, -h]])
+    return [Ket(row / np.sqrt(dim)) for row in h]
+
+
+def _tilted(kets, i, j, delta):
+    # kets[j] tilted towards kets[i], leaving <a_i|a_j> of about delta.
+    tilted = list(kets)
+    tilted[j] = Ket.normalized(kets[j].amplitudes + delta * kets[i].amplitudes)
+    return tilted
+
+
+def _residues(kets):
+    # The constructor's two residues, from the branch matrices:
+    # (max|sum P - I| / (ALG_TOL d), max_{i<j} max|P_i P_j| / ALG_TOL).
+    from ablkit.linalg import ALG_TOL
+
+    stack = np.array([k.projector().matrix for k in kets])
+    dim = stack.shape[1]
+    complete = np.abs(stack.sum(axis=0) - np.eye(dim)).max() / (ALG_TOL * dim)
+    overlap = max((np.abs(stack[i] @ stack[j]).max() for i in range(len(kets))
+                   for j in range(i + 1, len(kets))), default=0.0)
+    return complete, overlap / ALG_TOL
+
+
+def _norm_off(eps, dim=2):
+    # An orthonormal basis but for norm^2 = 1 + eps on the first ket.
+    first = np.zeros(dim)
+    first[0] = np.sqrt(1 + eps)
+    return [Ket(first)] + [unit(dim, k) for k in range(1, dim)]
+
+
+# (kets, which residue sits near the bound, its multiple of the bound,
+#  expected message or None)
+_GRAM_CASES = {
+    "overlap-0.5x": (_tilted([unit(3, k) for k in range(3)], 1, 2, 5e-11),
+                     1, 0.5, None),
+    "overlap-2x": (_tilted([unit(3, k) for k in range(3)], 1, 2, 2e-10),
+                   1, 2.0, "branch projectors 1 and 2 are not orthogonal"),
+    # spread amplitudes make the max|a_i| factors count: <a_2|a_5> is 8x
+    # the residue
+    "spread-overlap-0.5x": (_tilted(_hadamard_kets(8), 2, 5, 4e-10), 1, 0.5, None),
+    "spread-overlap-2x": (_tilted(_hadamard_kets(8), 2, 5, 1.6e-9),
+                          1, 2.0, "branch projectors 2 and 5 are not orthogonal"),
+    "completeness-0.5x": (_norm_off(1e-10), 0, 0.5, None),
+    "completeness-2x": (_norm_off(4e-10), 0, 2.0, "branch projectors do not sum to the identity"),
+}
+
+
+@pytest.mark.parametrize("case", list(_GRAM_CASES))
+def test_amplitude_checks_agree_with_the_matrix_checks_at_the_bounds(case):
+    kets, which, multiple, message = _GRAM_CASES[case]
+    residues = _residues(kets)
+    assert residues[which] == pytest.approx(multiple, rel=0.02)
+    assert residues[1 - which] < 0.75
+    labels = [float(k) for k in range(len(kets))]
+    if message is None:
+        stacked = ObservableDecomposition.from_eigenbasis(kets, labels)
+        np.testing.assert_array_equal(
+            stacked.stack, ObservableDecomposition.from_projectors(
+                [k.projector() for k in kets], labels).stack)
+        return
+    with pytest.raises(ValidationError) as branchwise:
+        ObservableDecomposition.from_projectors([k.projector() for k in kets], labels)
+    with pytest.raises(ValidationError) as stacked:
+        ObservableDecomposition.from_eigenbasis(kets, labels)
+    assert str(stacked.value) == str(branchwise.value) == message
+
+
+def test_amplitude_checks_report_the_first_pair_in_row_major_order():
+    # pairs (1, 3) and (0, 2) both overlap; the matrix checks report (0, 2)
+    kets = _tilted(_tilted([unit(4, k) for k in range(4)], 1, 3, 1.5e-10), 0, 2, 1.5e-10)
+    with pytest.raises(ValidationError) as branchwise:
+        ObservableDecomposition.from_projectors([k.projector() for k in kets])
+    with pytest.raises(ValidationError) as stacked:
+        ObservableDecomposition.from_eigenbasis(kets)
+    assert str(stacked.value) == str(branchwise.value)
+    assert "0 and 2" in str(stacked.value)
+
+
+def test_rank1_branches_are_built_on_first_read():
+    rng = np.random.default_rng(23)
+    for dim in (1, 3, 8, 64):
+        vecs = np.linalg.qr(rng.standard_normal((dim, dim))
+                            + 1j * rng.standard_normal((dim, dim)))[0]
+        kets = [Ket(v) for v in vecs.T]
+        for obs in (ObservableDecomposition.from_eigenbasis(kets), basis_containing(kets[0])):
+            assert len(obs) == dim and obs.dim == dim
+            assert obs.eigenvalues == tuple(float(k) for k in range(dim))
+            assert obs.stack.shape == (dim, dim, dim)
+            assert obs._branches is None
+            branches = obs.branches
+            assert obs.branches is branches
+            assert [p.rank for _, p in obs] == [1] * dim
+            with pytest.raises(ValueError):
+                obs.matrix(0)[0, 0] = 0.0
+        obs = ObservableDecomposition.from_eigenbasis(kets)
+        for j in range(dim):
+            np.testing.assert_array_equal(obs.matrix(j), kets[j].projector().matrix)
+            np.testing.assert_array_equal(obs.projector(j).matrix, obs.stack[j])

@@ -9,6 +9,7 @@ from ablkit.counterfactual import find_counterexample, mixing_report
 from ablkit.errors import ScenarioParseError
 from ablkit.linalg import Ket, basis_containing
 from ablkit.scenario_io import (
+    MAX_DIM,
     counterexample_scenario,
     dump_scenario,
     load_scenario,
@@ -383,3 +384,20 @@ def test_bulk_parse_keeps_each_number_bit_for_bit():
     matrix = doc["observables"]["Z"][0]["matrix"]
     expected = np.array([[complex(float(re), float(im)) for re, im in row] for row in matrix])
     assert scenario.observables["Z"].matrix(0).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dim", [MAX_DIM + 1, 10 ** 12])
+def test_parse_refuses_a_dim_above_the_cap(dim):
+    # The amplitude lists are not even looked at: the cap comes first.
+    _expect_error(json.dumps({"dim": dim, "preselection": [], "postselection": [],
+                              "observables": {}}),
+                  f"dim: {dim} exceeds the largest supported dimension {MAX_DIM}")
+
+
+def test_parse_accepts_the_largest_dim():
+    unit = [[1, 0]] + [[0, 0]] * (MAX_DIM - 1)
+    identity = [[[float(r == c), 0] for c in range(MAX_DIM)] for r in range(MAX_DIM)]
+    scenario = parse_scenario(json.dumps({
+        "dim": MAX_DIM, "preselection": unit, "postselection": unit,
+        "observables": {"I": [{"eigenvalue": 1, "matrix": identity}]}}))
+    assert scenario.dim == MAX_DIM
