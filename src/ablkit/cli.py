@@ -5,18 +5,16 @@ Subcommands: ``abl``, ``consistency``, ``simulate``, ``counterexample``, and
 errors, 2 for domain errors (impossible postselection, no postselected
 trials, no counterexample found).  Numbers print with 12 significant
 digits; ``--json`` emits a machine-readable report whose floats round-trip
-exactly.  ``main`` builds the argument parser on its first call and reuses
-it for the rest of the process; each call still looks its handler up by
-name, so a handler rebound on this module takes effect.
+exactly.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
+from collections.abc import Container
 
 from . import abl as abl_mod
 from .abl import PrePostContext, abl_distribution, born_distribution, disturbed_final_probability, joint_probability
@@ -329,76 +327,84 @@ def cmd_scenario_validate(args) -> int:
     return 0
 
 
-def build_parser() -> _Parser:
+def build_parser(commands: Container[str] | None = None) -> _Parser:
+    """The ``ablkit`` argument parser.
+
+    Every subcommand is listed with its help line, but only those in
+    ``commands`` (all of them when it is None) get their arguments.  That is
+    enough to parse any argument list naming the others nowhere: argparse
+    hands the arguments to the subcommand whose name equals one of them,
+    and shows of the rest only their names and help lines.
+    """
     parser = _Parser(prog="ablkit",
                      description="probabilities for pre- and postselected quantum systems")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
+    def wanted(name: str) -> bool:
+        return commands is None or name in commands
+
     p_abl = sub.add_parser("abl", help="ABL conditional outcome probabilities")
-    _add_scenario_args(p_abl)
-    p_abl.add_argument("--json", action="store_true")
-    p_abl.set_defaults(func=cmd_abl)
+    if wanted("abl"):
+        _add_scenario_args(p_abl)
+        p_abl.add_argument("--json", action="store_true")
+        p_abl.set_defaults(func=cmd_abl)
 
     p_con = sub.add_parser("consistency", help="decoherence-functional consistency check")
-    _add_scenario_args(p_con)
-    p_con.add_argument("--criterion", choices=("medium", "weak"), default="medium")
-    p_con.add_argument("--tolerance", type=float, default=None,
-                       help=f"violation tolerance (default {CONSISTENCY_TOL:g})")
-    p_con.add_argument("--coarse-grainings", action="store_true",
-                       help="also report every coarse-graining of the observable")
-    p_con.add_argument("--json", action="store_true")
-    p_con.set_defaults(func=cmd_consistency)
+    if wanted("consistency"):
+        _add_scenario_args(p_con)
+        p_con.add_argument("--criterion", choices=("medium", "weak"), default="medium")
+        p_con.add_argument("--tolerance", type=float, default=None,
+                           help=f"violation tolerance (default {CONSISTENCY_TOL:g})")
+        p_con.add_argument("--coarse-grainings", action="store_true",
+                           help="also report every coarse-graining of the observable")
+        p_con.add_argument("--json", action="store_true")
+        p_con.set_defaults(func=cmd_consistency)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo estimate of the same probabilities")
-    _add_scenario_args(p_sim)
-    p_sim.add_argument("--no-intermediate", action="store_true",
-                       help="skip the intermediate measurement entirely")
-    p_sim.add_argument("--trials", type=_positive_int, default=200000)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--workers", type=_positive_int, default=1)
-    p_sim.add_argument("--json", action="store_true")
-    p_sim.set_defaults(func=cmd_simulate)
+    if wanted("simulate"):
+        _add_scenario_args(p_sim)
+        p_sim.add_argument("--no-intermediate", action="store_true",
+                           help="skip the intermediate measurement entirely")
+        p_sim.add_argument("--trials", type=_positive_int, default=200000)
+        p_sim.add_argument("--seed", type=int, default=0)
+        p_sim.add_argument("--workers", type=_positive_int, default=1)
+        p_sim.add_argument("--json", action="store_true")
+        p_sim.set_defaults(func=cmd_simulate)
 
     p_cex = sub.add_parser("counterexample",
                            help="search for a counterfactual-use counterexample")
-    p_cex.add_argument("--dim", type=int, choices=range(2, 7), default=2)
-    p_cex.add_argument("--seed", type=int, default=0)
-    p_cex.add_argument("--gap-min", type=float, default=DEFAULT_GAP_MIN)
-    p_cex.add_argument("--max-tries", type=_positive_int, default=1000)
-    p_cex.add_argument("--json", action="store_true")
-    p_cex.set_defaults(func=cmd_counterexample)
+    if wanted("counterexample"):
+        p_cex.add_argument("--dim", type=int, choices=range(2, 7), default=2)
+        p_cex.add_argument("--seed", type=int, default=0)
+        p_cex.add_argument("--gap-min", type=float, default=DEFAULT_GAP_MIN)
+        p_cex.add_argument("--max-tries", type=_positive_int, default=1000)
+        p_cex.add_argument("--json", action="store_true")
+        p_cex.set_defaults(func=cmd_counterexample)
 
     p_scen = sub.add_parser("scenario", help="scenario file utilities")
-    scen_sub = p_scen.add_subparsers(dest="scenario_command", required=True,
-                                     parser_class=_Parser)
-    p_val = scen_sub.add_parser("validate", help="parse a scenario file and emit its canonical form")
-    p_val.add_argument("path")
-    p_val.add_argument("--json", action="store_true")
-    p_val.set_defaults(func=cmd_scenario_validate)
+    if wanted("scenario"):
+        scen_sub = p_scen.add_subparsers(dest="scenario_command", required=True,
+                                         parser_class=_Parser)
+        p_val = scen_sub.add_parser("validate",
+                                    help="parse a scenario file and emit its canonical form")
+        p_val.add_argument("path")
+        p_val.add_argument("--json", action="store_true")
+        p_val.set_defaults(func=cmd_scenario_validate)
 
     return parser
 
 
-@functools.cache
-def _parser() -> _Parser:
-    # Parsing leaves no state behind in the parser: each call starts from
-    # a fresh namespace filled with the defaults, so one tree serves every
-    # command of the process.
-    return build_parser()
-
-
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A parser with only the subcommands the arguments name; see build_parser.
+    parser = build_parser(set(argv))
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
-    # The handler is looked up by name on each call, not taken from the
-    # parser built on the first one, so a handler rebound on this module
-    # since then is the one that runs.
-    handler = globals()[args.func.__name__]
     try:
-        return handler(args)
+        return args.func(args)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

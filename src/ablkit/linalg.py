@@ -80,15 +80,6 @@ class Ket:
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
 
-    @classmethod
-    def _validated(cls, amplitudes: np.ndarray) -> "Ket":
-        # Mirrors Projector._validated for a complex128 vector whose norm the
-        # caller has checked; made read-only here.
-        amplitudes.setflags(write=False)
-        ket = object.__new__(cls)
-        object.__setattr__(ket, "amplitudes", amplitudes)
-        return ket
-
     @property
     def dim(self) -> int:
         return self.amplitudes.size
@@ -161,7 +152,7 @@ class Branch(NamedTuple):
     projector: Projector
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class ObservableDecomposition:
     """A projective decomposition of an observable.
 
@@ -169,26 +160,23 @@ class ObservableDecomposition:
     distinct eigenvalue labels, mutually orthogonal projectors, and
     completeness: the branch projectors sum to the identity.  ``stack`` holds
     the branch matrices as one read-only ``(n, d, d)`` array, the form every
-    probability kernel works on.
-
-    A basis built from kets (:meth:`from_eigenbasis`, :func:`basis_containing`)
-    is validated from its amplitudes and builds its ``branches`` on first
-    read; ``len``, ``eigenvalues`` and ``stack`` never need them.
+    probability kernel works on.  A basis built from kets
+    (:meth:`from_eigenbasis`, :func:`basis_containing`) is validated from its
+    amplitudes, with the same checks and errors.
     """
 
-    eigenvalues: tuple[float, ...]
-    stack: np.ndarray = field(repr=False)
-    _branches: tuple[Branch, ...] | None = field(repr=False)
+    branches: tuple[Branch, ...]
+    stack: np.ndarray = field(init=False, repr=False)
 
-    def __init__(self, branches: Sequence[Branch]):
-        branches = tuple(Branch(float(e), p) for e, p in branches)
+    def __post_init__(self):
+        branches = tuple(Branch(float(e), p) for e, p in self.branches)
         if not branches:
             raise ValidationError("a decomposition needs at least one branch")
         dim = branches[0].projector.dim
         for _, proj in branches:
             if proj.dim != dim:
                 raise DimensionMismatchError("branch projectors differ in dimension")
-        labels = _distinct_labels([e for e, _ in branches])
+        _check_labels([e for e, _ in branches])
         stack = np.array([p.matrix for _, p in branches])
         if _max_abs(stack.sum(axis=0) - np.eye(dim)) > ALG_TOL * dim:
             raise ValidationError(_INCOMPLETE)
@@ -199,32 +187,23 @@ class ObservableDecomposition:
             if overlaps.max() > ALG_TOL:
                 j = i + 1 + int(np.argmax(overlaps.max(axis=(1, 2)) > ALG_TOL))
                 raise ValidationError(_overlapping(i, j))
-        self._set(labels, stack, branches)
-
-    def _set(self, labels: tuple[float, ...], stack: np.ndarray,
-             branches: tuple[Branch, ...] | None):
         stack.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", labels)
+        object.__setattr__(self, "branches", branches)
         object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "_branches", branches)
-
-    @property
-    def branches(self) -> tuple[Branch, ...]:
-        if self._branches is None:
-            # Only rank-1 bases get here; each matrix is a view of the stack.
-            object.__setattr__(self, "_branches", tuple(
-                Branch(e, Projector._validated(m, 1)) for e, m in zip(self.eigenvalues, self.stack)))
-        return self._branches
 
     @property
     def dim(self) -> int:
         return self.stack.shape[1]
 
     def __len__(self) -> int:
-        return len(self.eigenvalues)
+        return len(self.branches)
 
     def __iter__(self):
         return iter(self.branches)
+
+    @property
+    def eigenvalues(self) -> tuple[float, ...]:
+        return tuple(e for e, _ in self.branches)
 
     def projector(self, branch: int) -> Projector:
         return self.branches[branch].projector
@@ -262,30 +241,41 @@ class ObservableDecomposition:
                          eigenvalues: Sequence[float]) -> "ObservableDecomposition":
         # One rank-1 branch P_i = a_i a_i^dagger per unit row a_i of ``amps``,
         # checked from the amplitudes as the module docstring explains.
-        labels = _distinct_labels([float(e) for e in eigenvalues])
+        labels = [float(e) for e in eigenvalues]
+        _check_labels(labels)
         n, dim = amps.shape
-        residue = amps.T @ amps.conj()
+        conj = amps.conj()
+        residue = amps.T @ conj
         residue.flat[::dim + 1] -= 1.0
         if _max_abs(residue) > ALG_TOL * dim:
             raise ValidationError(_INCOMPLETE)
         peaks = np.abs(amps).max(axis=1)
-        overlaps = np.abs(amps.conj() @ amps.T) * peaks * peaks[:, None]
+        overlaps = np.abs(conj @ amps.T)
+        overlaps *= peaks
+        overlaps *= peaks[:, None]
         overlaps.flat[::n + 1] = 0.0
         if overlaps.max() > ALG_TOL:
-            # np.nonzero runs in row-major order.
-            i, j = np.nonzero(np.triu(overlaps) > ALG_TOL)
+            # The first pair i < j in row-major order, as the constructor
+            # reports it; either order of a pair may be the one that rounds
+            # above the bound.
+            i, j = np.nonzero(np.triu(np.maximum(overlaps, overlaps.T)) > ALG_TOL)
             raise ValidationError(_overlapping(int(i[0]), int(j[0])))
-        obs = object.__new__(cls)
-        obs._set(labels, amps[:, :, None] * amps[:, None, :].conj(), None)
-        return obs
+        stack = amps[:, :, None] * conj[:, None, :]
+        stack.setflags(write=False)
+        return cls._validated(tuple(Branch(e, Projector._validated(m, 1))
+                                    for e, m in zip(labels, stack)), stack)
 
     @classmethod
     def _validated(cls, branches: tuple[Branch, ...],
                    stack: np.ndarray) -> "ObservableDecomposition":
-        # Mirrors Projector._validated for a coarse-graining of a validated
-        # decomposition; ``stack`` holds the branch matrices in order.
+        # Mirrors Projector._validated for a decomposition that is one by
+        # construction (a checked basis of kets, a coarse-graining of a
+        # validated decomposition); ``stack`` holds the branch matrices in
+        # order.
+        stack.setflags(write=False)
         obs = object.__new__(cls)
-        obs._set(tuple(e for e, _ in branches), stack, branches)
+        object.__setattr__(obs, "branches", branches)
+        object.__setattr__(obs, "stack", stack)
         return obs
 
 
@@ -296,10 +286,9 @@ def _overlapping(i: int, j: int) -> str:
     return f"branch projectors {i} and {j} are not orthogonal"
 
 
-def _distinct_labels(labels: list[float]) -> tuple[float, ...]:
+def _check_labels(labels: list[float]):
     if len(set(labels)) != len(labels):
         raise ValidationError(f"eigenvalue labels must be pairwise distinct, got {labels}")
-    return tuple(labels)
 
 
 def inner(x: Ket, y: Ket) -> complex:

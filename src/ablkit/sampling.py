@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import NORM_TOL, Ket
+from .linalg import Ket
 
 
 def _check(seed: int, *indices: int):
@@ -104,11 +104,4 @@ def random_basis(rng: np.random.Generator, dim: int) -> list[Ket]:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     q = q * (d / np.abs(d))
-    # All column norms in one pass; a column outside NORM_TOL (or not finite)
-    # gets the Ket constructor's own check and error.
-    norms_sq = (q.real ** 2 + q.imag ** 2).sum(axis=0)
-    for j in np.flatnonzero(~(np.abs(norms_sq - 1.0) <= NORM_TOL)):
-        Ket(q[:, j])
-    columns = q.T.copy()
-    columns.setflags(write=False)
-    return [Ket._validated(column) for column in columns]
+    return [Ket(q[:, j]) for j in range(dim)]

@@ -39,7 +39,7 @@ import numpy as np
 
 from .abl import PrePostContext
 from .counterfactual import Counterexample
-from .errors import AblkitError, ScenarioParseError
+from .errors import AblkitError, ScenarioParseError, ValidationError
 from .linalg import Branch, Ket, ObservableDecomposition, Projector, projector_from_kets
 from .scenarios import Scenario
 
@@ -47,7 +47,9 @@ _TOP_KEYS = {"dim", "name", "description", "preselection", "postselection",
              "observables", "default_observable"}
 _BRANCH_KEYS = {"eigenvalue", "kets", "matrix"}
 #: Largest ``dim`` a scenario file may declare, checked before any array is
-#: built: an observable's ``(n, d, d)`` temporaries are 4 MiB each at 64.
+#: built.  Emitted, a basis of 64 rank-1 branches is a 26 MiB file, and the
+#: text grows as ``dim**3``.  Emission refuses a larger scenario, so what is
+#: written parses back.
 MAX_DIM = 64
 
 
@@ -234,6 +236,9 @@ def _pairs(a: np.ndarray) -> np.ndarray:
 def _tree(scenario: Scenario, leaf: Callable[[np.ndarray], Any]) -> dict[str, Any]:
     # The emitted structure, with ``leaf`` applied to each amplitude array's
     # float view.
+    if scenario.dim > MAX_DIM:
+        raise ValidationError(
+            f"dim {scenario.dim} exceeds the largest supported dimension {MAX_DIM}")
     observables = {}
     for name, obs in scenario.observables.items():
         observables[name] = [

@@ -438,7 +438,7 @@ def test_domain_errors_exit_2(capsys, tmp_path):
     assert code == 2
 
 
-# --- the parser built once per process -------------------------------------
+# main builds a parser with only the subcommands its arguments name
 
 def _outcome(capsys, argv):
     try:
@@ -449,70 +449,20 @@ def _outcome(capsys, argv):
     return code, captured.out, captured.err
 
 
-def _fresh_outcome(capsys, monkeypatch, argv):
-    # What ``main`` does for ``argv`` with a parser built for this call alone.
-    with monkeypatch.context() as patch:
-        patch.setattr(ablkit.cli, "_parser", ablkit.cli.build_parser)
-        return _outcome(capsys, argv)
-
-
-_THEN = ["consistency", "--builtin", "three-box", "--json"]
-
-
-@pytest.mark.parametrize("first", [
-    ["abl", "--builtin", "three-box", "--bogus"],
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h", "abl"], ["bogus"], ["-5"], ["scenario"], ["scenario", "--help"],
+    ["scenario", "validate"], ["abl"], ["abl", "--help"], ["counterexample", "--dim", "9"],
+    ["--bogus", "abl", "--builtin", "three-box"], ["--", "abl", "--builtin", "three-box"],
+    ["abl", "--builtin", "three-box", "consistency"],
+    ["abl", "--builtin", "three-box", "--observable", "simulate"],
     ["simulate", "--builtin", "three-box", "--trials", "0"],
-    [],
-    ["--help"],
-    ["consistency", "--help"],
     ["consistency", "--builtin", "three-box", "--tolerance", "0.5", "--json"],
-], ids=["unknown-flag", "bad-value", "no-command", "help", "subcommand-help", "tolerance"])
-def test_cached_parser_behaves_like_a_fresh_one(capsys, monkeypatch, first):
-    expected = [_fresh_outcome(capsys, monkeypatch, argv) for argv in (first, _THEN)]
-    assert [_outcome(capsys, argv) for argv in (first, _THEN)] == expected
-
-
-def test_usage_error_then_a_valid_command(capsys):
-    code, out, err = _outcome(capsys, ["abl", "--builtin", "three-box", "--bogus"])
-    assert (code, out) == (1, "")
-    assert err.startswith("usage error: ")
-    assert _outcome(capsys, ["abl", "--builtin", "three-box"])[0] == 0
-
-
-def test_help_then_a_valid_command(capsys):
-    code, out, _ = _outcome(capsys, ["--help"])
-    assert code == ("exit", 0)
-    assert out.startswith("usage: ablkit")
-    assert _outcome(capsys, ["abl", "--builtin", "three-box"])[0] == 0
-
-
-def test_tolerance_falls_back_to_the_default_on_the_next_command(capsys):
-    from ablkit.histories import CONSISTENCY_TOL
-
-    custom = run_json(capsys, "consistency", "--builtin", "three-box", "--tolerance", "0.5",
-                      "--json")
-    plain = run_json(capsys, "consistency", "--builtin", "three-box", "--json")
-    assert (custom["tolerance"], plain["tolerance"]) == (0.5, CONSISTENCY_TOL)
-    assert custom["consistent"] and not plain["consistent"]
-
-
-def test_handler_rebound_after_the_first_command_is_dispatched(capsys, monkeypatch):
-    assert run(capsys, "abl", "--builtin", "three-box")[0] == 0
-    seen = []
-    monkeypatch.setattr(ablkit.cli, "cmd_abl", lambda args: seen.append(args.builtin) or 7)
-    assert run(capsys, "abl", "--builtin", "spin-pi3")[0] == 7
-    assert seen == ["spin-pi3"]
-
-
-def test_main_builds_the_parser_once(capsys, monkeypatch):
-    assert run(capsys, "abl", "--builtin", "three-box")[0] == 0
-
-    def refuse():
-        raise AssertionError("the parser was built again")
-
-    monkeypatch.setattr(ablkit.cli, "build_parser", refuse)
-    assert run(capsys, "abl", "--builtin", "spin-pi3")[0] == 0
-    assert run(capsys, "abl", "--bogus")[0] == 1
+])
+def test_main_parses_like_the_full_parser(capsys, monkeypatch, argv):
+    named = _outcome(capsys, argv)
+    full = ablkit.cli.build_parser
+    monkeypatch.setattr(ablkit.cli, "build_parser", lambda commands: full())
+    assert _outcome(capsys, argv) == named
 
 
 def test_scenario_dim_above_the_cap_exits_1(capsys, tmp_path):

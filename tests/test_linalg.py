@@ -395,7 +395,7 @@ def test_amplitude_checks_report_the_first_pair_in_row_major_order():
     assert "0 and 2" in str(stacked.value)
 
 
-def test_rank1_branches_are_built_on_first_read():
+def test_rank1_branches_equal_the_kets_projectors():
     rng = np.random.default_rng(23)
     for dim in (1, 3, 8, 64):
         vecs = np.linalg.qr(rng.standard_normal((dim, dim))
@@ -404,10 +404,6 @@ def test_rank1_branches_are_built_on_first_read():
         for obs in (ObservableDecomposition.from_eigenbasis(kets), basis_containing(kets[0])):
             assert len(obs) == dim and obs.dim == dim
             assert obs.eigenvalues == tuple(float(k) for k in range(dim))
-            assert obs.stack.shape == (dim, dim, dim)
-            assert obs._branches is None
-            branches = obs.branches
-            assert obs.branches is branches
             assert [p.rank for _, p in obs] == [1] * dim
             with pytest.raises(ValueError):
                 obs.matrix(0)[0, 0] = 0.0

@@ -96,32 +96,3 @@ def test_random_basis_first_moment_is_unbiased():
         kets = random_basis(rng, dim)
         acc += abs(kets[0].amplitudes[0]) ** 2
     assert acc / n == pytest.approx(1.0 / dim, abs=0.02)
-
-
-def test_random_basis_kets_equal_the_ket_constructor():
-    from ablkit.linalg import Ket
-
-    for dim in (1, 2, 5, 9):
-        z_rng, rng = substream(3, dim), substream(3, dim)
-        z = z_rng.standard_normal((dim, dim)) + 1j * z_rng.standard_normal((dim, dim))
-        q, r = np.linalg.qr(z)
-        q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-        kets = random_basis(rng, dim)
-        for j, ket in enumerate(kets):
-            np.testing.assert_array_equal(ket.amplitudes, Ket(q[:, j]).amplitudes)
-            with pytest.raises(ValueError):
-                ket.amplitudes[0] = 0.0
-
-
-@pytest.mark.parametrize("column, scale", [(1, 1 + 1e-8), (2, np.nan)])
-def test_random_basis_raises_the_ket_error_for_a_bad_column(monkeypatch, column, scale):
-    from ablkit.linalg import Ket
-
-    bad = np.eye(3, dtype=complex)
-    bad[:, column] *= scale
-    monkeypatch.setattr(np.linalg, "qr", lambda z: (bad.copy(), np.eye(3, dtype=complex)))
-    with pytest.raises(ValidationError) as expected:
-        Ket(bad[:, column])
-    with pytest.raises(ValidationError) as raised:
-        random_basis(substream(0, 0), 3)
-    assert str(raised.value) == str(expected.value)

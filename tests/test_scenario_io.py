@@ -401,3 +401,18 @@ def test_parse_accepts_the_largest_dim():
         "dim": MAX_DIM, "preselection": unit, "postselection": unit,
         "observables": {"I": [{"eigenvalue": 1, "matrix": identity}]}}))
     assert scenario.dim == MAX_DIM
+
+
+def test_emission_refuses_a_dim_above_the_cap():
+    from ablkit.errors import ValidationError
+    from ablkit.linalg import ObservableDecomposition
+
+    dim = MAX_DIM + 1
+    kets = [Ket(v) for v in np.eye(dim, dtype=complex)]
+    scenario = Scenario("big", "", PrePostContext(kets[0], kets[0]),
+                        {"Z": ObservableDecomposition.from_eigenbasis(kets)}, "Z")
+    message = f"dim {dim} exceeds the largest supported dimension {MAX_DIM}"
+    with pytest.raises(ValidationError, match=message):
+        dump_scenario(scenario)
+    with pytest.raises(ValidationError, match=message):
+        scenario_to_jsonable(scenario)
