@@ -17,7 +17,7 @@ import sys
 from collections.abc import Container
 
 from . import abl as abl_mod
-from .abl import PrePostContext, abl_distribution, born_distribution, disturbed_final_probability, joint_probability
+from .abl import PrePostContext, abl_distribution, born_distribution, disturbed_final_probability
 from .counterfactual import DEFAULT_GAP_MIN, find_counterexample
 from .errors import (
     AblkitError,
@@ -27,7 +27,10 @@ from .errors import (
     UndefinedTermError,
     ZeroProjectionError,
 )
-from .histories import CONSISTENCY_TOL, HistoryFamily, _set_partitions, disturbance_check, enumerate_coarse_grainings, is_consistent
+from .histories import CONSISTENCY_TOL, HistoryFamily, coarse_graining_verdicts, disturbance_check, is_consistent
+# Unused here; bench/workloads.py's tracer rebinds these names.
+from .abl import joint_probability  # noqa: F401
+from .histories import enumerate_coarse_grainings  # noqa: F401
 from .linalg import ALG_TOL, inner
 from .scenario_io import counterexample_scenario, dump_scenario, load_scenario, scenario_to_jsonable
 from .scenarios import BUILTIN_NAMES, Scenario, builtin
@@ -97,7 +100,7 @@ def cmd_abl(args) -> int:
     name, observable = _pick_observable(scenario, args)
     ctx = scenario.context
     born = born_distribution(ctx.preselection, observable)
-    joints = [joint_probability(ctx, observable, i) for i in range(len(observable))]
+    joints = abl_mod._context_joints(ctx, observable)  # what joint_probability indexes
     dist = abl_distribution(ctx, observable)
     if args.json:
         _print_json({
@@ -107,7 +110,7 @@ def cmd_abl(args) -> int:
             "observable": name,
             "eigenvalues": list(observable.eigenvalues),
             "born": [float(p) for p in born],
-            "joint": [float(p) for p in joints],
+            "joint": joints.tolist(),
             "abl": [float(p) for p in dist.probabilities],
             "denominator": dist.denominator,
             "tolerances": {"algebra": ALG_TOL, "division": abl_mod.DIV_TOL},
@@ -135,15 +138,10 @@ def cmd_consistency(args) -> int:
     disturbance = disturbance_check(family, tol=tol)
     coarse = None
     if args.coarse_grainings:
-        coarse = []
-        # Both enumerate the partitions of the branch set in the same order.
-        for partition, grained in zip(_set_partitions(len(observable)),
-                                      enumerate_coarse_grainings(observable)):
-            sub_family = HistoryFamily(family.initial, grained, family.final)
-            sub_report = is_consistent(sub_family, criterion=args.criterion, tol=tol)
-            sub_disturbance = disturbance_check(sub_family, tol=tol)
-            blocks = [[observable.eigenvalues[i] for i in block] for block in partition]
-            coarse.append((blocks, sub_report, sub_disturbance))
+        eigenvalues = observable.eigenvalues
+        coarse = [([[eigenvalues[i] for i in block] for block in partition], rep, dis)
+                  for partition, rep, dis in coarse_graining_verdicts(
+                      family, criterion=args.criterion, tol=tol)]
     if args.json:
         payload = {
             "command": "consistency",
@@ -211,7 +209,7 @@ def cmd_simulate(args) -> int:
         estimate = stats.postselected_count / args.trials
         exact = abl_distribution(ctx, observable).probabilities
         born = born_distribution(ctx.preselection, observable)
-        branches = (stats, exact, born)
+        branches = (stats, exact, born, observable.eigenvalues)
     final_stderr = math.sqrt(max(target * (1.0 - target), 0.0) / args.trials)
     final_z = _z_score(estimate - target, final_stderr)
     if args.json:
@@ -231,11 +229,11 @@ def cmd_simulate(args) -> int:
             },
         }
         if branches is not None:
-            stats, exact, born = branches
+            stats, exact, born, eigenvalues = branches
             payload["postselected"] = stats.postselected_count
             payload["branches"] = [
                 {
-                    "eigenvalue": observable.eigenvalues[i],
+                    "eigenvalue": eigenvalues[i],
                     "count": int(stats.branch_counts[i]),
                     "frequency": float(stats.conditional_freq[i]),
                     "stderr": float(stats.stderr[i]),
@@ -252,12 +250,12 @@ def cmd_simulate(args) -> int:
     print(f"observable: {name if name is not None else '(none)'}")
     print(f"trials {args.trials}  seed {args.seed}  workers {args.workers}")
     if branches is not None:
-        stats, exact, born = branches
+        stats, exact, born, eigenvalues = branches
         print(f"postselected: {stats.postselected_count} "
               f"({_fmt(stats.postselected_count / args.trials)})")
         for i in range(len(observable)):
             z = _z_score(float(stats.conditional_freq[i] - exact[i]), float(stats.stderr[i]))
-            print(f"branch {i}  eigenvalue {observable.eigenvalues[i]:g}  "
+            print(f"branch {i}  eigenvalue {eigenvalues[i]:g}  "
                   f"freq {_fmt(stats.conditional_freq[i])}  "
                   f"stderr {_fmt(stats.stderr[i])}  abl {_fmt(exact[i])}  "
                   f"born {_fmt(born[i])}  z {_fmt(z)}")

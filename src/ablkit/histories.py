@@ -13,13 +13,14 @@ have to vanish.  For a consistent family the intervening measurement does
 not disturb the postselection statistics: sum_j D(j, j) equals |<b|a>|^2.
 That disturbance identity is checked separately so callers can see both
 predicates; the implication only runs from consistency to the identity, not
-back.
+back.  ``coarse_graining_verdicts`` checks the families around every
+grouping of the observable's branches from one table of block amplitudes
+x_I = <b|sum_{i in I} P_i|a>, without building those families.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -118,20 +119,24 @@ def decoherence_matrix(family: HistoryFamily) -> np.ndarray:
     return d
 
 
+def _check_criterion(criterion: str, tol: float):
+    if criterion not in _CRITERIA:
+        raise ValueError(f"criterion must be one of {_CRITERIA}, got {criterion!r}")
+    if not tol >= 0.0:
+        raise ValidationError(f"tolerance must be non-negative, got {tol}")
+
+
 def is_consistent(family: HistoryFamily, *, criterion: str = "medium",
                   tol: float = CONSISTENCY_TOL) -> ConsistencyReport:
     """Check the family's off-diagonal decoherence under the chosen criterion.
 
     ``medium`` requires |D(i, j)| = 0 for i != j; ``weak`` only Re D(i, j) = 0.
     """
-    if criterion not in _CRITERIA:
-        raise ValueError(f"criterion must be one of {_CRITERIA}, got {criterion!r}")
-    if not tol >= 0.0:
-        raise ValidationError(f"tolerance must be non-negative, got {tol}")
+    _check_criterion(criterion, tol)
     d = decoherence_matrix(family)
-    off = d - np.diag(np.diag(d))
-    magnitude = np.abs(off) if criterion == "medium" else np.abs(off.real)
-    max_violation = float(magnitude.max()) if len(family.intermediate) > 1 else 0.0
+    magnitude = np.abs(d) if criterion == "medium" else np.abs(d.real)
+    np.fill_diagonal(magnitude, 0.0)
+    max_violation = float(magnitude.max())
     return ConsistencyReport(max_violation <= tol, d, max_violation, criterion, tol)
 
 
@@ -147,22 +152,32 @@ def disturbance_check(family: HistoryFamily, *, tol: float = CONSISTENCY_TOL) ->
     return DisturbanceCheck(undisturbed, disturbed, abs(undisturbed - disturbed) <= tol)
 
 
-def _set_partitions(n: int) -> Iterator[list[list[int]]]:
-    # Yields partitions of range(n) with blocks ordered by first appearance;
-    # order is deterministic (each element joins existing blocks first).
-    def rec(i: int, groups: list[list[int]]):
-        if i == n:
-            yield [list(g) for g in groups]
-            return
-        for g in groups:
-            g.append(i)
-            yield from rec(i + 1, groups)
-            g.pop()
-        groups.append([i])
-        yield from rec(i + 1, groups)
-        groups.pop()
+def _set_partitions(n: int) -> list[list[tuple[int, ...]]]:
+    # Partitions of range(n), blocks as ascending tuples ordered by first
+    # appearance; order is deterministic (each element joins existing blocks
+    # first, then starts a new one).
+    partitions: list[list[tuple[int, ...]]] = [[]]
+    for i in range(n):
+        partitions = [[*p[:g], p[g] + (i,), *p[g + 1:]] if g < len(p) else [*p, (i,)]
+                      for p in partitions for g in range(len(p) + 1)]
+    return partitions
 
-    yield from rec(0, [])
+
+def _coarse_blocks(base: ObservableDecomposition):
+    # The partitions of base's branch set, a slot for every subset of it (the
+    # empty one first, each after its prefix), and each slot's branch matrices
+    # summed from zero in ascending branch order, one add per slot.
+    n = len(base)
+    if n > MAX_ENUMERATED_BRANCHES:
+        raise TooManyBranchesError(
+            f"{n} branches would enumerate too many partitions (cap is {MAX_ENUMERATED_BRANCHES})")
+    subsets: list[tuple[int, ...]] = [()]
+    sums = np.zeros((1 << n, base.dim, base.dim), dtype=np.complex128)
+    for i in range(n):
+        sums[len(subsets):2 * len(subsets)] = sums[:len(subsets)] + base.stack[i]
+        subsets += [block + (i,) for block in subsets]
+    sums.setflags(write=False)
+    return _set_partitions(n), {block: k for k, block in enumerate(subsets)}, sums
 
 
 def enumerate_coarse_grainings(base: ObservableDecomposition) -> list[ObservableDecomposition]:
@@ -171,31 +186,49 @@ def enumerate_coarse_grainings(base: ObservableDecomposition) -> list[Observable
 
     Blocks are labeled by consecutive integers in order of first appearance,
     so results are deterministic.  The k-th result is the coarse-graining of
-    the k-th partition ``_set_partitions(len(base))`` yields, with its
+    the k-th partition ``_set_partitions(len(base))`` returns, with its
     branches in the order of that partition's blocks.  Each distinct block
-    (at most ``2**n - 1`` of them) is summed once, in ascending branch order,
-    and the partitions share those projectors.  Nothing is validated again:
-    a coarse-graining of a validated resolution of the identity is one, with
+    (``2**n - 1`` of them) is summed once, in ascending branch order, and the
+    partitions share those projectors.  Nothing is validated again: a
+    coarse-graining of a validated resolution of the identity is one, with
     residues at most ``|I|*|J|`` times the base's for blocks ``I`` and ``J``.
     Refuses more than :data:`MAX_ENUMERATED_BRANCHES` branches.
     """
-    n = len(base)
-    if n > MAX_ENUMERATED_BRANCHES:
-        raise TooManyBranchesError(
-            f"{n} branches would enumerate too many partitions (cap is {MAX_ENUMERATED_BRANCHES})")
-    partitions = [[tuple(block) for block in blocks] for blocks in _set_partitions(n)]
-    slots: dict[tuple[int, ...], int] = {}
-    for blocks in partitions:
-        for block in blocks:
-            slots.setdefault(block, len(slots))
-    sums = np.zeros((len(slots), base.dim, base.dim), dtype=np.complex128)
-    for k, block in enumerate(slots):
-        for idx in block:
-            sums[k] += base.stack[idx]
-    sums.setflags(write=False)
-    projectors = [Projector._validated(m, sum(base.projector(idx).rank for idx in block))
-                  for m, block in zip(sums, slots)]
+    partitions, slots, sums = _coarse_blocks(base)
+    ranks = [p.rank for _, p in base]
+    projectors = {block: Projector._validated(sums[k], sum(ranks[i] for i in block))
+                  for block, k in slots.items() if block}
     return [ObservableDecomposition._validated(
-                tuple(Branch(float(k), projectors[slots[block]]) for k, block in enumerate(blocks)),
+                tuple(Branch(float(k), projectors[block]) for k, block in enumerate(blocks)),
                 sums[[slots[block] for block in blocks]])
             for blocks in partitions]
+
+
+def coarse_graining_verdicts(family: HistoryFamily, *, criterion: str = "medium",
+                             tol: float = CONSISTENCY_TOL) -> list[tuple]:
+    """``(blocks, ConsistencyReport, DisturbanceCheck)`` for each
+    coarse-graining of ``family.intermediate``, in the order of
+    :func:`enumerate_coarse_grainings`: bit for bit what :func:`is_consistent`
+    and :func:`disturbance_check` report on the family around it, read from
+    one zero-padded table of block amplitudes instead of those families.
+    """
+    _check_criterion(criterion, tol)
+    partitions, slots, sums = _coarse_blocks(family.intermediate)
+    pre, post = _state_of(family.initial), _state_of(family.final)
+    # x_I = <b|P_I|a> by per-row np.vdot, as HistoryFamily computes it; slot
+    # 0, the empty block, has amplitude 0 and pads the rows.
+    amplitudes = np.array([np.vdot(post, p) for p in sums @ pre])
+    width = len(family.intermediate)
+    x = amplitudes[[[slots[block] for block in blocks] + [0] * (width - len(blocks))
+                    for blocks in partitions]]
+    d = x[:, :, None] * x.conj()[:, None, :] + 0.0
+    d.setflags(write=False)
+    magnitude = np.abs(d) if criterion == "medium" else np.abs(d.real)
+    magnitude[:, range(width), range(width)] = 0.0
+    violations = magnitude.max(axis=(1, 2)).tolist()
+    disturbed = np.sum(x.real ** 2 + x.imag ** 2, axis=1).tolist()
+    undisturbed = float(abs(family._overlap) ** 2)
+    return [(tuple(blocks),
+             ConsistencyReport(v <= tol, d[k, :len(blocks), :len(blocks)], v, criterion, tol),
+             DisturbanceCheck(undisturbed, s, abs(undisturbed - s) <= tol))
+            for k, (blocks, v, s) in enumerate(zip(partitions, violations, disturbed))]

@@ -310,9 +310,11 @@ def test_scenario_path_that_is_a_directory_exits_1(capsys, tmp_path, argv):
 
 # captured.json holds the exit code, stderr and a digest of stdout of each
 # command below, recorded before scenario emission and coarse-graining
-# enumeration were rewritten on whole arrays; dim-12.json is the scenario-cli
-# benchmark's dim-12 file for seed 1, and three-box.json the canonical form of
-# the built-in three-box scenario.
+# enumeration were rewritten on whole arrays (the `--criterion weak` and
+# `--tolerance 0` coarse-grainings: before their verdicts were read from one
+# table of block amplitudes); dim-12.json is the scenario-cli benchmark's
+# dim-12 file for seed 1, and three-box.json the canonical form of the
+# built-in three-box scenario.
 CLI_ORACLE = pathlib.Path(__file__).with_name("cli_oracle")
 
 
@@ -325,6 +327,15 @@ def test_output_is_byte_identical_to_capture(capsys, monkeypatch, case):
     stdout = out.encode("utf-8")
     assert len(stdout) == case["stdout_bytes"]
     assert hashlib.sha256(stdout).hexdigest() == case["stdout_sha256"]
+
+
+@pytest.mark.parametrize("extra", [[], ["--criterion", "weak", "--tolerance", "0", "--json"]])
+def test_coarse_grainings_refuse_more_than_six_branches(capsys, monkeypatch, extra):
+    monkeypatch.chdir(CLI_ORACLE)
+    code, out, err = run(capsys, "consistency", "--scenario", "dim-12.json", "--observable", "B",
+                         "--coarse-grainings", *extra)
+    assert (code, out) == (1, "")
+    assert err == "error: 12 branches would enumerate too many partitions (cap is 6)\n"
 
 
 @pytest.mark.parametrize("text", [

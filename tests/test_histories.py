@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +11,7 @@ from ablkit.histories import (
     ConsistencyReport,
     HistoryFamily,
     _set_partitions,
+    coarse_graining_verdicts,
     decoherence_functional,
     decoherence_matrix,
     disturbance_check,
@@ -25,7 +28,8 @@ from ablkit.linalg import (
     projector_from_kets,
 )
 from ablkit.sampling import random_basis, random_ket
-from ablkit.scenarios import three_box
+from ablkit.scenario_io import load_scenario
+from ablkit.scenarios import BUILTIN_NAMES, builtin, three_box
 
 from conftest import make_context, mixed_rank_decomposition
 
@@ -425,3 +429,100 @@ def test_coarse_grainings_keep_the_bases_residues(case):
                     scale = len(block_a) * len(block_b)
                     assert np.abs(stack[a] @ stack[b]).max() <= scale * ALG_TOL + _ROUNDING
                     assert abs(d[a, b]) <= scale * tol
+
+
+def _assert_verdicts_bitwise(family):
+    # Against what `consistency --coarse-grainings` computed before the block
+    # table: one HistoryFamily per coarse-graining, checked on its own.
+    base = family.intermediate
+    per_family = [(tuple(blocks), HistoryFamily(family.initial, grained, family.final))
+                  for blocks, grained in zip(_set_partitions(len(base)),
+                                             enumerate_coarse_grainings(base))]
+    for criterion in ("medium", "weak"):
+        for tol in (0.0, 1e-9, 1e-3):
+            got = coarse_graining_verdicts(family, criterion=criterion, tol=tol)
+            assert len(got) == len(per_family)
+            for (blocks, report, check), (w_blocks, sub) in zip(got, per_family):
+                w_report = is_consistent(sub, criterion=criterion, tol=tol)
+                w_check = disturbance_check(sub, tol=tol)
+                assert blocks == w_blocks
+                assert (repr(report.max_violation), report.consistent, report.criterion,
+                        report.tolerance) == (repr(w_report.max_violation), w_report.consistent,
+                                              w_report.criterion, w_report.tolerance)
+                assert report.matrix.shape == w_report.matrix.shape
+                assert report.matrix.tobytes() == w_report.matrix.tobytes()
+                assert not report.matrix.flags.writeable
+                assert (repr(check.undisturbed), repr(check.disturbed), check.holds) == \
+                    (repr(w_check.undisturbed), repr(w_check.disturbed), w_check.holds)
+
+
+_CLI_ORACLE = pathlib.Path(__file__).with_name("cli_oracle")
+
+
+def _named_scenarios():
+    for name in (*BUILTIN_NAMES, "spin:0", "spin:0.7", "spin:-2.5"):
+        yield name, builtin(name)
+    for name in ("three-box.json", "dim-12.json"):
+        yield name, load_scenario(str(_CLI_ORACLE / name))
+
+
+@pytest.mark.parametrize("scenario, observable", [
+    pytest.param(scenario, obs, id=f"{name}-{obs}")
+    for name, scenario in _named_scenarios() for obs in sorted(scenario.observables)
+    if len(scenario.observables[obs]) <= 6
+])
+def test_coarse_graining_verdicts_match_per_family_path_on_scenarios(scenario, observable):
+    _assert_verdicts_bitwise(HistoryFamily.from_context(scenario.context,
+                                                        scenario.observables[observable]))
+
+
+def test_coarse_graining_verdicts_match_per_family_path_on_random_draws():
+    # Dims 1-6 in turn, alternately a Haar basis and a rank-mixed observable;
+    # every third preselection lies inside one branch, which makes the family
+    # (and every coarse-graining of it) consistent.
+    for k in range(216):
+        rng = np.random.default_rng([k, 9])
+        dim = 1 + k % 6
+        if k % 2:
+            base = ObservableDecomposition.from_eigenbasis(random_basis(rng, dim))
+        else:
+            ranks, left = [], dim
+            while left:
+                ranks.append(int(rng.integers(1, left + 1)))
+                left -= ranks[-1]
+            base = mixed_rank_decomposition(k, ranks)
+        ctx = make_context(rng, dim)
+        if k % 3 == 0:
+            inside = base.stack[k % len(base)] @ (rng.standard_normal(dim)
+                                                  + 1j * rng.standard_normal(dim))
+            ctx = PrePostContext(Ket.normalized(inside), ctx.postselection)
+        _assert_verdicts_bitwise(HistoryFamily.from_context(ctx, base))
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_coarse_graining_verdicts_of_a_one_branch_observable(dim):
+    rng = np.random.default_rng(dim)
+    whole = ObservableDecomposition.from_projectors([Projector(np.eye(dim), rank=dim)])
+    family = HistoryFamily.from_context(make_context(rng, dim), whole)
+    _assert_verdicts_bitwise(family)
+    [(blocks, report, check)] = coarse_graining_verdicts(family, tol=0.0)
+    assert blocks == ((0,),) and report.consistent and report.max_violation == 0.0
+
+
+def test_coarse_graining_verdicts_refuse_above_cap_like_enumeration():
+    base = ObservableDecomposition.from_eigenbasis(
+        [Ket(v) for v in np.eye(7, dtype=complex)])
+    family = HistoryFamily.from_context(make_context(np.random.default_rng(7), 7), base)
+    with pytest.raises(TooManyBranchesError) as want:
+        enumerate_coarse_grainings(base)
+    with pytest.raises(TooManyBranchesError) as got:
+        coarse_graining_verdicts(family)
+    assert str(got.value) == str(want.value) == \
+        "7 branches would enumerate too many partitions (cap is 6)"
+
+
+def test_coarse_graining_verdicts_validate_like_is_consistent():
+    with pytest.raises(ValueError, match="criterion must be one of"):
+        coarse_graining_verdicts(FAMILY_BOXES, criterion="strong")
+    with pytest.raises(ValidationError, match="tolerance must be non-negative, got -1.0"):
+        coarse_graining_verdicts(FAMILY_BOXES, tol=-1.0)

@@ -246,3 +246,34 @@ def test_sampler_tables_match_per_branch_collapse_on_random_draws(data, dim, see
     else:
         observable = None
     _assert_tables_bitwise(ctx, observable)
+
+
+class _FixedUniforms:
+    # Stands in for a substream: hands out one chosen row of uniforms.
+    def __init__(self, row):
+        self.row = row
+
+    def random(self, size=None):
+        return self.row[0] if size is None else self.row[:size]
+
+
+@pytest.mark.parametrize("norm, live", [(2e-12, True), (5e-13, False)])
+def test_sampler_skip_of_collapsed_norms_near_div_tol(norm, live):
+    # Branch 0 collapses the preselection to a vector of the given norm, just
+    # above or just below DIV_TOL.  Its Born weight norm**2 is far below any
+    # Philox draw, so the uniform rows are chosen: u0 = 0 draws branch 0.
+    a = Ket(np.array([norm, np.sqrt(1.0 - norm ** 2)], dtype=complex))
+    ctx = PrePostContext(a, Ket.normalized([1, 1j]))
+    flipped = ObservableDecomposition.from_eigenbasis(
+        [Ket.normalized([1, 0]), Ket.normalized([0, 1])])
+    assert float(np.linalg.norm(flipped.stack[0] @ a.amplitudes)) == pytest.approx(norm)
+    sampler = _TrialSampler(ctx, flipped)
+    assert not np.isnan(sampler.final_cums).any()
+    assert bool(sampler.final_cums[0].any()) == live
+    u = np.array([[0.0, 0.0], [0.0, 0.3], [0.0, 0.7], [0.0, 1.0 - 2 ** -53], [1e-300, 0.5],
+                  [norm ** 2 / 2, 0.4], [0.5, 0.2], [0.5, 0.6], [1.0 - 2 ** -53, 0.1]])
+    u = np.concatenate([u, ablkit.simulate.substream_uniforms(5, 0, 40, 2)])
+    records = [sampler.sample(_FixedUniforms(row)) for row in u]
+    assert sum(r.intermediate_branch == 0 for r in records) == 6
+    assert any(r.postselected and r.intermediate_branch == 0 for r in records) == live
+    assert sampler.tally(u).tolist() == _scalar_counts(records, len(flipped))
