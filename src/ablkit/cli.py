@@ -27,7 +27,7 @@ from .errors import (
     UndefinedTermError,
     ZeroProjectionError,
 )
-from .histories import CONSISTENCY_TOL, HistoryFamily, coarse_graining_verdicts, disturbance_check, is_consistent
+from .histories import CONSISTENCY_TOL, HistoryFamily, _coarse_table, disturbance_check, is_consistent
 # Unused here; bench/workloads.py's tracer rebinds these names.
 from .abl import joint_probability  # noqa: F401
 from .histories import enumerate_coarse_grainings  # noqa: F401
@@ -100,8 +100,9 @@ def cmd_abl(args) -> int:
     name, observable = _pick_observable(scenario, args)
     ctx = scenario.context
     born = born_distribution(ctx.preselection, observable)
-    joints = abl_mod._context_joints(ctx, observable)  # what joint_probability indexes
-    dist = abl_distribution(ctx, observable)
+    # What joint_probability indexes, conditioned as abl_distribution does.
+    joints = abl_mod._context_joints(ctx, observable)
+    probabilities, denominator = abl_mod._conditionals(joints, abl_mod.DIV_TOL)
     if args.json:
         _print_json({
             "command": "abl",
@@ -111,8 +112,8 @@ def cmd_abl(args) -> int:
             "eigenvalues": list(observable.eigenvalues),
             "born": [float(p) for p in born],
             "joint": joints.tolist(),
-            "abl": [float(p) for p in dist.probabilities],
-            "denominator": dist.denominator,
+            "abl": [float(p) for p in probabilities],
+            "denominator": denominator,
             "tolerances": {"algebra": ALG_TOL, "division": abl_mod.DIV_TOL},
         })
         return 0
@@ -120,8 +121,8 @@ def cmd_abl(args) -> int:
     print(f"observable: {name}")
     for i, (eigenvalue, _) in enumerate(observable):
         print(f"branch {i}  eigenvalue {eigenvalue:g}  born {_fmt(born[i])}  "
-              f"joint {_fmt(joints[i])}  abl {_fmt(dist.probabilities[i])}")
-    print(f"denominator: {_fmt(dist.denominator)}")
+              f"joint {_fmt(joints[i])}  abl {_fmt(probabilities[i])}")
+    print(f"denominator: {_fmt(denominator)}")
     return 0
 
 
@@ -139,9 +140,10 @@ def cmd_consistency(args) -> int:
     coarse = None
     if args.coarse_grainings:
         eigenvalues = observable.eigenvalues
-        coarse = [([[eigenvalues[i] for i in block] for block in partition], rep, dis)
-                  for partition, rep, dis in coarse_graining_verdicts(
-                      family, criterion=args.criterion, tol=tol)]
+        table = _coarse_table(family, args.criterion, tol)
+        coarse = [([[eigenvalues[i] for i in block] for block in partition], ok, v, holds)
+                  for partition, ok, v, holds in zip(table.partitions, table.consistent,
+                                                     table.violations, table.holds)]
     if args.json:
         payload = {
             "command": "consistency",
@@ -161,9 +163,9 @@ def cmd_consistency(args) -> int:
         }
         if coarse is not None:
             payload["coarse_grainings"] = [
-                {"blocks": blocks, "consistent": rep.consistent,
-                 "max_violation": rep.max_violation, "disturbance_holds": dis.holds}
-                for blocks, rep, dis in coarse
+                {"blocks": blocks, "consistent": consistent,
+                 "max_violation": violation, "disturbance_holds": holds}
+                for blocks, consistent, violation, holds in coarse
             ]
         _print_json(payload)
         return 0
@@ -177,11 +179,11 @@ def cmd_consistency(args) -> int:
     print(f"measurement leaves postselection undisturbed: {'yes' if disturbance.holds else 'no'}")
     if coarse is not None:
         print("coarse-grainings:")
-        for blocks, rep, dis in coarse:
+        for blocks, consistent, violation, holds in coarse:
             print(f"  {_blocks_label(blocks)}: "
-                  f"{'consistent' if rep.consistent else 'inconsistent'}  "
-                  f"max violation {_fmt(rep.max_violation)}  "
-                  f"disturbance identity {'holds' if dis.holds else 'fails'}")
+                  f"{'consistent' if consistent else 'inconsistent'}  "
+                  f"max violation {_fmt(violation)}  "
+                  f"disturbance identity {'holds' if holds else 'fails'}")
     return 0
 
 

@@ -237,10 +237,12 @@ class ObservableDecomposition:
                                     [e for e, _ in pairs])
 
     @classmethod
-    def _from_amplitudes(cls, amps: np.ndarray,
-                         eigenvalues: Sequence[float]) -> "ObservableDecomposition":
+    def _from_amplitudes(cls, amps: np.ndarray, eigenvalues: Sequence[float], *,
+                         signed_zeros: bool = True) -> "ObservableDecomposition":
         # One rank-1 branch P_i = a_i a_i^dagger per unit row a_i of ``amps``,
-        # checked from the amplitudes as the module docstring explains.
+        # checked from the amplitudes as the module docstring explains.  With
+        # ``signed_zeros`` false, the -0.0 entries of the products read +0.0,
+        # as in a sum that starts from zeros.
         labels = [float(e) for e in eigenvalues]
         _check_labels(labels)
         n, dim = amps.shape
@@ -261,6 +263,8 @@ class ObservableDecomposition:
             i, j = np.nonzero(np.triu(np.maximum(overlaps, overlaps.T)) > ALG_TOL)
             raise ValidationError(_overlapping(int(i[0]), int(j[0])))
         stack = amps[:, :, None] * conj[:, None, :]
+        if not signed_zeros:
+            stack += 0.0
         stack.setflags(write=False)
         return cls._validated(tuple(Branch(e, Projector._validated(m, 1))
                                     for e, m in zip(labels, stack)), stack)

@@ -18,14 +18,25 @@ Schema (complex numbers are two-element ``[re, im]`` arrays)::
     }
 
 Parsed values go through the same validation as directly constructed ones,
-and parse errors name the offending field.  Emission is canonical (sorted
-keys, two-space indent, exact float round-trip), so emitting, parsing, and
-emitting again is byte-identical.  Amplitude arrays are parsed and emitted
+and parse errors name the offending field.  Amplitude arrays are parsed
 whole: a vector or matrix of plain numbers converts in one numpy call (any
 other array goes through the element-by-element checks, which name the
-offending field), and emission renders each array from its float view with
-``float.__repr__``, byte-identical to
-``json.dumps(scenario_to_jsonable(s), sort_keys=True, indent=2)``.
+offending field).  A branch given by one ket is the rank-1 projector
+``|q><q|`` onto the ket's unit vector ``q`` by construction, so it is not
+checked again as a matrix.  An observable whose branches are all one ket
+is a rank-1 basis, checked from the Gram matrix of its kets with the
+errors, in the order, of the matrix checks that any other observable goes
+through.  Either way each branch matrix is bit for bit the one
+``projector_from_kets`` builds.
+
+Emission is canonical (sorted keys, two-space indent, exact float
+round-trip), so emitting, parsing, and emitting again is byte-identical;
+the text is that of ``json.dumps(scenario_to_jsonable(s), sort_keys=True,
+indent=2)``.  Each amplitude array is rendered from its float view:
+``float.__repr__``, the encoder's float form, runs once per distinct
+magnitude in the array, and a value whose sign bit is set (-0.0 too) is
+that text with a ``-`` in front.  The pieces of text are joined once, at
+the end.
 """
 
 from __future__ import annotations
@@ -129,7 +140,10 @@ def _ket(node, path: str, dim: int) -> Ket:
         raise _fail(path, str(err)) from err
 
 
-def _branch(node, path: str, dim: int) -> Branch:
+def _branch(node, path: str, dim: int) -> tuple[float, Projector | np.ndarray]:
+    # The eigenvalue, and the branch's Projector or, for a branch given by
+    # one ket, that ket's unit vector q: |q><q| is a rank-1 projector by
+    # construction, which _observable assembles.
     spec = _expect_mapping(node, path)
     unknown = set(spec) - _BRANCH_KEYS
     if unknown:
@@ -145,6 +159,10 @@ def _branch(node, path: str, dim: int) -> Branch:
                     for i, k in enumerate(_expect_list(spec["kets"], f"{path}.kets"))]
             if not kets:
                 raise _fail(f"{path}.kets", "expected at least one ket")
+            if len(kets) == 1:
+                # Scaled as orthonormalize scales it.
+                v = kets[0].amplitudes
+                return eigenvalue, v / float(np.linalg.norm(v))
             projector = projector_from_kets(kets)
         else:
             rows = _expect_list(spec["matrix"], f"{path}.matrix")
@@ -159,7 +177,22 @@ def _branch(node, path: str, dim: int) -> Branch:
         if isinstance(err, ScenarioParseError):
             raise
         raise _fail(path, str(err)) from err
-    return Branch(eigenvalue, projector)
+    return eigenvalue, projector
+
+
+def _observable(branches: list[tuple[float, Projector | np.ndarray]]) -> ObservableDecomposition:
+    # A one-ket branch's matrix is |q><q| + 0.0: projector_from_kets sums
+    # from zeros, which turns the -0.0 entries of the product into +0.0.
+    # When every branch is one ket, the observable is a rank-1 basis,
+    # checked from its amplitudes as from_eigenbasis checks one.
+    eigenvalues = [e for e, _ in branches]
+    if branches and all(isinstance(p, np.ndarray) for _, p in branches):
+        return ObservableDecomposition._from_amplitudes(
+            np.array([q for _, q in branches]), eigenvalues, signed_zeros=False)
+    return ObservableDecomposition(tuple(
+        Branch(e, Projector._validated(np.outer(p, p.conj()) + 0.0, 1)
+               if isinstance(p, np.ndarray) else p)
+        for e, p in branches))
 
 
 def parse_scenario(text: str, *, fallback_name: str = "scenario") -> Scenario:
@@ -192,13 +225,13 @@ def parse_scenario(text: str, *, fallback_name: str = "scenario") -> Scenario:
     if not obs_node:
         raise _fail("observables", "expected at least one observable")
     for name, branches_node in obs_node.items():
-        branch_list = _expect_list(branches_node, f"observables.{name}")
-        branches = [_branch(b, f"observables.{name}[{i}]", dim)
-                    for i, b in enumerate(branch_list)]
+        path = f"observables.{name}"
+        branches = [_branch(b, f"{path}[{i}]", dim)
+                    for i, b in enumerate(_expect_list(branches_node, path))]
         try:
-            observables[name] = ObservableDecomposition(tuple(branches))
+            observables[name] = _observable(branches)
         except AblkitError as err:
-            raise _fail(f"observables.{name}", str(err)) from err
+            raise _fail(path, str(err)) from err
     default = top.get("default_observable", next(iter(observables)))
     if not isinstance(default, str) or default not in observables:
         raise _fail("default_observable",
@@ -267,36 +300,53 @@ def _indent(level: int) -> str:
 
 
 def _render_array(pairs: np.ndarray, level: int) -> str:
-    # One %r slot per float, laid out as json's indent=2 encoder would nest
-    # the lists; %r is float.__repr__, the encoder's float form.
-    template = "%r"
+    # One %s slot per float, laid out as json's indent=2 encoder would nest
+    # the lists.  float.__repr__, the encoder's float form, runs once per
+    # distinct magnitude, and a value with the sign bit set (-0.0 too) gets
+    # a "-" in front: repr(-y) == "-" + repr(y) for every y >= +0.0.
+    template = "%s"
     for depth in range(pairs.ndim, 0, -1):
         inner = _indent(level + depth)
         template = ("[" + inner + ("," + inner).join([template] * pairs.shape[depth - 1])
                     + _indent(level + depth - 1) + "]")
-    return template % tuple(pairs.ravel().tolist())
+    flat = pairs.ravel()
+    magnitudes, index = np.unique(np.abs(flat), return_inverse=True)
+    texts = [repr(m) for m in magnitudes.tolist()]
+    texts += ["-" + t for t in texts]
+    index += len(magnitudes) * np.signbit(flat)
+    return template % tuple(np.array(texts, dtype=object)[index].tolist())
 
 
-def _render(node, level: int) -> str:
+def _render(node, level: int, out: list[str]):
+    # Appends the text of ``node`` at nesting ``level`` to ``out``, laid out
+    # as json's indent=2 encoder lays it out; the caller joins the pieces
+    # once, so no level copies the text below it.
     if isinstance(node, np.ndarray):
-        return _render_array(node, level)
-    if isinstance(node, dict) and node:
-        items = [json.dumps(key) + ": " + _render(value, level + 1)
-                 for key, value in sorted(node.items())]
-    elif isinstance(node, list) and node:
-        items = [_render(value, level + 1) for value in node]
+        out.append(_render_array(node, level))
+    elif isinstance(node, (dict, list)) and node:
+        is_dict = isinstance(node, dict)
+        separator = _indent(level + 1)
+        out.append("{" if is_dict else "[")
+        for item in sorted(node.items()) if is_dict else node:
+            out.append(separator)
+            if is_dict:
+                key, item = item
+                out.append(json.dumps(key) + ": ")
+            _render(item, level + 1, out)
+            separator = "," + _indent(level + 1)
+        out.append(_indent(level) + ("}" if is_dict else "]"))
     else:
-        return json.dumps(node)
-    inner = _indent(level + 1)
-    brackets = "{}" if isinstance(node, dict) else "[]"
-    return brackets[0] + inner + ("," + inner).join(items) + _indent(level) + brackets[1]
+        out.append(json.dumps(node))
 
 
 def dump_scenario(scenario: Scenario) -> str:
     """Canonical text form: sorted keys, two-space indent, trailing newline;
     the same text as ``json.dumps(scenario_to_jsonable(scenario),
     sort_keys=True, indent=2) + "\\n"``."""
-    return _render(_tree(scenario, lambda pairs: pairs), 0) + "\n"
+    out: list[str] = []
+    _render(_tree(scenario, lambda pairs: pairs), 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _ket_from_rank1(projector: Projector) -> Ket:

@@ -312,9 +312,12 @@ def test_scenario_path_that_is_a_directory_exits_1(capsys, tmp_path, argv):
 # command below, recorded before scenario emission and coarse-graining
 # enumeration were rewritten on whole arrays (the `--criterion weak` and
 # `--tolerance 0` coarse-grainings: before their verdicts were read from one
-# table of block amplitudes); dim-12.json is the scenario-cli benchmark's
-# dim-12 file for seed 1, and three-box.json the canonical form of the
-# built-in three-box scenario.
+# table of block amplitudes; the `abl` commands and those on zeros.json:
+# before one-ket branches were parsed as a rank-1 basis and emission
+# formatted each distinct magnitude once); dim-12.json is the scenario-cli
+# benchmark's dim-12 file for seed 1, three-box.json the canonical form of
+# the built-in three-box scenario, and zeros.json a scenario whose kets and
+# matrices hold exact zeros, where a branch |q><q| holds -0.0.
 CLI_ORACLE = pathlib.Path(__file__).with_name("cli_oracle")
 
 

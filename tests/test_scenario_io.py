@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from ablkit.abl import PrePostContext, abl_distribution
 from ablkit.counterfactual import find_counterexample, mixing_report
 from ablkit.errors import ScenarioParseError
-from ablkit.linalg import Ket, basis_containing
+from ablkit.linalg import Ket, basis_containing, projector_from_kets
 from ablkit.scenario_io import (
     MAX_DIM,
     counterexample_scenario,
@@ -416,3 +417,203 @@ def test_emission_refuses_a_dim_above_the_cap():
         dump_scenario(scenario)
     with pytest.raises(ValidationError, match=message):
         scenario_to_jsonable(scenario)
+
+
+# --- one-ket branches: errors and matrices ---------------------------------
+# The messages below were recorded before one-ket branches were parsed as a
+# rank-1 basis, when each went through projector_from_kets and the
+# observable through the matrix-path checks.
+
+def _pairs(v):
+    return [[float(z.real), float(z.imag)] for z in v]
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+_E = np.eye(4)
+
+
+def _kets_doc(branches, eigenvalues=None):
+    # One branch per entry of ``branches``: a list of kets, or a matrix.
+    dim = len(_E[0]) if not branches else len(branches[0][0])
+    eigenvalues = list(range(len(branches))) if eigenvalues is None else eigenvalues
+    nodes = [{"eigenvalue": e, "kets": [_pairs(k) for k in b]} if isinstance(b, list)
+             else {"eigenvalue": e, "matrix": [_pairs(row) for row in b]}
+             for e, b in zip(eigenvalues, branches)]
+    unit = np.eye(dim)
+    return {"dim": dim, "preselection": _pairs(unit[0]), "postselection": _pairs(unit[-1]),
+            "observables": {"X": nodes}}
+
+
+def _parse_error(doc):
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(json.dumps(doc))
+    return str(err.value)
+
+
+@pytest.mark.parametrize("branches, eigenvalues, message", [
+    ([[_E[0]], [_E[1]], [_E[2]]], None, "branch projectors do not sum to the identity"),
+    # Completeness is checked before orthogonality.
+    ([[_E[0]], [_unit(_E[0] + _E[1])], [_E[2]], [_E[3]]], None,
+     "branch projectors do not sum to the identity"),
+    # Both residues are 2e-10: inside the completeness bound (4e-10), twice
+    # the orthogonality bound; of the two bad pairs the row-major first is
+    # named.
+    ([[_unit(_E[0] + 2e-10 * _E[3])], [_unit(_E[1] + 2e-10 * _E[2])], [_E[2]], [_E[3]]], None,
+     "branch projectors 0 and 3 are not orthogonal"),
+    ([[_E[0]], [_E[1]], [_E[2]], [_E[3]]], [1, 2, 1, 3],
+     "eigenvalue labels must be pairwise distinct, got [1.0, 2.0, 1.0, 3.0]"),
+    # Labels are checked before completeness.
+    ([[_E[0]], [_E[1]], [_E[2]]], [1, 1, 2],
+     "eigenvalue labels must be pairwise distinct, got [1.0, 1.0, 2.0]"),
+    ([], None, "a decomposition needs at least one branch"),
+    # A mixed observable: a one-ket branch, a matrix branch, a one-ket branch.
+    ([[_unit(_E[0] + 2e-10 * _E[3])], np.diag([0.0, 1.0, 1.0, 0.0]), [_E[3]]], None,
+     "branch projectors 0 and 2 are not orthogonal"),
+    ([[_E[0]], np.diag([0.0, 1.0, 0.0, 0.0]), [_E[3]]], None,
+     "branch projectors do not sum to the identity"),
+])
+def test_one_ket_observable_error_text(branches, eigenvalues, message):
+    assert _parse_error(_kets_doc(branches, eigenvalues)) == f"observables.X: {message}"
+
+
+def test_one_ket_observable_with_one_invalid_ket():
+    doc = _kets_doc([[_E[0]], [_E[1]], [_E[2]], [_E[3]]], [1, 2, 1, 3])
+    doc["observables"]["X"][2]["kets"][0][1][0] = 0.5
+    # The ket is checked when its branch is read, before the labels.
+    assert _parse_error(doc) == "observables.X[2].kets[0]: ket norm^2 = 1.25, expected 1 within 1e-09"
+    doc["observables"]["X"][2]["kets"][0][1] = [0.5]
+    assert _parse_error(doc) == ("observables.X[2].kets[0][1]: "
+                                 "expected a [re, im] pair, got 1 elements")
+
+
+def test_one_ket_observable_just_inside_the_orthogonality_bound():
+    kets = [_unit(_E[0] + 5e-11 * _E[3]), _unit(_E[1] + 5e-11 * _E[2]), _E[2], _E[3]]
+    observable = parse_scenario(json.dumps(_kets_doc([[k] for k in kets]))).observables["X"]
+    for (_, projector), ket in zip(observable, kets):
+        assert projector.matrix.tobytes() == projector_from_kets([Ket(ket)]).matrix.tobytes()
+
+
+def _ket_branches_match_projector_from_kets(scenario, doc):
+    for name, nodes in doc["observables"].items():
+        for node, (_, projector) in zip(nodes, scenario.observables[name]):
+            if "kets" in node:
+                kets = [Ket(np.array([complex(re, im) for re, im in k])) for k in node["kets"]]
+                expected = projector_from_kets(kets)
+                assert projector.matrix.tobytes() == expected.matrix.tobytes()
+                assert projector.rank == expected.rank
+                assert not projector.matrix.flags.writeable
+
+
+def test_one_ket_branches_hold_the_signed_zeros_of_projector_from_kets():
+    # |q><q| of a ket with exact zeros holds -0.0 entries; the matrix is the
+    # zero-initialised sum projector_from_kets builds, where they read +0.0.
+    text = (pathlib.Path(__file__).with_name("cli_oracle") / "zeros.json").read_text()
+    doc = json.loads(text)
+    scenario = parse_scenario(text)
+    _ket_branches_match_projector_from_kets(scenario, doc)
+    matrix = scenario.observables["B"].stack.view(np.float64)
+    assert not np.signbit(matrix[matrix == 0.0]).any()
+
+
+@pytest.mark.parametrize("residual, accepted", [(2e-8, True), (5e-9, False)])
+def test_near_dependent_kets_against_span_tol(residual, accepted):
+    # Two kets of one branch whose Gram-Schmidt residual is ``residual``,
+    # just above and below SPAN_TOL = 1e-8.
+    near = _unit(_E[0, :3] + residual * _E[1, :3])
+    doc = _kets_doc([[_E[0, :3], near], [_E[2, :3]]])
+    if accepted:
+        observable = parse_scenario(json.dumps(doc)).observables["X"]
+        assert observable.projector(0).rank == 2
+        np.testing.assert_array_equal(observable.matrix(0), np.diag([1.0, 1.0, 0.0]))
+    else:
+        assert _parse_error(doc) == ("observables.X[0]: vector 1 is linearly dependent on "
+                                     f"its predecessors (residual norm {residual:.3e})")
+
+
+# --- emission of repeated, signed and extreme floats ----------------------
+
+#: Floats whose text tests the renderer: both zeros, x beside -x, the
+#: smallest subnormal and normal, and both sides of repr's switches to
+#: exponent form (below 1e-4 and from 1e16 on).
+_SPECIAL = [0.0, -0.0, 0.36, -0.36, 0.6400000000000001, -0.6400000000000001, 5e-324, -5e-324,
+            2.2250738585072014e-308, -2.2250738585072014e-308, 1e-05, -1e-05,
+            9.999999999999999e-05, 0.0001, -0.0001, 1e16, -1e16, 9999999999999998.0,
+            1.0000000000000002e16, 1e300, -1.7976931348623157e308]
+_FLOATS = st.one_of(st.sampled_from(_SPECIAL),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _with_arrays(dim, vector, matrix):
+    # A dim-``dim`` scenario whose preselection amplitudes (a (dim, 2) float
+    # view) and first branch matrix (dim, dim, 2) are replaced behind the
+    # validation by the given floats.
+    scenario = _random_scenario(7, [1] * dim, list(range(dim)), "arrays", "")
+    object.__setattr__(scenario.context.preselection, "amplitudes",
+                       np.array(vector, dtype=np.float64).view(np.complex128))
+    object.__setattr__(scenario.observables["O"].projector(0), "matrix",
+                       np.array(matrix, dtype=np.float64).view(np.complex128).reshape(dim, dim))
+    return scenario
+
+
+def test_emission_of_signed_zeros_subnormals_and_exponent_switches():
+    values = _SPECIAL + [-v for v in _SPECIAL] + [0.1, 0.1, -0.1]
+    dim = 5
+    vector = values[:2 * dim]
+    matrix = (values * 2)[:2 * dim * dim]
+    scenario = _with_arrays(dim, vector, matrix)
+    _assert_emission_matches_oracle(scenario)
+    text = dump_scenario(scenario)
+    for literal in ("-0.0", "5e-324", "-5e-324", "1e-05", "-1e-05", "0.0001", "1e+16", "-1e+16",
+                    "9999999999999998.0", "2.2250738585072014e-308"):
+        assert f" {literal},\n" in text or f" {literal}\n" in text, literal
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.integers(1, 4), data=st.data())
+def test_emission_matches_json_encoder_on_any_float_arrays(dim, data):
+    vector = data.draw(st.lists(_FLOATS, min_size=2 * dim, max_size=2 * dim))
+    matrix = data.draw(st.lists(_FLOATS, min_size=2 * dim * dim, max_size=2 * dim * dim))
+    _assert_emission_matches_oracle(_with_arrays(dim, vector, matrix))
+
+
+def _haar_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _generated_doc(rng, dim):
+    # Shaped like the scenario-cli benchmark's files: C has six branches,
+    # alternately skewed spanning kets and projector matrices, and B one
+    # ket per branch.
+    u, v = _haar_unitary(rng, dim), _haar_unitary(rng, dim)
+    ranks = [dim // 6 + (i < dim % 6) for i in range(6)]
+    c_nodes, col = [], 0
+    for i, rank in enumerate(ranks):
+        q = u[:, col:col + rank]
+        col += rank
+        if i % 2 == 0:
+            skew = np.eye(rank) + 0.5 * np.triu(rng.standard_normal((rank, rank))
+                                                + 1j * rng.standard_normal((rank, rank)), 1)
+            kets = q @ skew
+            kets = kets / np.linalg.norm(kets, axis=0)
+            c_nodes.append({"eigenvalue": i + 1, "kets": [_pairs(k) for k in kets.T]})
+        else:
+            c_nodes.append({"eigenvalue": i + 1, "matrix": [_pairs(row) for row in q @ q.conj().T]})
+    return {"dim": dim, "name": f"generated-{dim}", "description": "",
+            "preselection": _pairs(_unit(u[:, 0] + v[:, 0])), "postselection": _pairs(v[:, 1]),
+            "observables": {"C": c_nodes,
+                            "B": [{"eigenvalue": k, "kets": [_pairs(v[:, k])]} for k in range(dim)]},
+            "default_observable": "C"}
+
+
+@pytest.mark.parametrize("dim", range(6, 25, 2))
+def test_generated_scenarios_parse_and_emit_exactly(dim):
+    doc = _generated_doc(np.random.default_rng([2024, dim]), dim)
+    scenario = parse_scenario(json.dumps(doc, indent=1))
+    _ket_branches_match_projector_from_kets(scenario, doc)
+    _assert_emission_matches_oracle(scenario)
+    text = dump_scenario(scenario)
+    assert dump_scenario(parse_scenario(text)) == text
