@@ -489,13 +489,6 @@ def test_one_ket_observable_with_one_invalid_ket():
                                  "expected a [re, im] pair, got 1 elements")
 
 
-def test_one_ket_observable_just_inside_the_orthogonality_bound():
-    kets = [_unit(_E[0] + 5e-11 * _E[3]), _unit(_E[1] + 5e-11 * _E[2]), _E[2], _E[3]]
-    observable = parse_scenario(json.dumps(_kets_doc([[k] for k in kets]))).observables["X"]
-    for (_, projector), ket in zip(observable, kets):
-        assert projector.matrix.tobytes() == projector_from_kets([Ket(ket)]).matrix.tobytes()
-
-
 def _ket_branches_match_projector_from_kets(scenario, doc):
     for name, nodes in doc["observables"].items():
         for node, (_, projector) in zip(nodes, scenario.observables[name]):
@@ -505,6 +498,12 @@ def _ket_branches_match_projector_from_kets(scenario, doc):
                 assert projector.matrix.tobytes() == expected.matrix.tobytes()
                 assert projector.rank == expected.rank
                 assert not projector.matrix.flags.writeable
+
+
+def test_one_ket_observable_just_inside_the_orthogonality_bound():
+    doc = _kets_doc([[_unit(_E[0] + 5e-11 * _E[3])], [_unit(_E[1] + 5e-11 * _E[2])],
+                     [_E[2]], [_E[3]]])
+    _ket_branches_match_projector_from_kets(parse_scenario(json.dumps(doc)), doc)
 
 
 def test_one_ket_branches_hold_the_signed_zeros_of_projector_from_kets():
