@@ -140,10 +140,10 @@ def cmd_consistency(args) -> int:
     coarse = None
     if args.coarse_grainings:
         eigenvalues = observable.eigenvalues
-        table = _coarse_table(family, args.criterion, tol)
-        coarse = [([[eigenvalues[i] for i in block] for block in partition], ok, v, holds)
-                  for partition, ok, v, holds in zip(table.partitions, table.consistent,
-                                                     table.violations, table.holds)]
+        partitions, _, violations, disturbed = _coarse_table(family, args.criterion, tol)
+        coarse = [([[eigenvalues[i] for i in block] for block in partition], v <= tol, v,
+                   abs(disturbance.undisturbed - s) <= tol)
+                  for partition, v, s in zip(partitions, violations, disturbed)]
     if args.json:
         payload = {
             "command": "consistency",

@@ -21,7 +21,6 @@ x_I = <b|sum_{i in I} P_i|a>, without building those families.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -205,21 +204,11 @@ def enumerate_coarse_grainings(base: ObservableDecomposition) -> list[Observable
             for blocks in partitions]
 
 
-class _CoarseTable(NamedTuple):
-    # Per partition, in enumerate_coarse_grainings' order: its blocks, its
+def _coarse_table(family: HistoryFamily, criterion: str, tol: float):
+    # The arithmetic of coarse_graining_verdicts, without its dataclasses:
+    # the partitions in enumerate_coarse_grainings' order and, for each, its
     # decoherence matrix (zero-padded to one (n, n) shape), max violation
-    # and verdict, and its disturbed probability and disturbance verdict.
-    partitions: list[list[tuple[int, ...]]]
-    matrices: np.ndarray
-    violations: list[float]
-    consistent: list[bool]
-    disturbed: list[float]
-    holds: list[bool]
-    undisturbed: float
-
-
-def _coarse_table(family: HistoryFamily, criterion: str, tol: float) -> _CoarseTable:
-    # The arithmetic of coarse_graining_verdicts, without its dataclasses.
+    # and disturbed probability.
     _check_criterion(criterion, tol)
     partitions, slots, sums = _coarse_blocks(family.intermediate)
     pre, post = _state_of(family.initial), _state_of(family.final)
@@ -235,9 +224,7 @@ def _coarse_table(family: HistoryFamily, criterion: str, tol: float) -> _CoarseT
     magnitude[:, range(width), range(width)] = 0.0
     violations = magnitude.max(axis=(1, 2)).tolist()
     disturbed = np.sum(x.real ** 2 + x.imag ** 2, axis=1).tolist()
-    undisturbed = float(abs(family._overlap) ** 2)
-    return _CoarseTable(partitions, d, violations, [v <= tol for v in violations], disturbed,
-                        [abs(undisturbed - s) <= tol for s in disturbed], undisturbed)
+    return partitions, d, violations, disturbed
 
 
 def coarse_graining_verdicts(family: HistoryFamily, *, criterion: str = "medium",
@@ -248,9 +235,9 @@ def coarse_graining_verdicts(family: HistoryFamily, *, criterion: str = "medium"
     and :func:`disturbance_check` report on the family around it, read from
     one zero-padded table of block amplitudes instead of those families.
     """
-    t = _coarse_table(family, criterion, tol)
+    partitions, d, violations, disturbed = _coarse_table(family, criterion, tol)
+    undisturbed = float(abs(family._overlap) ** 2)
     return [(tuple(blocks),
-             ConsistencyReport(ok, t.matrices[k, :len(blocks), :len(blocks)], v, criterion, tol),
-             DisturbanceCheck(t.undisturbed, s, holds))
-            for k, (blocks, ok, v, s, holds) in enumerate(
-                zip(t.partitions, t.consistent, t.violations, t.disturbed, t.holds))]
+             ConsistencyReport(v <= tol, d[k, :len(blocks), :len(blocks)], v, criterion, tol),
+             DisturbanceCheck(undisturbed, s, abs(undisturbed - s) <= tol))
+            for k, (blocks, v, s) in enumerate(zip(partitions, violations, disturbed))]
