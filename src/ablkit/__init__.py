@@ -44,6 +44,7 @@ from .histories import (
     ConsistencyReport,
     DisturbanceCheck,
     HistoryFamily,
+    coarse_graining_table,
     coarse_graining_verdicts,
     decoherence_functional,
     decoherence_matrix,

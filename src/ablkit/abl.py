@@ -65,12 +65,14 @@ class AblDistribution:
     """ABL conditional outcome probabilities together with the raw
     denominator (the postselection probability if the observable is
     measured), kept so callers can see how close the conditioning came to
-    being impossible."""
+    being impossible, and the read-only ``joints`` it conditioned: entry
+    ``i`` is :func:`joint_probability` for branch ``i``."""
 
     context: PrePostContext
     observable: ObservableDecomposition
     probabilities: np.ndarray
     denominator: float
+    joints: np.ndarray
 
 
 def born_distribution(state: Ket, observable: ObservableDecomposition) -> np.ndarray:
@@ -129,9 +131,11 @@ def abl_probabilities(initial, observable: ObservableDecomposition, final,
 def abl_distribution(ctx: PrePostContext, observable: ObservableDecomposition) -> AblDistribution:
     """The ABL distribution of ``observable`` outcomes in a pre- and
     postselected context."""
-    probs, denominator = _conditionals(_context_joints(ctx, observable), DIV_TOL)
+    joints = _context_joints(ctx, observable)
+    probs, denominator = _conditionals(joints, DIV_TOL)
     probs.setflags(write=False)
-    return AblDistribution(ctx, observable, probs, denominator)
+    joints.setflags(write=False)
+    return AblDistribution(ctx, observable, probs, denominator, joints)
 
 
 def luders_update(state: Ket, projector) -> Ket:

@@ -16,8 +16,7 @@ import math
 import sys
 from collections.abc import Container
 
-from . import abl as abl_mod
-from .abl import PrePostContext, abl_distribution, born_distribution, disturbed_final_probability
+from .abl import DIV_TOL, abl_distribution, born_distribution, disturbed_final_probability
 from .counterfactual import DEFAULT_GAP_MIN, find_counterexample
 from .errors import (
     AblkitError,
@@ -27,7 +26,8 @@ from .errors import (
     UndefinedTermError,
     ZeroProjectionError,
 )
-from .histories import CONSISTENCY_TOL, HistoryFamily, _coarse_table, disturbance_check, is_consistent
+from .histories import (CONSISTENCY_TOL, HistoryFamily, coarse_graining_table, disturbance_check,
+                         is_consistent)
 # Unused here; bench/workloads.py's tracer rebinds these names.
 from .abl import joint_probability  # noqa: F401
 from .histories import enumerate_coarse_grainings  # noqa: F401
@@ -98,31 +98,29 @@ def _print_json(payload: dict):
 def cmd_abl(args) -> int:
     scenario, source = _load(args)
     name, observable = _pick_observable(scenario, args)
-    ctx = scenario.context
-    born = born_distribution(ctx.preselection, observable)
-    # What joint_probability indexes, conditioned as abl_distribution does.
-    joints = abl_mod._context_joints(ctx, observable)
-    probabilities, denominator = abl_mod._conditionals(joints, abl_mod.DIV_TOL)
+    dist = abl_distribution(scenario.context, observable)
+    payload = {
+        "command": "abl",
+        "scenario": source,
+        "dim": scenario.dim,
+        "observable": name,
+        "eigenvalues": list(observable.eigenvalues),
+        "born": born_distribution(scenario.context.preselection, observable).tolist(),
+        "joint": dist.joints.tolist(),
+        "abl": dist.probabilities.tolist(),
+        "denominator": dist.denominator,
+        "tolerances": {"algebra": ALG_TOL, "division": DIV_TOL},
+    }
     if args.json:
-        _print_json({
-            "command": "abl",
-            "scenario": source,
-            "dim": scenario.dim,
-            "observable": name,
-            "eigenvalues": list(observable.eigenvalues),
-            "born": [float(p) for p in born],
-            "joint": joints.tolist(),
-            "abl": [float(p) for p in probabilities],
-            "denominator": denominator,
-            "tolerances": {"algebra": ALG_TOL, "division": abl_mod.DIV_TOL},
-        })
+        _print_json(payload)
         return 0
     print(f"scenario: {scenario.name} (dim {scenario.dim})")
     print(f"observable: {name}")
-    for i, (eigenvalue, _) in enumerate(observable):
-        print(f"branch {i}  eigenvalue {eigenvalue:g}  born {_fmt(born[i])}  "
-              f"joint {_fmt(joints[i])}  abl {_fmt(probabilities[i])}")
-    print(f"denominator: {_fmt(denominator)}")
+    for i, (eigenvalue, born, joint, p) in enumerate(zip(
+            payload["eigenvalues"], payload["born"], payload["joint"], payload["abl"])):
+        print(f"branch {i}  eigenvalue {eigenvalue:g}  born {_fmt(born)}  "
+              f"joint {_fmt(joint)}  abl {_fmt(p)}")
+    print(f"denominator: {_fmt(dist.denominator)}")
     return 0
 
 
@@ -137,36 +135,32 @@ def cmd_consistency(args) -> int:
     family = HistoryFamily.from_context(scenario.context, observable)
     report = is_consistent(family, criterion=args.criterion, tol=tol)
     disturbance = disturbance_check(family, tol=tol)
-    coarse = None
+    payload = {
+        "command": "consistency",
+        "scenario": source,
+        "dim": scenario.dim,
+        "observable": name,
+        "criterion": report.criterion,
+        "tolerance": tol,
+        "consistent": report.consistent,
+        "max_violation": report.max_violation,
+        "decoherence": [[[z.real, z.imag] for z in row] for row in report.matrix],
+        "disturbance": {
+            "undisturbed": disturbance.undisturbed,
+            "disturbed": disturbance.disturbed,
+            "holds": disturbance.holds,
+        },
+    }
     if args.coarse_grainings:
         eigenvalues = observable.eigenvalues
-        partitions, _, violations, disturbed = _coarse_table(family, args.criterion, tol)
-        coarse = [([[eigenvalues[i] for i in block] for block in partition], v <= tol, v,
-                   abs(disturbance.undisturbed - s) <= tol)
-                  for partition, v, s in zip(partitions, violations, disturbed)]
+        partitions, _, violations, consistent, _, holds = coarse_graining_table(
+            family, criterion=args.criterion, tol=tol)
+        payload["coarse_grainings"] = [
+            {"blocks": [[eigenvalues[i] for i in block] for block in partition],
+             "consistent": c, "max_violation": v, "disturbance_holds": h}
+            for partition, v, c, h in zip(partitions, violations, consistent, holds)
+        ]
     if args.json:
-        payload = {
-            "command": "consistency",
-            "scenario": source,
-            "dim": scenario.dim,
-            "observable": name,
-            "criterion": report.criterion,
-            "tolerance": tol,
-            "consistent": report.consistent,
-            "max_violation": report.max_violation,
-            "decoherence": [[[z.real, z.imag] for z in row] for row in report.matrix],
-            "disturbance": {
-                "undisturbed": disturbance.undisturbed,
-                "disturbed": disturbance.disturbed,
-                "holds": disturbance.holds,
-            },
-        }
-        if coarse is not None:
-            payload["coarse_grainings"] = [
-                {"blocks": blocks, "consistent": consistent,
-                 "max_violation": violation, "disturbance_holds": holds}
-                for blocks, consistent, violation, holds in coarse
-            ]
         _print_json(payload)
         return 0
     print(f"scenario: {scenario.name} (dim {scenario.dim})")
@@ -177,13 +171,13 @@ def cmd_consistency(args) -> int:
     print(f"undisturbed final probability: {_fmt(disturbance.undisturbed)}")
     print(f"disturbed final probability:   {_fmt(disturbance.disturbed)}")
     print(f"measurement leaves postselection undisturbed: {'yes' if disturbance.holds else 'no'}")
-    if coarse is not None:
+    if args.coarse_grainings:
         print("coarse-grainings:")
-        for blocks, consistent, violation, holds in coarse:
-            print(f"  {_blocks_label(blocks)}: "
-                  f"{'consistent' if consistent else 'inconsistent'}  "
-                  f"max violation {_fmt(violation)}  "
-                  f"disturbance identity {'holds' if holds else 'fails'}")
+        for row in payload["coarse_grainings"]:
+            print(f"  {_blocks_label(row['blocks'])}: "
+                  f"{'consistent' if row['consistent'] else 'inconsistent'}  "
+                  f"max violation {_fmt(row['max_violation'])}  "
+                  f"disturbance identity {'holds' if row['disturbance_holds'] else 'fails'}")
     return 0
 
 
@@ -196,71 +190,64 @@ def cmd_simulate(args) -> int:
         name, observable = None, None
         target = abs(inner(ctx.postselection, ctx.preselection)) ** 2
         target_kind = "undisturbed"
+        estimate = estimate_final_probability(ctx, None, args.trials, args.seed,
+                                              workers=args.workers)
     else:
         name, observable = _pick_observable(scenario, args)
         target = disturbed_final_probability(ctx, observable)
         target_kind = "disturbed"
-    branches = None
-    if observable is None:
-        estimate = estimate_final_probability(ctx, None, args.trials, args.seed,
-                                              workers=args.workers)
-    else:
         # One ensemble gives both: its postselected count is the final
         # probability's numerator.
         stats = estimate_abl(ctx, observable, args.trials, args.seed, workers=args.workers)
         estimate = stats.postselected_count / args.trials
-        exact = abl_distribution(ctx, observable).probabilities
-        born = born_distribution(ctx.preselection, observable)
-        branches = (stats, exact, born, observable.eigenvalues)
     final_stderr = math.sqrt(max(target * (1.0 - target), 0.0) / args.trials)
     final_z = _z_score(estimate - target, final_stderr)
+    payload = {
+        "command": "simulate",
+        "scenario": source,
+        "dim": scenario.dim,
+        "observable": name,
+        "trials": args.trials,
+        "seed": args.seed,
+        "workers": args.workers,
+        "final_probability": {
+            "estimate": estimate,
+            "target": float(target),
+            "target_kind": target_kind,
+            "z": final_z,
+        },
+    }
+    if observable is not None:
+        exact = abl_distribution(ctx, observable).probabilities
+        born = born_distribution(ctx.preselection, observable)
+        payload["postselected"] = stats.postselected_count
+        payload["branches"] = [
+            {
+                "eigenvalue": observable.eigenvalues[i],
+                "count": int(stats.branch_counts[i]),
+                "frequency": float(stats.conditional_freq[i]),
+                "stderr": float(stats.stderr[i]),
+                "abl": float(exact[i]),
+                "born": float(born[i]),
+                "z": _z_score(float(stats.conditional_freq[i] - exact[i]),
+                              float(stats.stderr[i])),
+            }
+            for i in range(len(observable))
+        ]
     if args.json:
-        payload = {
-            "command": "simulate",
-            "scenario": source,
-            "dim": scenario.dim,
-            "observable": name,
-            "trials": args.trials,
-            "seed": args.seed,
-            "workers": args.workers,
-            "final_probability": {
-                "estimate": estimate,
-                "target": float(target),
-                "target_kind": target_kind,
-                "z": final_z,
-            },
-        }
-        if branches is not None:
-            stats, exact, born, eigenvalues = branches
-            payload["postselected"] = stats.postselected_count
-            payload["branches"] = [
-                {
-                    "eigenvalue": eigenvalues[i],
-                    "count": int(stats.branch_counts[i]),
-                    "frequency": float(stats.conditional_freq[i]),
-                    "stderr": float(stats.stderr[i]),
-                    "abl": float(exact[i]),
-                    "born": float(born[i]),
-                    "z": _z_score(float(stats.conditional_freq[i] - exact[i]),
-                                  float(stats.stderr[i])),
-                }
-                for i in range(len(observable))
-            ]
         _print_json(payload)
         return 0
     print(f"scenario: {scenario.name} (dim {scenario.dim})")
     print(f"observable: {name if name is not None else '(none)'}")
     print(f"trials {args.trials}  seed {args.seed}  workers {args.workers}")
-    if branches is not None:
-        stats, exact, born, eigenvalues = branches
+    if observable is not None:
         print(f"postselected: {stats.postselected_count} "
               f"({_fmt(stats.postselected_count / args.trials)})")
-        for i in range(len(observable)):
-            z = _z_score(float(stats.conditional_freq[i] - exact[i]), float(stats.stderr[i]))
-            print(f"branch {i}  eigenvalue {eigenvalues[i]:g}  "
-                  f"freq {_fmt(stats.conditional_freq[i])}  "
-                  f"stderr {_fmt(stats.stderr[i])}  abl {_fmt(exact[i])}  "
-                  f"born {_fmt(born[i])}  z {_fmt(z)}")
+        for i, branch in enumerate(payload["branches"]):
+            print(f"branch {i}  eigenvalue {branch['eigenvalue']:g}  "
+                  f"freq {_fmt(branch['frequency'])}  "
+                  f"stderr {_fmt(branch['stderr'])}  abl {_fmt(branch['abl'])}  "
+                  f"born {_fmt(branch['born'])}  z {_fmt(branch['z'])}")
     print(f"final probability: estimate {_fmt(estimate)}  "
           f"target({target_kind}) {_fmt(target)}  z {_fmt(final_z)}")
     return 0
@@ -400,10 +387,6 @@ def main(argv=None) -> int:
     parser = build_parser(set(argv))
     try:
         args = parser.parse_args(argv)
-    except _UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 1
-    try:
         return args.func(args)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

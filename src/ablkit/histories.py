@@ -13,9 +13,10 @@ have to vanish.  For a consistent family the intervening measurement does
 not disturb the postselection statistics: sum_j D(j, j) equals |<b|a>|^2.
 That disturbance identity is checked separately so callers can see both
 predicates; the implication only runs from consistency to the identity, not
-back.  ``coarse_graining_verdicts`` checks the families around every
-grouping of the observable's branches from one table of block amplitudes
-x_I = <b|sum_{i in I} P_i|a>, without building those families.
+back.  ``coarse_graining_table`` gives both verdicts for the families
+around every grouping of the observable's branches, from one table of block
+amplitudes x_I = <b|sum_{i in I} P_i|a> and without building those
+families; ``coarse_graining_verdicts`` wraps its rows in the reports above.
 """
 
 from __future__ import annotations
@@ -204,11 +205,15 @@ def enumerate_coarse_grainings(base: ObservableDecomposition) -> list[Observable
             for blocks in partitions]
 
 
-def _coarse_table(family: HistoryFamily, criterion: str, tol: float):
-    # The arithmetic of coarse_graining_verdicts, without its dataclasses:
-    # the partitions in enumerate_coarse_grainings' order and, for each, its
-    # decoherence matrix (zero-padded to one (n, n) shape), max violation
-    # and disturbed probability.
+def coarse_graining_table(family: HistoryFamily, *, criterion: str = "medium",
+                          tol: float = CONSISTENCY_TOL):
+    """:func:`coarse_graining_verdicts` as columns, without its dataclasses:
+    ``(partitions, matrices, violations, consistent, disturbed, holds)``.
+    Partitions come in :func:`enumerate_coarse_grainings`' order, their
+    decoherence matrices zero-padded to one ``(n, n)`` shape; the other four
+    are per-partition lists of the max violation, the consistency verdict,
+    the disturbed probability and the disturbance identity's verdict.
+    """
     _check_criterion(criterion, tol)
     partitions, slots, sums = _coarse_blocks(family.intermediate)
     pre, post = _state_of(family.initial), _state_of(family.final)
@@ -224,7 +229,9 @@ def _coarse_table(family: HistoryFamily, criterion: str, tol: float):
     magnitude[:, range(width), range(width)] = 0.0
     violations = magnitude.max(axis=(1, 2)).tolist()
     disturbed = np.sum(x.real ** 2 + x.imag ** 2, axis=1).tolist()
-    return partitions, d, violations, disturbed
+    undisturbed = float(abs(family._overlap) ** 2)
+    return (partitions, d, violations, [v <= tol for v in violations],
+            disturbed, [abs(undisturbed - s) <= tol for s in disturbed])
 
 
 def coarse_graining_verdicts(family: HistoryFamily, *, criterion: str = "medium",
@@ -233,11 +240,13 @@ def coarse_graining_verdicts(family: HistoryFamily, *, criterion: str = "medium"
     coarse-graining of ``family.intermediate``, in the order of
     :func:`enumerate_coarse_grainings`: bit for bit what :func:`is_consistent`
     and :func:`disturbance_check` report on the family around it, read from
-    one zero-padded table of block amplitudes instead of those families.
+    :func:`coarse_graining_table` instead of those families.
     """
-    partitions, d, violations, disturbed = _coarse_table(family, criterion, tol)
+    partitions, d, violations, consistent, disturbed, holds = coarse_graining_table(
+        family, criterion=criterion, tol=tol)
     undisturbed = float(abs(family._overlap) ** 2)
     return [(tuple(blocks),
-             ConsistencyReport(v <= tol, d[k, :len(blocks), :len(blocks)], v, criterion, tol),
-             DisturbanceCheck(undisturbed, s, abs(undisturbed - s) <= tol))
-            for k, (blocks, v, s) in enumerate(zip(partitions, violations, disturbed))]
+             ConsistencyReport(c, d[k, :len(blocks), :len(blocks)], v, criterion, tol),
+             DisturbanceCheck(undisturbed, s, h))
+            for k, (blocks, v, c, s, h)
+            in enumerate(zip(partitions, violations, consistent, disturbed, holds))]

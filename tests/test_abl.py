@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -163,6 +164,10 @@ def test_abl_distribution_is_read_only():
     assert isinstance(dist, AblDistribution)
     with pytest.raises(ValueError):
         dist.probabilities[0] = 0.5
+    with pytest.raises(ValueError):
+        dist.joints[0] = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dist.joints = np.zeros(3)
 
 
 def test_abl_normalization_random():
@@ -267,6 +272,10 @@ def test_amplitude_kernel_properties(case):
     swapped = abl_distribution(PrePostContext(ctx.postselection, ctx.preselection), obs)
     np.testing.assert_allclose(swapped.probabilities, dist.probabilities, rtol=0, atol=1e-12)
     disturbed = disturbed_final_probability(ctx, obs)
+    # joints: bit for bit what joint_probability gives, and what was conditioned
+    by_branch = np.array([joint_probability(ctx, obs, i) for i in range(len(obs))])
+    assert by_branch.tobytes() == dist.joints.tobytes()
+    assert (dist.joints / dist.denominator).tobytes() == dist.probabilities.tobytes()
     joints = sum(joint_probability(ctx, obs, i) for i in range(len(obs)))
     assert disturbed == pytest.approx(joints, abs=1e-12)
     assert disturbed == pytest.approx(dist.denominator, abs=1e-12)

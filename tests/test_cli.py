@@ -39,6 +39,7 @@ def test_abl_json_matches_library_exactly(capsys):
     s = builtin("three-box")
     dist = abl_distribution(s.context, s.observables["C"])
     assert payload["abl"] == [float(p) for p in dist.probabilities]
+    assert payload["joint"] == dist.joints.tolist()
     assert payload["denominator"] == dist.denominator
     assert payload["eigenvalues"] == [1.0, 2.0, 3.0]
     assert payload["observable"] == "C"
@@ -58,6 +59,36 @@ def test_abl_observable_flag(capsys):
     payload = run_json(capsys, "abl", "--builtin", "three-box", "--observable", "Cdprime",
                        "--json")
     assert payload["abl"] == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("theta, name", [
+    ("0", "spin:0"), ("-0.0", "spin:-0"), (repr(math.pi), "spin:3.14159"),
+    (repr(2 * math.pi), "spin:6.28319"), ("1e-300", "spin:1e-300"),
+])
+def test_spin_edge_angles_through_every_scenario_command(capsys, theta, name):
+    # Selected along +z on both sides: Sz is certain and Sx an even split,
+    # whatever the tilt of Sn.
+    source = f"spin:{theta}"
+    exact = {"Sz": [1.0, 0.0], "Sx": [0.5, 0.5]}
+    for obs in ("Sn", "Sz", "Sx"):
+        code, out, err = run(capsys, "abl", "--builtin", source, "--observable", obs)
+        assert (code, err) == (0, "") and out.startswith(f"scenario: {name} (dim 2)\n")
+        payload = run_json(capsys, "abl", "--builtin", source, "--observable", obs, "--json")
+        assert abs(sum(payload["abl"]) - 1.0) <= 1e-12
+        consistency = run_json(capsys, "consistency", "--builtin", source, "--observable", obs,
+                               "--coarse-grainings", "--json")
+        simulated = run_json(capsys, "simulate", "--builtin", source, "--observable", obs,
+                             "--trials", "500", "--json")
+        if obs in exact:
+            assert payload["abl"] == exact[obs]
+            assert [b["abl"] for b in simulated["branches"]] == exact[obs]
+            assert consistency["consistent"] is (obs == "Sz")
+    assert run(capsys, "simulate", "--builtin", source, "--no-intermediate",
+               "--trials", "500")[0] == 0
+    sz = run_json(capsys, "simulate", "--builtin", source, "--observable", "Sz",
+                  "--trials", "500", "--json")
+    assert sz["postselected"] == 500
+    assert [b["frequency"] for b in sz["branches"]] == [1.0, 0.0]
 
 
 def test_consistency_json(capsys):

@@ -11,6 +11,7 @@ from ablkit.histories import (
     ConsistencyReport,
     HistoryFamily,
     _set_partitions,
+    coarse_graining_table,
     coarse_graining_verdicts,
     decoherence_functional,
     decoherence_matrix,
@@ -442,6 +443,10 @@ def _assert_verdicts_bitwise(family):
         for tol in (0.0, 1e-9, 1e-3):
             got = coarse_graining_verdicts(family, criterion=criterion, tol=tol)
             assert len(got) == len(per_family)
+            _, _, _, consistent, _, holds = coarse_graining_table(family, criterion=criterion,
+                                                                  tol=tol)
+            assert consistent == [report.consistent for _, report, _ in got]
+            assert holds == [check.holds for _, _, check in got]
             for (blocks, report, check), (w_blocks, sub) in zip(got, per_family):
                 w_report = is_consistent(sub, criterion=criterion, tol=tol)
                 w_check = disturbance_check(sub, tol=tol)
