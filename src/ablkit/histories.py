@@ -6,17 +6,17 @@ observable, postselect).  Its decoherence functional is
     D(i, j) = Tr(P_b P_i P_a P_j) = x_i conj(x_j),  x_i = <b|P_i|a>
 
 whose diagonal holds the joint probabilities of the chain.  A family
-computes its amplitudes ``x`` once, at construction, and every quantity
-below reads them.  The family is consistent (medium decoherence) when every
-off-diagonal entry vanishes; under the weaker criterion only the real parts
-have to vanish.  For a consistent family the intervening measurement does
-not disturb the postselection statistics: sum_j D(j, j) equals |<b|a>|^2.
-That disturbance identity is checked separately so callers can see both
-predicates; the implication only runs from consistency to the identity, not
-back.  ``coarse_graining_table`` gives both verdicts for the families
-around every grouping of the observable's branches, from one table of block
-amplitudes x_I = <b|sum_{i in I} P_i|a> and without building those
-families; ``coarse_graining_verdicts`` wraps its rows in the reports above.
+computes its amplitudes ``x`` and |<b|a>|^2 once, at construction.  It is
+consistent (medium decoherence) when every off-diagonal entry vanishes;
+under the weaker criterion only the real parts have to vanish.  For a
+consistent family the intervening measurement does not disturb the
+postselection statistics: sum_j D(j, j) equals |<b|a>|^2.  That disturbance
+identity is checked separately so callers can see both predicates; the
+implication only runs from consistency to the identity, not back.
+``coarse_graining_table`` gives both verdicts for the families around every
+grouping of the observable's branches from one table of block amplitudes
+x_I = <b|sum_{i in I} P_i|a>, through the same routines as one family's
+rows; ``coarse_graining_verdicts`` wraps its rows in the reports above.
 """
 
 from __future__ import annotations
@@ -47,6 +47,32 @@ def _state_of(projector: Projector) -> np.ndarray:
     return m[:, k] / np.sqrt(m[k, k].real)
 
 
+def _amplitudes(stack: np.ndarray, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
+    # x_i = <b|P_i|a> for each matrix P_i of ``stack``.  Per-row np.vdot keeps
+    # the rounding residue of cancelling terms (1e-18 for the three-box coarse
+    # families) that a zero tolerance sees and the captured CLI outputs pin; a
+    # stacked matmul can round it to exactly 0.
+    return np.array([np.vdot(post, p) for p in stack @ pre])
+
+
+def _decoherence(x: np.ndarray, criterion: str, tol: float):
+    # For each row of the (k, n) amplitude stack x: its decoherence matrix
+    # D = x x^dagger (read-only), its largest off-diagonal violation under
+    # the criterion, and whether that is within tol.
+    if criterion not in _CRITERIA:
+        raise ValueError(f"criterion must be one of {_CRITERIA}, got {criterion!r}")
+    if not tol >= 0.0:
+        raise ValidationError(f"tolerance must be non-negative, got {tol}")
+    k, n = x.shape
+    # Adding 0.0 turns the -0.0 parts of exactly real products into +0.0.
+    d = x[:, :, None] * x.conj()[:, None, :] + 0.0
+    d.setflags(write=False)
+    magnitude = (np.abs(d) if criterion == "medium" else np.abs(d.real)).reshape(k, -1)
+    magnitude[:, ::n + 1] = 0.0
+    violations = magnitude.max(axis=1)
+    return d, violations, violations <= tol
+
+
 @dataclass(frozen=True, eq=False)
 class HistoryFamily:
     """One chain family: rank-1 initial and final projectors around a single
@@ -61,13 +87,10 @@ class HistoryFamily:
             raise DimensionMismatchError("initial, intermediate, and final dimensions differ")
         if self.initial.rank != 1 or self.final.rank != 1:
             raise ValidationError("initial and final projectors must be rank 1")
-        pre, post = _state_of(self.initial), _state_of(self.final)
-        # Per-row np.vdot keeps the rounding residue of cancelling terms (1e-18
-        # for the three-box coarse families) that a zero tolerance sees and the
-        # captured CLI outputs pin; a stacked matmul can round it to exactly 0.
-        object.__setattr__(self, "_x", np.array([np.vdot(post, p)
-                                                 for p in self.intermediate.stack @ pre]))
-        object.__setattr__(self, "_overlap", np.vdot(post, pre))
+        object.__setattr__(self, "_pre", _state_of(self.initial))
+        object.__setattr__(self, "_post", _state_of(self.final))
+        object.__setattr__(self, "_x", _amplitudes(self.intermediate.stack, self._pre, self._post))
+        object.__setattr__(self, "_undisturbed", float(abs(np.vdot(self._post, self._pre)) ** 2))
 
     @property
     def dim(self) -> int:
@@ -114,17 +137,7 @@ def decoherence_functional(family: HistoryFamily, i: int, j: int) -> complex:
 
 
 def decoherence_matrix(family: HistoryFamily) -> np.ndarray:
-    # Adding 0.0 turns the -0.0 parts of exactly real products into +0.0.
-    d = np.outer(family._x, family._x.conj()) + 0.0
-    d.setflags(write=False)
-    return d
-
-
-def _check_criterion(criterion: str, tol: float):
-    if criterion not in _CRITERIA:
-        raise ValueError(f"criterion must be one of {_CRITERIA}, got {criterion!r}")
-    if not tol >= 0.0:
-        raise ValidationError(f"tolerance must be non-negative, got {tol}")
+    return is_consistent(family).matrix
 
 
 def is_consistent(family: HistoryFamily, *, criterion: str = "medium",
@@ -133,12 +146,8 @@ def is_consistent(family: HistoryFamily, *, criterion: str = "medium",
 
     ``medium`` requires |D(i, j)| = 0 for i != j; ``weak`` only Re D(i, j) = 0.
     """
-    _check_criterion(criterion, tol)
-    d = decoherence_matrix(family)
-    magnitude = np.abs(d) if criterion == "medium" else np.abs(d.real)
-    np.fill_diagonal(magnitude, 0.0)
-    max_violation = float(magnitude.max())
-    return ConsistencyReport(max_violation <= tol, d, max_violation, criterion, tol)
+    d, violations, consistent = _decoherence(family._x[None], criterion, tol)
+    return ConsistencyReport(bool(consistent[0]), d[0], float(violations[0]), criterion, tol)
 
 
 def disturbance_check(family: HistoryFamily, *, tol: float = CONSISTENCY_TOL) -> DisturbanceCheck:
@@ -147,8 +156,7 @@ def disturbance_check(family: HistoryFamily, *, tol: float = CONSISTENCY_TOL) ->
     agree; the converse is not checked because it does not hold."""
     if not tol >= 0.0:
         raise ValidationError(f"tolerance must be non-negative, got {tol}")
-    undisturbed = float(abs(family._overlap) ** 2)
-    x = family._x
+    x, undisturbed = family._x, family._undisturbed
     disturbed = float(np.sum(x.real ** 2 + x.imag ** 2))
     return DisturbanceCheck(undisturbed, disturbed, abs(undisturbed - disturbed) <= tol)
 
@@ -214,24 +222,17 @@ def coarse_graining_table(family: HistoryFamily, *, criterion: str = "medium",
     are per-partition lists of the max violation, the consistency verdict,
     the disturbed probability and the disturbance identity's verdict.
     """
-    _check_criterion(criterion, tol)
     partitions, slots, sums = _coarse_blocks(family.intermediate)
-    pre, post = _state_of(family.initial), _state_of(family.final)
-    # x_I = <b|P_I|a> by per-row np.vdot, as HistoryFamily computes it; slot
-    # 0, the empty block, has amplitude 0 and pads the rows.
-    amplitudes = np.array([np.vdot(post, p) for p in sums @ pre])
+    # x_I = <b|P_I|a> as HistoryFamily computes x; slot 0, the empty block,
+    # has amplitude 0 and pads the rows.
+    amplitudes = _amplitudes(sums, family._pre, family._post)
     width = len(family.intermediate)
     x = amplitudes[[[slots[block] for block in blocks] + [0] * (width - len(blocks))
                     for blocks in partitions]]
-    d = x[:, :, None] * x.conj()[:, None, :] + 0.0
-    d.setflags(write=False)
-    magnitude = np.abs(d) if criterion == "medium" else np.abs(d.real)
-    magnitude[:, range(width), range(width)] = 0.0
-    violations = magnitude.max(axis=(1, 2)).tolist()
+    d, violations, consistent = _decoherence(x, criterion, tol)
     disturbed = np.sum(x.real ** 2 + x.imag ** 2, axis=1).tolist()
-    undisturbed = float(abs(family._overlap) ** 2)
-    return (partitions, d, violations, [v <= tol for v in violations],
-            disturbed, [abs(undisturbed - s) <= tol for s in disturbed])
+    return (partitions, d, violations.tolist(), consistent.tolist(),
+            disturbed, [abs(family._undisturbed - s) <= tol for s in disturbed])
 
 
 def coarse_graining_verdicts(family: HistoryFamily, *, criterion: str = "medium",
@@ -244,9 +245,8 @@ def coarse_graining_verdicts(family: HistoryFamily, *, criterion: str = "medium"
     """
     partitions, d, violations, consistent, disturbed, holds = coarse_graining_table(
         family, criterion=criterion, tol=tol)
-    undisturbed = float(abs(family._overlap) ** 2)
     return [(tuple(blocks),
              ConsistencyReport(c, d[k, :len(blocks), :len(blocks)], v, criterion, tol),
-             DisturbanceCheck(undisturbed, s, h))
+             DisturbanceCheck(family._undisturbed, s, h))
             for k, (blocks, v, c, s, h)
             in enumerate(zip(partitions, violations, consistent, disturbed, holds))]

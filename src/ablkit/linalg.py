@@ -331,15 +331,23 @@ def trace_product(ops: Sequence) -> complex:
 def orthonormalize(vectors: Sequence[np.ndarray], *, tol: float = SPAN_TOL) -> list[np.ndarray]:
     """Modified Gram-Schmidt orthonormalization.
 
-    Raises :class:`DegenerateSpanError` when a residual norm falls to ``tol``
-    or below, i.e. the inputs are (numerically) linearly dependent.
+    A vector whose residual keeps less than 1/sqrt(2) of its norm is
+    projected a second time ("twice is enough": Giraud, Langou & Rozložník
+    2005), since one pass leaves it a non-orthogonality of about
+    eps / residual.  Raises :class:`DegenerateSpanError` when a residual norm
+    falls to ``tol`` or below, i.e. the inputs are (numerically) linearly
+    dependent.
     """
     basis: list[np.ndarray] = []
     for k, v in enumerate(vectors):
         w = np.array(v, dtype=np.complex128)
-        for q in basis:
-            w = w - q * np.vdot(q, w)
-        norm = float(np.linalg.norm(w))
+        input_sq = np.vdot(w, w).real if basis else 0.0
+        for _ in range(2):
+            for q in basis:
+                w = w - q * np.vdot(q, w)
+            norm = float(np.linalg.norm(w))
+            if norm <= tol or 2.0 * norm * norm >= input_sq:
+                break
         if norm <= tol:
             raise DegenerateSpanError(
                 f"vector {k} is linearly dependent on its predecessors (residual norm {norm:.3e})")

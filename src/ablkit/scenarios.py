@@ -30,6 +30,7 @@ observables to ask about.  The compiled-in ones:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -39,9 +40,6 @@ import numpy as np
 from .abl import PrePostContext
 from .errors import ValidationError
 from .linalg import Ket, ObservableDecomposition, basis_containing, projector_from_kets
-
-BUILTIN_NAMES = ("three-box", "spin-pi3", "preselect-only", "identity-A", "identity-B")
-
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
@@ -121,43 +119,31 @@ def spin(theta: float) -> Scenario:
     )
 
 
-def preselect_only() -> Scenario:
-    base = spin(math.pi / 3.0)
-    return Scenario(
-        name="preselect-only",
-        description="identical pre- and postselection; the postselection never filters",
-        context=base.context,
-        observables=dict(base.observables),
-        default_observable="Sz",
-    )
-
-
-def _identity_pair() -> tuple[PrePostContext, dict[str, ObservableDecomposition]]:
+def _identity(default: str) -> Scenario:
     a = _unit(2, 0)
     b = Ket.normalized([1, 1])
-    return PrePostContext(a, b), {"A": basis_containing(a), "B": basis_containing(b)}
-
-
-def identity_a() -> Scenario:
-    ctx, observables = _identity_pair()
+    selection = {"A": "preselection", "B": "postselection"}[default]
     return Scenario(
-        name="identity-A",
-        description="measuring a basis containing the preselection finds it with certainty",
-        context=ctx,
-        observables=observables,
-        default_observable="A",
+        name=f"identity-{default}",
+        description=f"measuring a basis containing the {selection} finds it with certainty",
+        context=PrePostContext(a, b),
+        observables={"A": basis_containing(a), "B": basis_containing(b)},
+        default_observable=default,
     )
 
 
-def identity_b() -> Scenario:
-    ctx, observables = _identity_pair()
-    return Scenario(
-        name="identity-B",
-        description="measuring a basis containing the postselection finds it with certainty",
-        context=ctx,
-        observables=observables,
-        default_observable="B",
-    )
+_BUILTINS = {
+    "three-box": three_box,
+    "spin-pi3": lambda: spin(math.pi / 3.0),
+    "preselect-only": lambda: dataclasses.replace(
+        spin(math.pi / 3.0), name="preselect-only",
+        description="identical pre- and postselection; the postselection never filters",
+        default_observable="Sz"),
+    "identity-A": lambda: _identity("A"),
+    "identity-B": lambda: _identity("B"),
+}
+
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin(name: str) -> Scenario:
@@ -167,16 +153,8 @@ def builtin(name: str) -> Scenario:
     are fixed.  Raises :class:`ValidationError` (a ``ValueError``) for
     anything unknown.
     """
-    if name == "three-box":
-        return three_box()
-    if name == "spin-pi3":
-        return spin(math.pi / 3.0)
-    if name == "preselect-only":
-        return preselect_only()
-    if name == "identity-A":
-        return identity_a()
-    if name == "identity-B":
-        return identity_b()
+    if name in _BUILTINS:
+        return _BUILTINS[name]()
     if name.startswith("spin:"):
         try:
             theta = float(name.partition(":")[2])

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ablkit.abl import born_distribution
 from ablkit.counterfactual import (
     Counterexample,
     MixingReport,
@@ -12,7 +15,8 @@ from ablkit.counterfactual import (
     vaidman_total,
 )
 from ablkit.errors import DimensionMismatchError, UndefinedTermError, ValidationError
-from ablkit.linalg import Ket, ObservableDecomposition, basis_containing
+from ablkit.histories import HistoryFamily, disturbance_check, is_consistent
+from ablkit.linalg import Ket, ObservableDecomposition, basis_containing, projector_from_kets
 from ablkit.sampling import random_basis, random_ket, substream
 from ablkit.scenarios import spin
 
@@ -261,3 +265,53 @@ def test_sharp_shanks_live_mask_either_side_of_div_tol(k, st_sq, weight, denomin
     assert report.ss_total == sharp_shanks_total(a, final_basis, observable, 0)
     assert report.vaidman_total == vaidman_total(a, final_basis, observable, 0)
     assert report.vaidman_total == pytest.approx(report.born_total, abs=1e-12)
+
+
+@st.composite
+def _final_bases_and_observables(draw):
+    """Dims 1-8: a Haar-random preselection ``a`` and final basis ``{b_l}``,
+    and an observable ``C`` that is a Haar basis, a coarse-graining of the
+    final basis, or a basis containing ``a``."""
+    dim = draw(st.integers(1, 8))
+    rng = np.random.default_rng([draw(st.integers(0, 2 ** 32 - 1)), 12])
+    a = random_ket(rng, dim)
+    finals = random_basis(rng, dim)
+    kind = draw(st.sampled_from(["haar", "coarse-graining", "containing"]))
+    if kind == "haar":
+        observable = ObservableDecomposition.from_eigenbasis(random_basis(rng, dim))
+    elif kind == "coarse-graining":
+        labels = draw(st.lists(st.integers(0, dim - 1), min_size=dim, max_size=dim))
+        observable = ObservableDecomposition.from_projectors(
+            [projector_from_kets([finals[k] for k in range(dim) if labels[k] == label])
+             for label in sorted(set(labels))])
+    else:
+        observable = basis_containing(a)
+    return a, finals, observable
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_final_bases_and_observables())
+def test_consistent_final_families_make_sharp_shanks_born(case):
+    # The paper's claim: ABL may be read counterfactually where that is free
+    # of contradiction.  With x_j = <b|P_j|a>, |sum_j x_j|^2 - sum_j |x_j|^2 =
+    # 2 sum_{i<j} Re x_i conj(x_j), so (i) each family (a, C, b_l) misses the
+    # disturbance identity by at most n(n-1) times its weak violation; and
+    # with w_l, D_l its undisturbed and disturbed probabilities, (ii)
+    # |SS - Born| <= sum_l |D_l - w_l|.  So when every such family is
+    # consistent at tol, SS is within d n(n-1) tol of Born.
+    a, finals, observable = case
+    d, n = a.dim, len(observable)
+    final_basis = ObservableDecomposition.from_eigenbasis(finals)
+    gaps, tol = 0.0, 0.0
+    for b in finals:
+        family = HistoryFamily(a.projector(), observable, b.projector())
+        weak = is_consistent(family, criterion="weak", tol=0.0).max_violation
+        check = disturbance_check(family)
+        assert abs(check.disturbed - check.undisturbed) <= n * (n - 1) * weak + 1e-14
+        gaps += abs(check.disturbed - check.undisturbed)
+        tol = max(tol, weak)
+    born = born_distribution(a, observable)
+    for k in range(n):
+        gap = abs(sharp_shanks_total(a, final_basis, observable, k) - born[k])
+        assert gap <= gaps + d * 1e-12
+        assert gap <= d * n * (n - 1) * tol + d * 1e-12 + d * 1e-14

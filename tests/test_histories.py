@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ablkit.abl import PrePostContext, abl_distribution
 from ablkit.errors import DimensionMismatchError, TooManyBranchesError, ValidationError
 from ablkit.histories import (
+    CONSISTENCY_TOL,
     ConsistencyReport,
     HistoryFamily,
     _set_partitions,
@@ -531,3 +532,44 @@ def test_coarse_graining_verdicts_validate_like_is_consistent():
         coarse_graining_verdicts(FAMILY_BOXES, criterion="strong")
     with pytest.raises(ValidationError, match="tolerance must be non-negative, got -1.0"):
         coarse_graining_verdicts(FAMILY_BOXES, tol=-1.0)
+
+
+def _plain_verdicts(x, criterion):
+    # One family's decoherence matrix, max off-diagonal violation and
+    # disturbed probability, in plain numpy on its amplitudes x.
+    d = np.outer(x, x.conj()) + 0.0
+    magnitude = np.abs(d) if criterion == "medium" else np.abs(d.real)
+    np.fill_diagonal(magnitude, 0.0)
+    return d, float(magnitude.max()), float(np.sum(x.real ** 2 + x.imag ** 2))
+
+
+@pytest.mark.parametrize("dim", [7, 8, 9, 16, 17, 33, 64])
+def test_verdicts_of_many_branch_families_match_plain_numpy_bit_for_bit(dim):
+    # The coarse-graining tests stop at 6 branches; numpy's pairwise summation
+    # changes above 8 terms.  A Haar basis, a basis containing the
+    # preselection (consistent up to rounding), and for dims 8-33, dim - 1
+    # mixed-rank branches (from_projectors' pairwise check takes 1 s at 64).
+    rng = np.random.default_rng([dim, 12])
+    ctx = make_context(rng, dim)
+    observables = [ObservableDecomposition.from_eigenbasis(random_basis(rng, dim)),
+                   basis_containing(ctx.preselection)]
+    if 8 <= dim <= 33:
+        observables.append(mixed_rank_decomposition(dim, [2] + [1] * (dim - 2)))
+    for obs in observables:
+        family = HistoryFamily.from_context(ctx, obs)
+        x = family._x
+        assert x.shape == (len(obs),) and len(obs) >= 7
+        undisturbed = float(abs(np.vdot(family._post, family._pre)) ** 2)
+        assert decoherence_matrix(family).tobytes() == _plain_verdicts(x, "medium")[0].tobytes()
+        for criterion in ("medium", "weak"):
+            d, violation, disturbed = _plain_verdicts(x, criterion)
+            for tol in (0.0, CONSISTENCY_TOL, violation, abs(undisturbed - disturbed)):
+                report = is_consistent(family, criterion=criterion, tol=tol)
+                assert report.matrix.shape == d.shape
+                assert report.matrix.tobytes() == d.tobytes()
+                assert repr(report.max_violation) == repr(violation)
+                assert report.consistent is (violation <= tol)
+                check = disturbance_check(family, tol=tol)
+                assert (repr(check.undisturbed), repr(check.disturbed)) == \
+                    (repr(undisturbed), repr(disturbed))
+                assert check.holds is (abs(undisturbed - disturbed) <= tol)

@@ -130,6 +130,30 @@ def test_orthonormalize_output_is_orthonormal():
         np.testing.assert_allclose(gram, np.eye(dim), atol=1e-10)
 
 
+def _near_dependent_kets(seed: int, r: float):
+    # q0 and normalize(q0 + r q1) for a seeded complex QR basis q: the second
+    # ket's Gram-Schmidt residual is about r, and one pass leaves it a
+    # non-orthogonality of about eps / r.
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    near = q[:, 0] + r * q[:, 1]
+    return [Ket(q[:, 0]), Ket(near / np.linalg.norm(near))]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("r", [2e-8, 5e-8, 1e-7, 1e-6])
+def test_near_dependent_kets_in_a_generic_basis_are_reorthogonalized(seed, r):
+    # A single Gram-Schmidt pass had these projectors refused as "not
+    # idempotent" (up to r = 1e-6 for seeds 0 and 2).
+    kets = _near_dependent_kets(seed, r)
+    first, second = orthonormalize([k.amplitudes for k in kets])
+    assert abs(np.vdot(first, second)) <= 1e-15
+    p = projector_from_kets(kets)
+    assert p.rank == 2
+    for k in kets:
+        np.testing.assert_allclose(p.matrix @ k.amplitudes, k.amplitudes, atol=1e-12)
+
+
 def test_trace_product_frozen_values():
     pa = A.projector()
     pb = B.projector()

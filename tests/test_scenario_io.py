@@ -532,6 +532,23 @@ def test_near_dependent_kets_against_span_tol(residual, accepted):
                                      f"its predecessors (residual norm {residual:.3e})")
 
 
+@pytest.mark.parametrize("r", [2e-8, 5e-8, 1e-7])
+def test_near_dependent_kets_in_a_generic_basis(r):
+    # The branch's kets are q0 and normalize(q0 + r q1) for a seeded complex
+    # QR basis q; one Gram-Schmidt pass had the branch refused as "projector
+    # matrix is not idempotent".  The second branch is the complement of the
+    # span those float kets define, which differs from span(q0, q1) by about
+    # eps / r, so it is given as a matrix.
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    kets = [q[:, 0], _unit(q[:, 0] + r * q[:, 1])]
+    span = projector_from_kets([Ket(k) for k in kets])
+    doc = _kets_doc([kets, np.eye(3) - span.matrix])
+    scenario = parse_scenario(json.dumps(doc))
+    assert [p.rank for _, p in scenario.observables["X"]] == [2, 1]
+    _ket_branches_match_projector_from_kets(scenario, doc)
+
+
 # --- emission of repeated, signed and extreme floats ----------------------
 
 #: Floats whose text tests the renderer: both zeros, x beside -x, the
