@@ -16,6 +16,7 @@ immutable, so instances are safe to share between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -37,6 +38,19 @@ def _as_vector(values) -> np.ndarray:
         raise ValidationError(f"expected a nonempty 1-d amplitude vector, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValidationError("amplitudes must be finite")
+    return arr
+
+
+def _norm(v: np.ndarray) -> float:
+    # np.linalg.norm's arithmetic for a 1-d complex vector, without its dispatch.
+    v = v.ravel(order="K")
+    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+
+
+def _checked_unit(arr: np.ndarray) -> np.ndarray:
+    norm_sq = float(np.vdot(arr, arr).real)
+    if abs(norm_sq - 1.0) > NORM_TOL:
+        raise ValidationError(f"ket norm^2 = {norm_sq!r}, expected 1 within {NORM_TOL}")
     return arr
 
 
@@ -73,12 +87,17 @@ class Ket:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        arr = _as_vector(self.amplitudes).copy()
-        norm_sq = float(np.vdot(arr, arr).real)
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValidationError(f"ket norm^2 = {norm_sq!r}, expected 1 within {NORM_TOL}")
+        arr = _checked_unit(_as_vector(self.amplitudes).copy())
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
+
+    @classmethod
+    def _validated(cls, amplitudes: np.ndarray) -> "Ket":
+        # Mirrors Projector._validated, for amplitudes of unit norm by construction.
+        amplitudes.setflags(write=False)
+        ket = object.__new__(cls)
+        object.__setattr__(ket, "amplitudes", amplitudes)
+        return ket
 
     @property
     def dim(self) -> int:
@@ -88,10 +107,10 @@ class Ket:
     def normalized(cls, values) -> "Ket":
         """Scale ``values`` to unit norm.  Rejects (near-)zero vectors."""
         arr = _as_vector(values)
-        norm = float(np.linalg.norm(arr))
+        norm = _norm(arr)
         if norm <= SPAN_TOL:
             raise ValidationError("cannot normalize a vector of (near-)zero norm")
-        return cls(arr / norm)
+        return cls._validated(_checked_unit(arr / norm))
 
     def projector(self) -> "Projector":
         """The rank-1 projector onto this state."""
@@ -214,9 +233,8 @@ class ObservableDecomposition:
     @classmethod
     def from_projectors(cls, projectors: Sequence[Projector],
                         eigenvalues: Sequence[float] | None = None) -> "ObservableDecomposition":
-        if eigenvalues is None:
-            eigenvalues = [float(k) for k in range(len(projectors))]
-        return cls(tuple(Branch(float(e), p) for e, p in zip(eigenvalues, projectors)))
+        labels = _labels(eigenvalues, len(projectors))
+        return cls(tuple(Branch(e, p) for e, p in zip(labels, projectors)))
 
     @classmethod
     def from_eigenbasis(cls, kets: Sequence[Ket],
@@ -227,14 +245,11 @@ class ObservableDecomposition:
         the constructor given the kets' :meth:`Ket.projector`; the branch
         matrices equal those projectors bit for bit.
         """
-        if eigenvalues is None:
-            eigenvalues = [float(k) for k in range(len(kets))]
-        pairs = list(zip(eigenvalues, kets))
-        if not pairs or len({k.dim for _, k in pairs}) != 1:
+        labels = _labels(eigenvalues, len(kets))
+        if not kets or len({k.dim for k in kets}) != 1:
             # Empty or mixed-dimension input: the constructor reports it.
-            return cls.from_projectors([k.projector() for _, k in pairs], [e for e, _ in pairs])
-        return cls._from_amplitudes(np.array([k.amplitudes for _, k in pairs]),
-                                    [e for e, _ in pairs])
+            return cls(tuple(Branch(e, k.projector()) for e, k in zip(labels, kets)))
+        return cls._from_amplitudes(np.array([k.amplitudes for k in kets]), labels)
 
     @classmethod
     def _from_amplitudes(cls, amps: np.ndarray, eigenvalues: Sequence[float], *,
@@ -266,8 +281,8 @@ class ObservableDecomposition:
         if not signed_zeros:
             stack += 0.0
         stack.setflags(write=False)
-        return cls._validated(tuple(Branch(e, Projector._validated(m, 1))
-                                    for e, m in zip(labels, stack)), stack)
+        return cls._validated(tuple([Branch(e, Projector._validated(m, 1))
+                                     for e, m in zip(labels, stack)]), stack)
 
     @classmethod
     def _validated(cls, branches: tuple[Branch, ...],
@@ -288,6 +303,12 @@ _INCOMPLETE = "branch projectors do not sum to the identity"
 
 def _overlapping(i: int, j: int) -> str:
     return f"branch projectors {i} and {j} are not orthogonal"
+
+
+def _labels(eigenvalues: Sequence[float] | None, n: int) -> list[float]:
+    if eigenvalues is not None and len(eigenvalues) != n:
+        raise ValidationError(f"{len(eigenvalues)} eigenvalue labels for {n} branches")
+    return [float(e) for e in (range(n) if eigenvalues is None else eigenvalues)]
 
 
 def _check_labels(labels: list[float]):
@@ -345,7 +366,7 @@ def orthonormalize(vectors: Sequence[np.ndarray], *, tol: float = SPAN_TOL) -> l
         for _ in range(2):
             for q in basis:
                 w = w - q * np.vdot(q, w)
-            norm = float(np.linalg.norm(w))
+            norm = _norm(w)
             if norm <= tol or 2.0 * norm * norm >= input_sq:
                 break
         if norm <= tol:
@@ -383,12 +404,11 @@ def complete_basis(vectors: Sequence[np.ndarray], dim: int) -> list[np.ndarray]:
     for k in range(dim):
         if len(basis) == dim:
             break
-        candidate = np.zeros(dim, dtype=np.complex128)
-        candidate[k] = 1.0
-        w = candidate
+        w = np.zeros(dim, dtype=np.complex128)
+        w[k] = 1.0
         for q in basis:
             w = w - q * np.vdot(q, w)
-        norm = float(np.linalg.norm(w))
+        norm = _norm(w)
         if norm > SPAN_TOL:
             basis.append(w / norm)
     if len(basis) != dim:

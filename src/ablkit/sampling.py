@@ -104,4 +104,4 @@ def random_basis(rng: np.random.Generator, dim: int) -> list[Ket]:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     q = q * (d / np.abs(d))
-    return [Ket(q[:, j]) for j in range(dim)]
+    return [Ket._validated(row) for row in q.T.copy()]

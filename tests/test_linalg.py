@@ -15,6 +15,7 @@ from ablkit.linalg import (
     projector_from_kets,
     trace_product,
 )
+from ablkit.linalg import _norm
 
 
 def unit(dim, k):
@@ -269,8 +270,7 @@ def test_basis_containing_puts_ket_first():
 
 def _branchwise(kets, eigenvalues):
     # The reference path: validate each rank-1 branch, then the decomposition.
-    return ObservableDecomposition(
-        tuple(Branch(e, k.projector()) for e, k in zip(eigenvalues, kets)))
+    return ObservableDecomposition.from_projectors([k.projector() for k in kets], eigenvalues)
 
 
 @pytest.mark.parametrize("kets, eigenvalues, error, message", [
@@ -285,14 +285,38 @@ def _branchwise(kets, eigenvalues):
     # completeness residue 5e-10 exceeds ALG_TOL * d = 2e-10
     ([Ket(np.array([np.sqrt(1 + 5e-10), 0.0])), unit(2, 1)], [0.0, 1.0],
      ValidationError, "sum to the identity"),
+    # the counts are checked before anything else: zip would drop the extras
+    ([unit(2, 0), unit(2, 1)], [1.0, 2.0, 3.0], ValidationError,
+     "3 eigenvalue labels for 2 branches"),
+    ([unit(2, 0), unit(2, 1)], [1.0], ValidationError, "1 eigenvalue labels for 2 branches"),
+    ([unit(2, 0), unit(3, 1)], [1.0], ValidationError, "1 eigenvalue labels for 2 branches"),
 ], ids=["non-orthogonal", "nearly-orthogonal", "incomplete", "mixed-dimension",
-        "repeated-labels", "norm-off-by-5e-10"])
+        "repeated-labels", "norm-off-by-5e-10", "extra-label", "missing-label",
+        "missing-label-mixed-dimension"])
 def test_from_eigenbasis_rejects_like_branch_constructor(kets, eigenvalues, error, message):
     with pytest.raises(error, match=message) as branchwise:
         _branchwise(kets, eigenvalues)
     with pytest.raises(error, match=message) as stacked:
         ObservableDecomposition.from_eigenbasis(kets, eigenvalues)
     assert str(stacked.value) == str(branchwise.value)
+
+
+def test_norm_equals_numpy_norm_bit_for_bit():
+    # contiguous, strided and reversed views, over twelve decades of scale;
+    # np.linalg.norm sums a reversed view in memory order
+    rng = np.random.default_rng(23)
+    for dim in range(1, 65):
+        for _ in range(20):
+            raw = rng.standard_normal(3 * dim) + 1j * rng.standard_normal(3 * dim)
+            raw *= 10.0 ** rng.integers(-6, 7)
+            for v in (raw[:dim], raw[::3], raw[dim - 1::-1]):
+                assert _norm(v) == float(np.linalg.norm(v))
+
+
+def test_norm_overflows_like_numpy_norm():
+    v = np.array([1e200, 1e200j, 3.0])
+    with np.errstate(over="ignore"):
+        assert _norm(v) == float(np.linalg.norm(v)) == np.inf
 
 
 def test_ket_projector_in_the_norm_band():

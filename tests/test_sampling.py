@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ablkit.errors import ValidationError
-from ablkit.linalg import ObservableDecomposition
+from ablkit.linalg import Ket, ObservableDecomposition
 from ablkit.sampling import random_basis, random_ket, substream, substream_uniforms
 
 
@@ -84,6 +84,20 @@ def test_random_basis_is_orthonormal_and_complete():
         # constructing the decomposition re-validates orthogonality and
         # completeness
         ObservableDecomposition.from_eigenbasis(kets)
+
+
+def test_random_basis_kets_are_read_only_unitary_columns():
+    # each ket holds, read-only, the bits of the phase-fixed QR column
+    for dim in (1, 2, 5, 8):
+        kets = random_basis(substream(3, dim), dim)
+        rng = substream(3, dim)
+        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        q, r = np.linalg.qr(z)
+        q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        for j, ket in enumerate(kets):
+            assert ket.amplitudes.tobytes() == Ket(q[:, j]).amplitudes.tobytes()
+            with pytest.raises(ValueError):
+                ket.amplitudes[0] = 0.0
 
 
 def test_random_basis_first_moment_is_unbiased():
