@@ -55,7 +55,10 @@ def _fmt(x: float) -> str:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:  # argparse would name this function in its message
+        value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
     return value
@@ -314,6 +317,61 @@ def cmd_scenario_validate(args) -> int:
     return 0
 
 
+def _abl_args(parser: _Parser):
+    _add_scenario_args(parser)
+    parser.add_argument("--json", action="store_true")
+    parser.set_defaults(func=cmd_abl)
+
+
+def _consistency_args(parser: _Parser):
+    _add_scenario_args(parser)
+    parser.add_argument("--criterion", choices=("medium", "weak"), default="medium")
+    parser.add_argument("--tolerance", type=float, default=None,
+                        help=f"violation tolerance (default {CONSISTENCY_TOL:g})")
+    parser.add_argument("--coarse-grainings", action="store_true",
+                        help="also report every coarse-graining of the observable")
+    parser.add_argument("--json", action="store_true")
+    parser.set_defaults(func=cmd_consistency)
+
+
+def _simulate_args(parser: _Parser):
+    _add_scenario_args(parser)
+    parser.add_argument("--no-intermediate", action="store_true",
+                        help="skip the intermediate measurement entirely")
+    parser.add_argument("--trials", type=_positive_int, default=200000)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--workers", type=_positive_int, default=1)
+    parser.add_argument("--json", action="store_true")
+    parser.set_defaults(func=cmd_simulate)
+
+
+def _counterexample_args(parser: _Parser):
+    parser.add_argument("--dim", type=int, choices=range(2, 7), default=2)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--gap-min", type=float, default=DEFAULT_GAP_MIN)
+    parser.add_argument("--max-tries", type=_positive_int, default=1000)
+    parser.add_argument("--json", action="store_true")
+    parser.set_defaults(func=cmd_counterexample)
+
+
+def _scenario_args(parser: _Parser):
+    sub = parser.add_subparsers(dest="scenario_command", required=True, parser_class=_Parser)
+    p_val = sub.add_parser("validate", help="parse a scenario file and emit its canonical form")
+    p_val.add_argument("path")
+    p_val.add_argument("--json", action="store_true")
+    p_val.set_defaults(func=cmd_scenario_validate)
+
+
+#: Each subcommand's help line and the function that adds its arguments.
+_COMMANDS = {
+    "abl": ("ABL conditional outcome probabilities", _abl_args),
+    "consistency": ("decoherence-functional consistency check", _consistency_args),
+    "simulate": ("Monte Carlo estimate of the same probabilities", _simulate_args),
+    "counterexample": ("search for a counterfactual-use counterexample", _counterexample_args),
+    "scenario": ("scenario file utilities", _scenario_args),
+}
+
+
 def build_parser(commands: Container[str] | None = None) -> _Parser:
     """The ``ablkit`` argument parser.
 
@@ -326,66 +384,24 @@ def build_parser(commands: Container[str] | None = None) -> _Parser:
     parser = _Parser(prog="ablkit",
                      description="probabilities for pre- and postselected quantum systems")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def wanted(name: str) -> bool:
-        return commands is None or name in commands
-
-    p_abl = sub.add_parser("abl", help="ABL conditional outcome probabilities")
-    if wanted("abl"):
-        _add_scenario_args(p_abl)
-        p_abl.add_argument("--json", action="store_true")
-        p_abl.set_defaults(func=cmd_abl)
-
-    p_con = sub.add_parser("consistency", help="decoherence-functional consistency check")
-    if wanted("consistency"):
-        _add_scenario_args(p_con)
-        p_con.add_argument("--criterion", choices=("medium", "weak"), default="medium")
-        p_con.add_argument("--tolerance", type=float, default=None,
-                           help=f"violation tolerance (default {CONSISTENCY_TOL:g})")
-        p_con.add_argument("--coarse-grainings", action="store_true",
-                           help="also report every coarse-graining of the observable")
-        p_con.add_argument("--json", action="store_true")
-        p_con.set_defaults(func=cmd_consistency)
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo estimate of the same probabilities")
-    if wanted("simulate"):
-        _add_scenario_args(p_sim)
-        p_sim.add_argument("--no-intermediate", action="store_true",
-                           help="skip the intermediate measurement entirely")
-        p_sim.add_argument("--trials", type=_positive_int, default=200000)
-        p_sim.add_argument("--seed", type=int, default=0)
-        p_sim.add_argument("--workers", type=_positive_int, default=1)
-        p_sim.add_argument("--json", action="store_true")
-        p_sim.set_defaults(func=cmd_simulate)
-
-    p_cex = sub.add_parser("counterexample",
-                           help="search for a counterfactual-use counterexample")
-    if wanted("counterexample"):
-        p_cex.add_argument("--dim", type=int, choices=range(2, 7), default=2)
-        p_cex.add_argument("--seed", type=int, default=0)
-        p_cex.add_argument("--gap-min", type=float, default=DEFAULT_GAP_MIN)
-        p_cex.add_argument("--max-tries", type=_positive_int, default=1000)
-        p_cex.add_argument("--json", action="store_true")
-        p_cex.set_defaults(func=cmd_counterexample)
-
-    p_scen = sub.add_parser("scenario", help="scenario file utilities")
-    if wanted("scenario"):
-        scen_sub = p_scen.add_subparsers(dest="scenario_command", required=True,
-                                         parser_class=_Parser)
-        p_val = scen_sub.add_parser("validate",
-                                    help="parse a scenario file and emit its canonical form")
-        p_val.add_argument("path")
-        p_val.add_argument("--json", action="store_true")
-        p_val.set_defaults(func=cmd_scenario_validate)
-
+    for name, (help_line, add_args) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        if commands is None or name in commands:
+            add_args(command)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # A parser with only the subcommands the arguments name; see build_parser.
-    parser = build_parser(set(argv))
     try:
+        if argv and argv[0] in _COMMANDS:
+            # The root parser would hand argv[1:] to this parser; build it alone.
+            parser = _Parser(prog=f"ablkit {argv[0]}")
+            _COMMANDS[argv[0]][1](parser)
+            argv = argv[1:]
+        else:
+            # Only the subcommands the arguments name; see build_parser.
+            parser = build_parser(set(argv))
         args = parser.parse_args(argv)
         return args.func(args)
     except _UsageError as err:

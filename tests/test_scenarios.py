@@ -5,7 +5,7 @@ import pytest
 
 from ablkit.abl import abl_distribution, born_distribution
 from ablkit.errors import ValidationError
-from ablkit.linalg import Ket, basis_containing
+from ablkit.linalg import Ket, ObservableDecomposition, Projector, basis_containing
 from ablkit.scenarios import BUILTIN_NAMES, Scenario, builtin, spin, three_box
 
 
@@ -117,3 +117,14 @@ def test_bad_builtin_names_raise_validation_error(name):
     # a ValueError subclass, and an AblkitError the CLI maps to exit 1
     with pytest.raises(ValidationError):
         builtin(name)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("spin:0.7",))
+def test_builtin_observables_pass_the_validating_constructors(name):
+    # Builtins skip the checks for matrices that are projectors by
+    # construction; the checks must still accept them unchanged.
+    for key, obs in builtin(name).observables.items():
+        checked = ObservableDecomposition.from_projectors(
+            [Projector(m) for m in obs.stack], obs.eigenvalues)
+        assert [p.rank for _, p in checked] == [p.rank for _, p in obs], key
+        assert checked.stack.tobytes() == obs.stack.tobytes(), key
