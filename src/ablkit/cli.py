@@ -5,7 +5,7 @@ Subcommands: ``abl``, ``consistency``, ``simulate``, ``counterexample``, and
 errors, 2 for domain errors (impossible postselection, no postselected
 trials, no counterexample found).  Numbers print with 12 significant
 digits; ``--json`` emits a machine-readable report whose floats round-trip
-exactly.
+exactly; JSON has no infinity, so an infinite ``z`` or tolerance is ``null``.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def _pick_observable(scenario: Scenario, args):
 
 
 def _print_json(payload: dict):
-    print(json.dumps(payload, sort_keys=True))
+    print(json.dumps(payload, sort_keys=True, allow_nan=False))
 
 
 def cmd_abl(args) -> int:
@@ -144,7 +144,7 @@ def cmd_consistency(args) -> int:
         "dim": scenario.dim,
         "observable": name,
         "criterion": report.criterion,
-        "tolerance": tol,
+        "tolerance": tol if math.isfinite(tol) else None,
         "consistent": report.consistent,
         "max_violation": report.max_violation,
         "decoherence": [[[z.real, z.imag] for z in row] for row in report.matrix],
@@ -238,6 +238,8 @@ def cmd_simulate(args) -> int:
             for i in range(len(observable))
         ]
     if args.json:
+        for entry in (payload["final_probability"], *payload.get("branches", ())):
+            entry["z"] = entry["z"] if math.isfinite(entry["z"]) else None
         _print_json(payload)
         return 0
     print(f"scenario: {scenario.name} (dim {scenario.dim})")
@@ -259,7 +261,7 @@ def cmd_simulate(args) -> int:
 def _z_score(diff: float, stderr: float) -> float:
     if stderr > 0.0:
         return diff / stderr
-    return 0.0 if abs(diff) <= 1e-12 else math.inf
+    return 0.0 if abs(diff) <= 1e-12 else math.copysign(math.inf, diff)
 
 
 def cmd_counterexample(args) -> int:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .abl import PrePostContext
 from .errors import TooManyBranchesError, ValidationError, DimensionMismatchError
-from .linalg import Branch, ObservableDecomposition, Projector
+from .linalg import ObservableDecomposition, Projector
 
 #: Default tolerance for consistency verdicts and the disturbance identity.
 CONSISTENCY_TOL = 1e-9
@@ -197,19 +197,17 @@ def enumerate_coarse_grainings(base: ObservableDecomposition) -> list[Observable
     so results are deterministic.  The k-th result is the coarse-graining of
     the k-th partition ``_set_partitions(len(base))`` returns, with its
     branches in the order of that partition's blocks.  Each distinct block
-    (``2**n - 1`` of them) is summed once, in ascending branch order, and the
-    partitions share those projectors.  Nothing is validated again: a
-    coarse-graining of a validated resolution of the identity is one, with
-    residues at most ``|I|*|J|`` times the base's for blocks ``I`` and ``J``.
-    Refuses more than :data:`MAX_ENUMERATED_BRANCHES` branches.
+    (``2**n - 1`` of them) is summed once, in ascending branch order, and
+    each partition's stack is gathered from those sums.  Nothing is validated
+    again: a coarse-graining of a validated resolution of the identity is
+    one, with residues at most ``|I|*|J|`` times the base's for blocks ``I``
+    and ``J``.  Refuses more than :data:`MAX_ENUMERATED_BRANCHES` branches.
     """
     partitions, slots, sums = _coarse_blocks(base)
-    ranks = [p.rank for _, p in base]
-    projectors = {block: Projector._validated(sums[k], sum(ranks[i] for i in block))
-                  for block, k in slots.items() if block}
+    ranks = {block: sum(base.ranks[i] for i in block) for block in slots}
     return [ObservableDecomposition._validated(
-                tuple(Branch(float(k), projectors[block]) for k, block in enumerate(blocks)),
-                sums[[slots[block] for block in blocks]])
+                sums[[slots[block] for block in blocks]],
+                [float(k) for k in range(len(blocks))], [ranks[block] for block in blocks])
             for blocks in partitions]
 
 

@@ -171,32 +171,33 @@ class Branch(NamedTuple):
     projector: Projector
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ObservableDecomposition:
     """A projective decomposition of an observable.
 
-    An ordered tuple of ``(eigenvalue, projector)`` branches with pairwise
-    distinct eigenvalue labels, mutually orthogonal projectors, and
-    completeness: the branch projectors sum to the identity.  ``stack`` holds
-    the branch matrices as one read-only ``(n, d, d)`` array, the form every
-    probability kernel works on.  A basis built from kets
-    (:meth:`from_eigenbasis`, :func:`basis_containing`) is validated from its
-    amplitudes, with the same checks and errors.
+    Built from ``(eigenvalue, projector)`` branches with pairwise distinct
+    eigenvalue labels, mutually orthogonal projectors, and completeness: the
+    branch projectors sum to the identity.  It holds the labels, the ranks
+    and ``stack``, the branch matrices as one read-only ``(n, d, d)`` array
+    that every probability kernel works on; :attr:`branches`, iteration and
+    :meth:`projector` give views of it.  A basis of kets is validated from
+    its amplitudes (:meth:`from_eigenbasis`), with the same checks and errors.
     """
 
-    branches: tuple[Branch, ...]
-    stack: np.ndarray = field(init=False, repr=False)
+    eigenvalues: tuple[float, ...]
+    ranks: tuple[int, ...]
+    stack: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        branches = tuple(Branch(float(e), p) for e, p in self.branches)
+    def __init__(self, branches: Sequence[tuple[float, Projector]]):
+        branches = [(float(e), p) for e, p in branches]
         if not branches:
             raise ValidationError("a decomposition needs at least one branch")
-        dim = branches[0].projector.dim
-        for _, proj in branches:
-            if proj.dim != dim:
-                raise DimensionMismatchError("branch projectors differ in dimension")
-        _check_labels([e for e, _ in branches])
+        if len({p.dim for _, p in branches}) != 1:
+            raise DimensionMismatchError("branch projectors differ in dimension")
+        labels = [e for e, _ in branches]
+        _check_labels(labels)
         stack = np.array([p.matrix for _, p in branches])
+        dim = stack.shape[1]
         if _max_abs(stack.sum(axis=0) - np.eye(dim)) > ALG_TOL * dim:
             raise ValidationError(_INCOMPLETE)
         # P_i against every later branch in one product per row, which keeps
@@ -207,34 +208,36 @@ class ObservableDecomposition:
                 j = i + 1 + int(np.argmax(overlaps.max(axis=(1, 2)) > ALG_TOL))
                 raise ValidationError(_overlapping(i, j))
         stack.setflags(write=False)
-        object.__setattr__(self, "branches", branches)
-        object.__setattr__(self, "stack", stack)
+        # As in _validated.
+        self.__dict__.update(eigenvalues=tuple(labels), ranks=tuple(p.rank for _, p in branches),
+                             stack=stack)
 
     @property
     def dim(self) -> int:
         return self.stack.shape[1]
 
     def __len__(self) -> int:
-        return len(self.branches)
+        return len(self.eigenvalues)
 
     def __iter__(self):
         return iter(self.branches)
 
     @property
-    def eigenvalues(self) -> tuple[float, ...]:
-        return tuple(e for e, _ in self.branches)
+    def branches(self) -> tuple[Branch, ...]:
+        return tuple(Branch(e, Projector._validated(m, r))
+                     for e, m, r in zip(self.eigenvalues, self.stack, self.ranks))
 
     def projector(self, branch: int) -> Projector:
-        return self.branches[branch].projector
+        return Projector._validated(self.stack[branch], self.ranks[branch])
 
     def matrix(self, branch: int) -> np.ndarray:
-        return self.branches[branch].projector.matrix
+        return self.stack[branch]
 
     @classmethod
     def from_projectors(cls, projectors: Sequence[Projector],
                         eigenvalues: Sequence[float] | None = None) -> "ObservableDecomposition":
         labels = _labels(eigenvalues, len(projectors))
-        return cls(tuple(Branch(e, p) for e, p in zip(labels, projectors)))
+        return cls(list(zip(labels, projectors)))
 
     @classmethod
     def from_eigenbasis(cls, kets: Sequence[Ket],
@@ -248,7 +251,7 @@ class ObservableDecomposition:
         labels = _labels(eigenvalues, len(kets))
         if not kets or len({k.dim for k in kets}) != 1:
             # Empty or mixed-dimension input: the constructor reports it.
-            return cls(tuple(Branch(e, k.projector()) for e, k in zip(labels, kets)))
+            return cls([(e, k.projector()) for e, k in zip(labels, kets)])
         return cls._from_amplitudes(np.array([k.amplitudes for k in kets]), labels)
 
     @classmethod
@@ -280,21 +283,19 @@ class ObservableDecomposition:
         stack = amps[:, :, None] * conj[:, None, :]
         if not signed_zeros:
             stack += 0.0
-        stack.setflags(write=False)
-        return cls._validated(tuple([Branch(e, Projector._validated(m, 1))
-                                     for e, m in zip(labels, stack)]), stack)
+        return cls._validated(stack, labels, (1,) * n)
 
     @classmethod
-    def _validated(cls, branches: tuple[Branch, ...],
-                   stack: np.ndarray) -> "ObservableDecomposition":
+    def _validated(cls, stack: np.ndarray, eigenvalues: Sequence[float],
+                   ranks: Sequence[int]) -> "ObservableDecomposition":
         # Mirrors Projector._validated for a decomposition that is one by
         # construction (a checked basis of kets, a coarse-graining of a
-        # validated decomposition); ``stack`` holds the branch matrices in
-        # order.
+        # validated decomposition): branch i is ``stack[i]``, labeled
+        # ``eigenvalues[i]`` (floats), of rank ``ranks[i]``.  One dict update
+        # sets the three fields past the frozen __setattr__.
         stack.setflags(write=False)
         obs = object.__new__(cls)
-        object.__setattr__(obs, "branches", branches)
-        object.__setattr__(obs, "stack", stack)
+        obs.__dict__.update(eigenvalues=tuple(eigenvalues), ranks=tuple(ranks), stack=stack)
         return obs
 
 

@@ -51,7 +51,7 @@ import numpy as np
 from .abl import PrePostContext
 from .counterfactual import Counterexample
 from .errors import AblkitError, ScenarioParseError, ValidationError
-from .linalg import Branch, Ket, ObservableDecomposition, Projector, projector_from_kets
+from .linalg import Ket, ObservableDecomposition, Projector, projector_from_kets
 from .scenarios import Scenario
 
 _TOP_KEYS = {"dim", "name", "description", "preselection", "postselection",
@@ -189,10 +189,9 @@ def _observable(branches: list[tuple[float, Projector | np.ndarray]]) -> Observa
     if branches and all(isinstance(p, np.ndarray) for _, p in branches):
         return ObservableDecomposition._from_amplitudes(
             np.array([q for _, q in branches]), eigenvalues, signed_zeros=False)
-    return ObservableDecomposition(tuple(
-        Branch(e, Projector._validated(np.outer(p, p.conj()) + 0.0, 1)
-               if isinstance(p, np.ndarray) else p)
-        for e, p in branches))
+    return ObservableDecomposition([
+        (e, Projector._validated(np.outer(p, p.conj()) + 0.0, 1) if isinstance(p, np.ndarray) else p)
+        for e, p in branches])
 
 
 def parse_scenario(text: str, *, fallback_name: str = "scenario") -> Scenario:
@@ -275,8 +274,8 @@ def _tree(scenario: Scenario, leaf: Callable[[np.ndarray], Any]) -> dict[str, An
     observables = {}
     for name, obs in scenario.observables.items():
         observables[name] = [
-            {"eigenvalue": eigenvalue, "matrix": leaf(_pairs(projector.matrix))}
-            for eigenvalue, projector in obs
+            {"eigenvalue": eigenvalue, "matrix": leaf(_pairs(m))}
+            for eigenvalue, m in zip(obs.eigenvalues, obs.stack)
         ]
     return {
         "dim": scenario.dim,
@@ -349,10 +348,9 @@ def dump_scenario(scenario: Scenario) -> str:
     return "".join(out)
 
 
-def _ket_from_rank1(projector: Projector) -> Ket:
-    # Largest column of |v><v| is v (up to phase); fix the phase by making
-    # the largest amplitude real positive.
-    m = projector.matrix
+def _ket_from_rank1(m: np.ndarray) -> Ket:
+    # Largest column of the rank-1 projector |v><v| is v (up to phase); fix
+    # the phase by making the largest amplitude real positive.
     col = m[:, int(np.argmax(np.linalg.norm(m, axis=0)))]
     v = col / np.linalg.norm(col)
     lead = v[int(np.argmax(np.abs(v)))]
@@ -363,7 +361,7 @@ def counterexample_scenario(example: Counterexample) -> Scenario:
     """Package a counterexample as a scenario: its state and the first
     final-basis direction become the selections, with the questioned
     observable as ``C`` and the final basis as ``B``."""
-    context = PrePostContext(example.preselection, _ket_from_rank1(example.final_basis.projector(0)))
+    context = PrePostContext(example.preselection, _ket_from_rank1(example.final_basis.matrix(0)))
     return Scenario(
         name="counterexample",
         description=(f"counterfactual gap {example.report.ss_gap:.6g} "

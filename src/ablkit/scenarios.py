@@ -39,7 +39,7 @@ import numpy as np
 
 from .abl import PrePostContext
 from .errors import ValidationError
-from .linalg import Branch, Ket, ObservableDecomposition, Projector, basis_containing
+from .linalg import Ket, ObservableDecomposition, basis_containing
 # projector_from_kets is unused here; bench/workloads.py's tracer rebinds this name.
 from .linalg import projector_from_kets  # noqa: F401
 
@@ -81,9 +81,8 @@ def _unit(dim: int, k: int) -> Ket:
 def _boxes(*groups: tuple[int, ...]) -> ObservableDecomposition:
     # 0/1 projectors onto groups that partition the boxes: valid by construction.
     stack = np.array([np.diag([float(k in g) for k in range(3)]) for g in groups], np.complex128)
-    return ObservableDecomposition._validated(tuple(
-        Branch(i + 1.0, Projector._validated(m, len(g)))
-        for i, (m, g) in enumerate(zip(stack, groups))), stack)
+    return ObservableDecomposition._validated(
+        stack, [i + 1.0 for i in range(len(groups))], [len(g) for g in groups])
 
 
 def three_box() -> Scenario:

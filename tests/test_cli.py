@@ -275,6 +275,36 @@ def test_simulate_human_output(capsys):
     assert "born 0.75" in out
 
 
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_simulate_zero_stderr_z_keeps_its_sign_and_json_writes_null(capsys):
+    # 20 trials at spin:0.3 postselect 18, all on branch 0: both branches
+    # have stderr 0, branch 0 above its ABL value and branch 1 below.
+    args = ("simulate", "--builtin", "spin:0.3", "--trials", "20", "--seed", "1")
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert [line.rsplit(" z ", 1)[1] for line in out.splitlines()
+            if line.startswith("branch")] == ["inf", "-inf"]
+    code, out, _ = run(capsys, *args, "--json")
+    assert code == 0
+    payload = _strict_json(out)
+    assert [(b["stderr"], b["z"]) for b in payload["branches"]] == [(0.0, None), (0.0, None)]
+    assert math.isfinite(payload["final_probability"]["z"])
+
+
+def test_consistency_json_writes_an_infinite_tolerance_as_null(capsys):
+    code, out, _ = run(capsys, "consistency", "--builtin", "three-box", "--tolerance", "inf",
+                       "--json")
+    assert code == 0
+    payload = _strict_json(out)
+    assert payload["tolerance"] is None
+    assert payload["consistent"] is True
+
+
 def test_counterexample_json_replays(capsys):
     payload = run_json(capsys, "counterexample", "--dim", "2", "--seed", "7",
                        "--gap-min", "0.05", "--json")

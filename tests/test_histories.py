@@ -345,13 +345,6 @@ def test_enumerate_matches_per_partition_loop_bit_for_bit(base):
         assert g.eigenvalues == w.eigenvalues
 
 
-def test_enumerate_shares_one_projector_per_distinct_block():
-    base = mixed_rank_decomposition(7, [1, 2, 1, 1])
-    grainings = enumerate_coarse_grainings(base)
-    projectors = {id(p) for g in grainings for _, p in g}
-    assert len(projectors) == 2 ** len(base) - 1
-
-
 def test_enumerate_accepts_a_basis_within_tolerance():
     # the branches overlap by sin(1.5e-10), which the base accepts; their sum
     # is idempotent only to 1.5e-10, within |I|*|J| times the base's residues

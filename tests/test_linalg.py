@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ablkit.errors import DegenerateSpanError, DimensionMismatchError, ValidationError
+from ablkit.histories import enumerate_coarse_grainings
 from ablkit.linalg import (
     Branch,
     Ket,
@@ -16,6 +19,8 @@ from ablkit.linalg import (
     trace_product,
 )
 from ablkit.linalg import _norm
+
+from conftest import mixed_rank_decomposition
 
 
 def unit(dim, k):
@@ -355,6 +360,42 @@ def test_decomposition_stack_is_read_only():
         obs.stack[0, 0, 0] = 0.0
     with pytest.raises(ValueError):
         obs.matrix(0)[0, 0] = 0.0
+
+
+def _one_stack_case(case):
+    # (observable, its branch ranks)
+    mixed = mixed_rank_decomposition(5, [2, 1, 3])
+    if case == "constructor":
+        return mixed, (2, 1, 3)
+    if case == "coarse-graining":  # blocks {0} and {1, 2}
+        return enumerate_coarse_grainings(mixed)[3], (2, 4)
+    if case == "from_eigenbasis":
+        kets = [Ket.normalized([1, 1j, 0]), Ket.normalized([1, -1j, 0]), unit(3, 2)]
+        return ObservableDecomposition.from_eigenbasis(kets, [2.0, -1.0, 0.5]), (1, 1, 1)
+    return basis_containing(A), (1, 1, 1)
+
+
+@pytest.mark.parametrize("case", ["constructor", "from_eigenbasis", "basis_containing",
+                                  "coarse-graining"])
+def test_branches_are_views_of_the_one_stack(case):
+    obs, ranks = _one_stack_case(case)
+    n = len(obs)
+    assert obs.stack.shape == (n, obs.dim, obs.dim)
+    for i in range(n):
+        m = obs.projector(i).matrix
+        assert np.shares_memory(m, obs.stack[i])
+        np.testing.assert_array_equal(m, obs.stack[i])
+        assert not m.flags.writeable
+    assert obs.ranks == ranks and len(obs.eigenvalues) == n
+    assert [p.rank for _, p in obs] == list(obs.ranks)
+    for (e, p), (e2, p2) in zip(obs, obs.branches, strict=True):
+        assert isinstance(p, Projector)
+        assert e == e2 and np.shares_memory(p.matrix, p2.matrix)
+    for attr in ("eigenvalues", "ranks", "stack", "branches", "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obs, attr, None)
+    with pytest.raises(IndexError):
+        obs.projector(n)
 
 
 # --- rank-1 bases checked from their amplitudes ------------------------------

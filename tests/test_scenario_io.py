@@ -564,13 +564,15 @@ _FLOATS = st.one_of(st.sampled_from(_SPECIAL),
 
 def _with_arrays(dim, vector, matrix):
     # A dim-``dim`` scenario whose preselection amplitudes (a (dim, 2) float
-    # view) and first branch matrix (dim, dim, 2) are replaced behind the
-    # validation by the given floats.
+    # view) and first branch matrix (dim, dim, 2), in the observable's
+    # stack, are replaced behind the validation by the given floats.
     scenario = _random_scenario(7, [1] * dim, list(range(dim)), "arrays", "")
     object.__setattr__(scenario.context.preselection, "amplitudes",
                        np.array(vector, dtype=np.float64).view(np.complex128))
-    object.__setattr__(scenario.observables["O"].projector(0), "matrix",
-                       np.array(matrix, dtype=np.float64).view(np.complex128).reshape(dim, dim))
+    observable = scenario.observables["O"]
+    stack = observable.stack.copy()
+    stack[0] = np.array(matrix, dtype=np.float64).view(np.complex128).reshape(dim, dim)
+    object.__setattr__(observable, "stack", stack)
     return scenario
 
 
