@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from collections.abc import Container
 
 from .abl import DIV_TOL, abl_distribution, born_distribution, disturbed_final_probability
 from .counterfactual import DEFAULT_GAP_MIN, find_counterexample
@@ -87,7 +86,7 @@ def _load(args) -> tuple[Scenario, str]:
 
 
 def _pick_observable(scenario: Scenario, args):
-    name = args.observable or scenario.default_observable
+    name = scenario.default_observable if args.observable is None else args.observable
     if name not in scenario.observables:
         raise _UsageError(f"unknown observable {name!r}; "
                           f"scenario defines {', '.join(sorted(scenario.observables))}")
@@ -374,22 +373,13 @@ _COMMANDS = {
 }
 
 
-def build_parser(commands: Container[str] | None = None) -> _Parser:
-    """The ``ablkit`` argument parser.
-
-    Every subcommand is listed with its help line, but only those in
-    ``commands`` (all of them when it is None) get their arguments.  That is
-    enough to parse any argument list naming the others nowhere: argparse
-    hands the arguments to the subcommand whose name equals one of them,
-    and shows of the rest only their names and help lines.
-    """
+def build_parser() -> _Parser:
+    """The ``ablkit`` argument parser, with every subcommand."""
     parser = _Parser(prog="ablkit",
                      description="probabilities for pre- and postselected quantum systems")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, (help_line, add_args) in _COMMANDS.items():
-        command = sub.add_parser(name, help=help_line)
-        if commands is None or name in commands:
-            add_args(command)
+        add_args(sub.add_parser(name, help=help_line))
     return parser
 
 
@@ -402,8 +392,7 @@ def main(argv=None) -> int:
             _COMMANDS[argv[0]][1](parser)
             argv = argv[1:]
         else:
-            # Only the subcommands the arguments name; see build_parser.
-            parser = build_parser(set(argv))
+            parser = build_parser()
         args = parser.parse_args(argv)
         return args.func(args)
     except _UsageError as err:

@@ -63,18 +63,14 @@ class Counterexample:
     tries: int
 
 
-def _check_inputs(a: Ket, final_basis: ObservableDecomposition,
-                  observable: ObservableDecomposition, branch: int):
+def _joint_table(a: Ket, final_basis: ObservableDecomposition,
+                 observable: ObservableDecomposition, branch: int) -> np.ndarray:
     if not (a.dim == final_basis.dim == observable.dim):
         raise DimensionMismatchError(
             f"dimensions differ: state {a.dim}, final basis {final_basis.dim}, "
             f"observable {observable.dim}")
     if not 0 <= branch < len(observable):
         raise IndexError(f"branch {branch} out of range for {len(observable)} branches")
-
-
-def _joint_table(a: Ket, final_basis: ObservableDecomposition,
-                 observable: ObservableDecomposition) -> np.ndarray:
     # joints[l, j] = Tr(F_l P_j P_a P_j) = ||F_l P_j a||^2 for final-basis
     # branches F_l of any rank.
     w = (observable.stack @ a.amplitudes) @ final_basis.stack.swapaxes(1, 2)
@@ -110,8 +106,7 @@ def sharp_shanks_total(a: Ket, final_basis: ObservableDecomposition,
     whose ABL denominator vanishes leaves the average undefined and raises
     :class:`UndefinedTermError`.
     """
-    _check_inputs(a, final_basis, observable, branch)
-    joints = _joint_table(a, final_basis, observable)
+    joints = _joint_table(a, final_basis, observable, branch)
     return _sharp_shanks(joints, joints.sum(axis=1), born_distribution(a, final_basis), branch)
 
 
@@ -120,8 +115,7 @@ def vaidman_total(a: Ket, final_basis: ObservableDecomposition,
     """Same average, but weighted by the final-outcome probabilities that
     obtain when the intermediate observable really is measured.  Equals the
     Born probability of ``branch`` up to rounding."""
-    _check_inputs(a, final_basis, observable, branch)
-    joints = _joint_table(a, final_basis, observable)
+    joints = _joint_table(a, final_basis, observable, branch)
     return _vaidman(joints, joints.sum(axis=1), branch)
 
 
@@ -129,9 +123,8 @@ def mixing_report(a: Ket, final_basis: ObservableDecomposition,
                   observable: ObservableDecomposition, branch: int) -> MixingReport:
     """The Born, Sharp-Shanks and Vaidman totals of ``branch``, from one
     joint table."""
-    _check_inputs(a, final_basis, observable, branch)
+    joints = _joint_table(a, final_basis, observable, branch)
     born_total = float(born_distribution(a, observable)[branch])
-    joints = _joint_table(a, final_basis, observable)
     denominators = joints.sum(axis=1)
     ss_total = _sharp_shanks(joints, denominators, born_distribution(a, final_basis), branch)
     vt = _vaidman(joints, denominators, branch)

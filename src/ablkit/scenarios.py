@@ -33,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -78,28 +78,25 @@ def _unit(dim: int, k: int) -> Ket:
     return Ket(v)
 
 
-def _boxes(*groups: tuple[int, ...]) -> ObservableDecomposition:
-    # 0/1 projectors onto groups that partition the boxes: valid by construction.
-    stack = np.array([np.diag([float(k in g) for k in range(3)]) for g in groups], np.complex128)
+def _groups(dim: int, labels: Sequence[float],
+            *groups: tuple[int, ...]) -> ObservableDecomposition:
+    # 0/1 projectors onto groups that partition the canonical basis: valid by construction.
+    stack = np.array([np.diag([float(k in g) for k in range(dim)]) for g in groups], np.complex128)
     return ObservableDecomposition._validated(
-        stack, [i + 1.0 for i in range(len(groups))], [len(g) for g in groups])
+        stack, [float(e) for e in labels], [len(g) for g in groups])
 
 
 def three_box() -> Scenario:
-    u1, u2, u3 = (_unit(3, k) for k in range(3))
     a = Ket.normalized([1, 1, 1])
     b = Ket.normalized([1, 1, -1])
-    boxes = ObservableDecomposition.from_eigenbasis([u1, u2, u3], eigenvalues=[1, 2, 3])
-    box1_vs_rest = _boxes((0,), (1, 2))
-    box2_vs_rest = _boxes((0, 2), (1,))
     return Scenario(
         name="three-box",
         description="ball in three boxes, found in box 1 or in box 2 depending on the grouping",
         context=PrePostContext(a, b),
         observables={
-            "C": boxes,
-            "Cprime": box1_vs_rest,
-            "Cdprime": box2_vs_rest,
+            "C": _groups(3, [1, 2, 3], (0,), (1,), (2,)),
+            "Cprime": _groups(3, [1, 2], (0,), (1, 2)),
+            "Cdprime": _groups(3, [1, 2], (0, 2), (1,)),
             "A": basis_containing(a),
             "B": basis_containing(b),
         },
@@ -110,7 +107,7 @@ def three_box() -> Scenario:
 def spin(theta: float) -> Scenario:
     plus_n = Ket([math.cos(theta / 2.0), math.sin(theta / 2.0)])
     minus_n = Ket([-math.sin(theta / 2.0), math.cos(theta / 2.0)])
-    up, down = _unit(2, 0), _unit(2, 1)
+    up = _unit(2, 0)
     plus_x = Ket.normalized([1, 1])
     minus_x = Ket.normalized([1, -1])
     return Scenario(
@@ -119,7 +116,7 @@ def spin(theta: float) -> Scenario:
         context=PrePostContext(up, up),
         observables={
             "Sn": ObservableDecomposition.from_eigenbasis([plus_n, minus_n], eigenvalues=[1, -1]),
-            "Sz": ObservableDecomposition.from_eigenbasis([up, down], eigenvalues=[1, -1]),
+            "Sz": _groups(2, [1, -1], (0,), (1,)),
             "Sx": ObservableDecomposition.from_eigenbasis([plus_x, minus_x], eigenvalues=[1, -1]),
         },
         default_observable="Sn",

@@ -240,4 +240,4 @@ def test_worker_determinism(capsys, mc_run):
                                                workers=5) == mc_run["p_without"]
     elapsed = time.perf_counter() - t0
     _report(capsys, "worker-determinism", same,
-            f"estimates bit-identical across 1-8 worker threads, {elapsed:.1f}s")
+            f"estimates bit-identical across 1-8 workers, {elapsed:.1f}s")

@@ -456,7 +456,12 @@ def test_simulate_trials_beyond_the_index_space_exit_1(capsys, monkeypatch):
     (("abl", "--builtin", "spin:inf"), "spin angle must be finite"),
     (("counterexample", "--gap-min", "-1"), "gap_min must be positive, got -1.0"),
     (("counterexample", "--gap-min", "nan"), "gap_min must be positive, got nan"),
-], ids=["spin-angle", "spin-inf", "gap-negative", "gap-nan"])
+    (("abl", "--builtin", "three-box", "--observable", ""),
+     "usage error: unknown observable ''; scenario defines A, B, C, Cdprime, Cprime\n"),
+    (("consistency", "--builtin", "three-box", "--observable", ""),
+     "usage error: unknown observable ''; scenario defines A, B, C, Cdprime, Cprime\n"),
+], ids=["spin-angle", "spin-inf", "gap-negative", "gap-nan", "abl-observable-empty",
+        "consistency-observable-empty"])
 def test_bad_user_values_exit_1(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
@@ -496,6 +501,26 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "abl", "--builtin", "three-box", "--scenario", "x.json")[0] == 1
 
 
+def test_an_observable_named_empty_can_be_selected(capsys, tmp_path):
+    z = [{"eigenvalue": 1, "kets": [[[1, 0], [0, 0]]]},
+         {"eigenvalue": -1, "kets": [[[0, 0], [1, 0]]]}]
+    x = [{"eigenvalue": 1, "kets": [[[_IRT, 0], [_IRT, 0]]]},
+         {"eigenvalue": -1, "kets": [[[_IRT, 0], [-_IRT, 0]]]}]
+    scenario = {
+        "dim": 2,
+        "preselection": [[1, 0], [0, 0]],
+        "postselection": [[_IRT, 0], [_IRT, 0]],
+        "observables": {"": z, "X": x},
+        "default_observable": "X",
+    }
+    path = tmp_path / "empty-name.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    code, out, err = run(capsys, "abl", "--scenario", str(path), "--observable", "")
+    assert (code, err) == (0, "")
+    assert "observable: \n" in out
+    assert run_json(capsys, "abl", "--scenario", str(path), "--json")["observable"] == "X"
+
+
 def test_domain_errors_exit_2(capsys, tmp_path):
     orthogonal = {
         "dim": 2,
@@ -515,10 +540,9 @@ def test_domain_errors_exit_2(capsys, tmp_path):
     assert code == 2
 
 
-# main builds only the parser its arguments use: the named subcommand's alone
-# when the first argument names one, else a root parser with only the
-# subcommands the arguments name.  The reference is the full root parser
-# under main's error handling.
+# main builds the named subcommand's parser alone when the first argument
+# names one, else the full root parser.  The reference is the full root
+# parser under main's error handling.
 
 def _full_parser_main(argv):
     try:
