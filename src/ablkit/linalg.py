@@ -132,7 +132,7 @@ class Projector:
         m = operator_matrix(self.matrix).copy()
         if _max_abs(m - m.conj().T) > ALG_TOL:
             raise ValidationError("projector matrix is not Hermitian")
-        if _max_abs(m @ m - m) > ALG_TOL:
+        if not _max_abs(m @ m - m) <= ALG_TOL:  # an overflowing m @ m gives NaN
             raise ValidationError("projector matrix is not idempotent")
         trace = float(np.trace(m).real)
         rank = int(round(trace)) if self.rank is None else int(self.rank)

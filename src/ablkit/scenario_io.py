@@ -4,8 +4,8 @@ Schema (complex numbers are two-element ``[re, im]`` arrays)::
 
     {
       "dim": 3,
-      "name": "...",                    // optional
-      "description": "...",             // optional
+      "name": "...",                    // optional string
+      "description": "...",             // optional string
       "preselection":  [[re, im], ...], // dim amplitudes
       "postselection": [[re, im], ...],
       "observables": {
@@ -17,16 +17,16 @@ Schema (complex numbers are two-element ``[re, im]`` arrays)::
       "default_observable": "C"         // optional; first named otherwise
     }
 
-Parsed values go through the same validation as directly constructed ones,
-and parse errors name the offending field.  Amplitude arrays are parsed
-whole: a vector or matrix of plain numbers converts in one numpy call (any
-other array goes through the element-by-element checks, which name the
-offending field).  A branch given by one ket is the rank-1 projector
-``|q><q|`` onto the ket's unit vector ``q`` by construction, so it is not
-checked again as a matrix.  An observable whose branches are all one ket
-is a rank-1 basis, checked from the Gram matrix of its kets with the
-errors, in the order, of the matrix checks that any other observable goes
-through.  Either way each branch matrix is bit for bit the one
+Parsed values go through the same validation as directly constructed ones.
+One reader converts each amplitude array in one numpy call and walks its
+rows and pairs only when that fails, so that the error names the field; one
+wrapper reports a constructor's validation error at its field.  Counts no
+valid file has (more branches, or kets in a branch, than ``dim``) are
+refused before any entry is read.  A branch given by one ket is the rank-1
+projector ``|q><q|`` onto the ket's unit vector ``q`` by construction, so
+it is not checked again as a matrix; an observable of one-ket branches is a
+rank-1 basis, checked from the Gram matrix of its kets with the errors, in
+the order, of the matrix checks.  Each branch matrix is bit for bit the one
 ``projector_from_kets`` builds.
 
 Emission is canonical (sorted keys, two-space indent, exact float
@@ -57,6 +57,7 @@ from .scenarios import Scenario
 _TOP_KEYS = {"dim", "name", "description", "preselection", "postselection",
              "observables", "default_observable"}
 _BRANCH_KEYS = {"eigenvalue", "kets", "matrix"}
+_NOUNS = {dict: "an object", list: "an array", str: "a string"}
 #: Largest ``dim`` a scenario file may declare, checked before any array is
 #: built.  Emitted, a basis of 64 rank-1 branches is a 26 MiB file, and the
 #: text grows as ``dim**3``.  Emission refuses a larger scenario, so what is
@@ -68,15 +69,9 @@ def _fail(path: str, message: str) -> ScenarioParseError:
     return ScenarioParseError(f"{path}: {message}")
 
 
-def _expect_mapping(node, path: str) -> dict:
-    if not isinstance(node, dict):
-        raise _fail(path, f"expected an object, got {type(node).__name__}")
-    return node
-
-
-def _expect_list(node, path: str) -> list:
-    if not isinstance(node, list):
-        raise _fail(path, f"expected an array, got {type(node).__name__}")
+def _expect(node, path: str, kind: type):
+    if not isinstance(node, kind):
+        raise _fail(path, f"expected {_NOUNS[kind]}, got {type(node).__name__}")
     return node
 
 
@@ -95,7 +90,7 @@ def _number(node, path: str) -> float:
 
 
 def _complex(node, path: str) -> complex:
-    pair = _expect_list(node, path)
+    pair = _expect(node, path, list)
     if len(pair) != 2:
         raise _fail(path, f"expected a [re, im] pair, got {len(pair)} elements")
     return complex(_number(pair[0], f"{path}[0]"), _number(pair[1], f"{path}[1]"))
@@ -120,31 +115,40 @@ def _bulk_complex(items: list, shape: tuple[int, ...]) -> np.ndarray | None:
     return pairs.view(np.complex128).reshape(shape)
 
 
-def _vector(node, path: str, dim: int) -> np.ndarray:
-    items = _expect_list(node, path)
-    if len(items) != dim:
-        raise _fail(path, f"expected {dim} amplitudes, got {len(items)}")
-    vector = _bulk_complex(items, (dim,))
-    if vector is not None:
-        return vector
-    return np.array([_complex(c, f"{path}[{k}]") for k, c in enumerate(items)],
-                    dtype=np.complex128)
+def _array(node, path: str, shape: tuple[int, ...]) -> np.ndarray:
+    # Converted whole when it can be; otherwise walked row by row and pair
+    # by pair, so that the error names the offending field.
+    items = _expect(node, path, list)
+    if len(items) != shape[0]:
+        unit = "amplitudes" if len(shape) == 1 else "rows"
+        raise _fail(path, f"expected {shape[0]} {unit}, got {len(items)}")
+    array = _bulk_complex(items, shape)
+    if array is not None:
+        return array
+    if len(shape) == 1:
+        return np.array([_complex(c, f"{path}[{k}]") for k, c in enumerate(items)],
+                        dtype=np.complex128)
+    return np.array([_array(row, f"{path}[{r}]", shape[1:]) for r, row in enumerate(items)])
+
+
+def _built(path: str, construct: Callable, *args):
+    # construct(*args), with its validation error reported at ``path``.  The
+    # arguments are read before the call, so their parse errors never get here.
+    try:
+        return construct(*args)
+    except AblkitError as err:
+        raise _fail(path, str(err)) from err
 
 
 def _ket(node, path: str, dim: int) -> Ket:
-    try:
-        return Ket(_vector(node, path, dim))
-    except AblkitError as err:
-        if isinstance(err, ScenarioParseError):
-            raise
-        raise _fail(path, str(err)) from err
+    return _built(path, Ket, _array(node, path, (dim,)))
 
 
 def _branch(node, path: str, dim: int) -> tuple[float, Projector | np.ndarray]:
     # The eigenvalue, and the branch's Projector or, for a branch given by
     # one ket, that ket's unit vector q: |q><q| is a rank-1 projector by
     # construction, which _observable assembles.
-    spec = _expect_mapping(node, path)
+    spec = _expect(node, path, dict)
     unknown = set(spec) - _BRANCH_KEYS
     if unknown:
         raise _fail(path, f"unknown keys {sorted(unknown)}")
@@ -153,31 +157,20 @@ def _branch(node, path: str, dim: int) -> tuple[float, Projector | np.ndarray]:
     eigenvalue = _number(spec["eigenvalue"], f"{path}.eigenvalue")
     if ("kets" in spec) == ("matrix" in spec):
         raise _fail(path, "need exactly one of 'kets' or 'matrix'")
-    try:
-        if "kets" in spec:
-            kets = [_ket(k, f"{path}.kets[{i}]", dim)
-                    for i, k in enumerate(_expect_list(spec["kets"], f"{path}.kets"))]
-            if not kets:
-                raise _fail(f"{path}.kets", "expected at least one ket")
-            if len(kets) == 1:
-                # Scaled as orthonormalize scales it.
-                v = kets[0].amplitudes
-                return eigenvalue, v / float(np.linalg.norm(v))
-            projector = projector_from_kets(kets)
-        else:
-            rows = _expect_list(spec["matrix"], f"{path}.matrix")
-            if len(rows) != dim:
-                raise _fail(f"{path}.matrix", f"expected {dim} rows, got {len(rows)}")
-            matrix = _bulk_complex(rows, (dim, dim))
-            if matrix is None:
-                matrix = np.array([_vector(row, f"{path}.matrix[{r}]", dim)
-                                   for r, row in enumerate(rows)])
-            projector = Projector(matrix)
-    except AblkitError as err:
-        if isinstance(err, ScenarioParseError):
-            raise
-        raise _fail(path, str(err)) from err
-    return eigenvalue, projector
+    if "matrix" in spec:
+        matrix = _array(spec["matrix"], f"{path}.matrix", (dim, dim))
+        return eigenvalue, _built(path, Projector, matrix)
+    nodes = _expect(spec["kets"], f"{path}.kets", list)
+    if not nodes:
+        raise _fail(f"{path}.kets", "expected at least one ket")
+    if len(nodes) > dim:  # more than dim kets are linearly dependent
+        raise _fail(f"{path}.kets", f"expected at most {dim} kets, got {len(nodes)}")
+    kets = [_ket(k, f"{path}.kets[{i}]", dim) for i, k in enumerate(nodes)]
+    if len(kets) == 1:
+        # Scaled as orthonormalize scales it.
+        v = kets[0].amplitudes
+        return eigenvalue, v / float(np.linalg.norm(v))
+    return eigenvalue, _built(path, projector_from_kets, kets)
 
 
 def _observable(branches: list[tuple[float, Projector | np.ndarray]]) -> ObservableDecomposition:
@@ -204,13 +197,15 @@ def parse_scenario(text: str, *, fallback_name: str = "scenario") -> Scenario:
             f"invalid JSON at line {err.lineno} column {err.colno}: {err.msg}") from err
     except ValueError as err:  # e.g. an integer literal past Python's digit limit
         raise ScenarioParseError(f"invalid JSON: {err}") from err
-    top = _expect_mapping(root, "scenario")
+    top = _expect(root, "scenario", dict)
     unknown = set(top) - _TOP_KEYS
     if unknown:
         raise _fail("scenario", f"unknown keys {sorted(unknown)}")
     for key in ("dim", "preselection", "postselection", "observables"):
         if key not in top:
             raise _fail("scenario", f"missing {key!r}")
+    for key in ("name", "description"):
+        _expect(top.get(key, ""), key, str)
     dim_raw = _number(top["dim"], "dim")
     dim = int(dim_raw)
     if dim != dim_raw or dim < 1:
@@ -220,34 +215,27 @@ def parse_scenario(text: str, *, fallback_name: str = "scenario") -> Scenario:
     preselection = _ket(top["preselection"], "preselection", dim)
     postselection = _ket(top["postselection"], "postselection", dim)
     observables: dict[str, ObservableDecomposition] = {}
-    obs_node = _expect_mapping(top["observables"], "observables")
+    obs_node = _expect(top["observables"], "observables", dict)
     if not obs_node:
         raise _fail("observables", "expected at least one observable")
     for name, branches_node in obs_node.items():
         path = f"observables.{name}"
-        branches = [_branch(b, f"{path}[{i}]", dim)
-                    for i, b in enumerate(_expect_list(branches_node, path))]
-        try:
-            observables[name] = _observable(branches)
-        except AblkitError as err:
-            raise _fail(path, str(err)) from err
+        nodes = _expect(branches_node, path, list)
+        if len(nodes) > dim:  # every branch has rank at least 1
+            raise _fail(path, f"expected at most {dim} branches, got {len(nodes)}")
+        branches = [_branch(b, f"{path}[{i}]", dim) for i, b in enumerate(nodes)]
+        observables[name] = _built(path, _observable, branches)
     default = top.get("default_observable", next(iter(observables)))
     if not isinstance(default, str) or default not in observables:
         raise _fail("default_observable",
                     f"{default!r} is not one of {sorted(observables)}")
-    try:
-        context = PrePostContext(preselection, postselection)
-        return Scenario(
-            name=str(top.get("name", fallback_name)),
-            description=str(top.get("description", "")),
-            context=context,
-            observables=observables,
-            default_observable=default,
-        )
-    except (AblkitError, ValueError) as err:
-        if isinstance(err, ScenarioParseError):
-            raise
-        raise _fail("scenario", str(err)) from err
+    return Scenario(
+        name=top.get("name", fallback_name),
+        description=top.get("description", ""),
+        context=PrePostContext(preselection, postselection),
+        observables=observables,
+        default_observable=default,
+    )
 
 
 def load_scenario(path) -> Scenario:

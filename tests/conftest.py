@@ -6,6 +6,14 @@ from ablkit.linalg import Ket, ObservableDecomposition, Projector
 from ablkit.scenarios import three_box
 
 
+#: Hermitian, but ``m @ m`` overflows, so its idempotency residue is NaN
+#: rather than large; the same holds for ``np.eye(3) - m``.
+OVERFLOWING_HERMITIAN = np.array([
+    [0, 1e155 + 1e200j, -1e155 - 1e300j],
+    [1e155 - 1e200j, 1, 1e155 + 1e200j],
+    [-1e155 + 1e300j, 1e155 - 1e200j, 1]])
+
+
 @pytest.fixture(scope="session")
 def box_scenario():
     return three_box()

@@ -16,6 +16,8 @@ from ablkit.errors import AblkitError
 from ablkit.scenario_io import dump_scenario, parse_scenario
 from ablkit.scenarios import builtin
 
+from conftest import OVERFLOWING_HERMITIAN
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -351,6 +353,25 @@ def test_scenario_validate_rejects_bad_file(capsys, tmp_path):
     code, _, err = run(capsys, "scenario", "validate", str(path))
     assert code == 1
     assert "missing" in err
+
+
+@pytest.mark.parametrize("argv", [["abl", "--json", "--scenario"], ["scenario", "validate"]])
+def test_a_branch_with_a_nan_idempotency_residue_exits_1(capsys, tmp_path, argv):
+    # Both branches are Hermitian and sum to the identity, but neither is
+    # idempotent: squaring them overflows.
+    def pairs(m):
+        return [[[z.real, z.imag] for z in row] for row in m.tolist()]
+    unit = [[1, 0], [0, 0], [0, 0]]
+    path = tmp_path / "nan-residue.json"
+    path.write_text(json.dumps({
+        "dim": 3, "preselection": unit, "postselection": unit,
+        "observables": {"M": [
+            {"eigenvalue": 0, "matrix": pairs(OVERFLOWING_HERMITIAN)},
+            {"eigenvalue": 1, "matrix": pairs(np.eye(3) - OVERFLOWING_HERMITIAN)}]}}))
+    with pytest.warns(RuntimeWarning, match="encountered in matmul"):
+        code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: observables.M[0]: projector matrix is not idempotent\n"
 
 
 def test_scenario_validate_missing_file(capsys):

@@ -20,7 +20,7 @@ from ablkit.linalg import (
 )
 from ablkit.linalg import _norm
 
-from conftest import mixed_rank_decomposition
+from conftest import OVERFLOWING_HERMITIAN, mixed_rank_decomposition
 
 
 def unit(dim, k):
@@ -95,6 +95,14 @@ def test_projector_validation():
         Projector(np.zeros((2, 2)))  # zero projector has no rank
     with pytest.raises(ValidationError):
         Projector(np.eye(2), rank=1)  # declared rank contradicts the trace
+
+
+@pytest.mark.parametrize("complement", [False, True])
+def test_projector_refuses_a_nan_idempotency_residue(complement):
+    m = np.eye(3) - OVERFLOWING_HERMITIAN if complement else OVERFLOWING_HERMITIAN
+    with pytest.warns(RuntimeWarning, match="encountered in matmul"):
+        with pytest.raises(ValidationError, match="not idempotent"):
+            Projector(m)
 
 
 def test_projector_complement():

@@ -145,6 +145,33 @@ def test_parse_error_empty_observables():
                   "at least one observable")
 
 
+@pytest.mark.parametrize("key", ["name", "description"])
+@pytest.mark.parametrize("literal, type_name", [
+    ("null", "NoneType"), ("5", "int"), ('["a"]', "list"), ("true", "bool")])
+def test_name_and_description_must_be_strings(key, literal, type_name):
+    bad = MINIMAL.replace('"dim": 2,', f'"dim": 2, "{key}": {literal},')
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(bad)
+    assert str(err.value) == f"{key}: expected a string, got {type_name}"
+
+
+@pytest.mark.parametrize("where, message", [
+    ("branches", "observables.X: expected at most 2 branches, got 3"),
+    ("kets", "observables.X[0].kets: expected at most 2 kets, got 3"),
+    ("no kets", "observables.X[0].kets: expected at least one ket"),
+])
+def test_parse_refuses_impossible_counts_before_reading_entries(where, message):
+    # The entries are not even objects or kets: the count comes first.
+    doc = json.loads(MINIMAL)
+    if where == "branches":
+        doc["observables"]["X"] = [0, 0, 0]
+    else:
+        doc["observables"]["X"][0]["kets"] = [] if where == "no kets" else [0, 0, 0]
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(json.dumps(doc))
+    assert str(err.value) == message
+
+
 def test_parse_error_infinite_dim():
     # 1e999 reads as inf; int(inf) would raise OverflowError.
     _expect_error('{"dim": 1e999, "preselection": [], "postselection": [], '
