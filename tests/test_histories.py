@@ -9,6 +9,7 @@ from ablkit.abl import PrePostContext, abl_distribution
 from ablkit.errors import DimensionMismatchError, TooManyBranchesError, ValidationError
 from ablkit.histories import (
     CONSISTENCY_TOL,
+    MAX_ENUMERATED_BRANCHES,
     ConsistencyReport,
     HistoryFamily,
     _set_partitions,
@@ -566,3 +567,90 @@ def test_verdicts_of_many_branch_families_match_plain_numpy_bit_for_bit(dim):
                 assert (repr(check.undisturbed), repr(check.disturbed)) == \
                     (repr(undisturbed), repr(disturbed))
                 assert check.holds is (abs(undisturbed - disturbed) <= tol)
+
+
+@st.composite
+def _weakly_consistent_families(draw):
+    """Dims 1-8: a fine observable of at most ``MAX_ENUMERATED_BRANCHES``
+    branches (a Haar basis grouped by labels) and a context whose family is
+    weakly consistent by construction, then nudged by 0, 1e-9 or 1e-6:
+    the preselection or the postselection lies in one branch, or exactly two
+    branches carry amplitudes a quarter turn apart, which is weakly but not
+    medium consistent."""
+    dim = draw(st.integers(1, 8))
+    rng = np.random.default_rng([draw(st.integers(0, 2 ** 32 - 1)), 18])
+    kets = random_basis(rng, dim)
+    labels = draw(st.lists(st.integers(0, MAX_ENUMERATED_BRANCHES - 1),
+                           min_size=dim, max_size=dim))
+    fine = ObservableDecomposition.from_projectors(
+        [projector_from_kets([kets[i] for i in range(dim) if labels[i] == label])
+         for label in sorted(set(labels))])
+    n = len(fine)
+
+    def gaussian():
+        return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+
+    k = draw(st.integers(0, n - 1))
+    pre, post = random_ket(rng, dim).amplitudes, random_ket(rng, dim).amplitudes
+    kind = draw(st.sampled_from(["pre in a branch", "post in a branch", "quadrature"]))
+    if kind == "pre in a branch":
+        pre = fine.stack[k] @ gaussian()
+    elif kind == "post in a branch" or n == 1:
+        post = fine.stack[k] @ gaussian()
+    else:
+        j = (k + draw(st.integers(1, n - 1))) % n
+        u, v = fine.stack[k] @ pre, fine.stack[j] @ pre
+        theta = draw(st.floats(0.1, 1.47))
+        post = np.cos(theta) * u / np.linalg.norm(u) + 1j * np.sin(theta) * v / np.linalg.norm(v)
+    nudge = draw(st.sampled_from([0.0, 1e-9, 1e-6]))
+    ctx = PrePostContext(Ket.normalized(pre), Ket.normalized(post + nudge * gaussian()))
+    return fine, ctx
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_weakly_consistent_families())
+def test_abl_is_additive_over_the_coarse_grainings_of_a_consistent_family(case):
+    # With x_i = <b|P_i|a>, |sum_{i in B} x_i|^2 - sum_{i in B} |x_i|^2 =
+    # 2 sum_{i<j in B} Re x_i conj(x_j).  So for a family weakly consistent
+    # at tol, a block's coarse joint is within |B|(|B|-1) tol of the sum of
+    # its fine joints, the coarse denominator D_c within n(n-1) tol of the
+    # fine one, and |ABL(B) - sum_{i in B} ABL(i)| <=
+    # (|B|(|B|-1) + n(n-1)) tol / D_c.
+    fine, ctx = case
+    n = len(fine)
+    tol = is_consistent(HistoryFamily.from_context(ctx, fine), criterion="weak",
+                        tol=0.0).max_violation
+    assert tol <= 1e-5
+    fine_joints = np.abs((fine.stack @ ctx.preselection.amplitudes)
+                         @ ctx.postselection.amplitudes.conj()) ** 2
+    assume(fine_joints.sum() > 1e-6)
+    fine_abl = abl_distribution(ctx, fine).probabilities
+    for blocks, coarse in zip(_set_partitions(n), enumerate_coarse_grainings(fine)):
+        dist = abl_distribution(ctx, coarse)
+        for b, block in enumerate(blocks):
+            gap = abs(dist.probabilities[b] - fine_abl[list(block)].sum())
+            scale = len(block) * (len(block) - 1) + n * (n - 1)
+            # Rounding moved gap * D_c by under 1e-16 over 600 examples.
+            assert gap <= (scale * tol + 1e-14) / dist.denominator
+
+
+def test_abl_is_not_additive_without_consistency():
+    # Three-box C is not weakly consistent: its amplitudes are (1, 1, -1)/3,
+    # so Re x_i conj(x_j) = +-1/9.  Grouping boxes 2 and 3 (Cprime) makes box
+    # 1 certain, against C's 1/3: a gap of 2/3.  The bound above allows it
+    # only at the family's own violation, never at CONSISTENCY_TOL.
+    fine = SCENARIO.observables["C"]
+    weak = is_consistent(HistoryFamily.from_context(CTX, fine), criterion="weak",
+                         tol=CONSISTENCY_TOL)
+    assert not weak.consistent
+    assert weak.max_violation == pytest.approx(1 / 9)
+    blocks = [(0,), (1, 2)]
+    coarse = enumerate_coarse_grainings(fine)[_set_partitions(3).index(blocks)]
+    dist = abl_distribution(CTX, coarse)
+    assert dist.probabilities.tobytes() == \
+        abl_distribution(CTX, SCENARIO.observables["Cprime"]).probabilities.tobytes()
+    gap = dist.probabilities[0] - abl_distribution(CTX, fine).probabilities[0]
+    assert gap == pytest.approx(2 / 3)
+    scale = 3 * 2  # |B|(|B|-1) = 0 for B = {box 1}, and n(n-1) = 6
+    assert gap > (scale * CONSISTENCY_TOL + 1e-14) / dist.denominator
+    assert gap <= scale * weak.max_violation / dist.denominator
