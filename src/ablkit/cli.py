@@ -93,8 +93,9 @@ def _pick_observable(scenario: Scenario, args):
     return name, scenario.observables[name]
 
 
-def _print_json(payload: dict):
+def _print_json(payload: dict) -> int:
     print(json.dumps(payload, sort_keys=True, allow_nan=False))
+    return 0
 
 
 def cmd_abl(args) -> int:
@@ -114,8 +115,7 @@ def cmd_abl(args) -> int:
         "tolerances": {"algebra": ALG_TOL, "division": DIV_TOL},
     }
     if args.json:
-        _print_json(payload)
-        return 0
+        return _print_json(payload)
     print(f"scenario: {scenario.name} (dim {scenario.dim})")
     print(f"observable: {name}")
     for i, (eigenvalue, born, joint, p) in enumerate(zip(
@@ -133,7 +133,7 @@ def _blocks_label(blocks: list[list[float]]) -> str:
 def cmd_consistency(args) -> int:
     scenario, source = _load(args)
     name, observable = _pick_observable(scenario, args)
-    tol = args.tolerance if args.tolerance is not None else CONSISTENCY_TOL
+    tol = args.tolerance
     family = HistoryFamily.from_context(scenario.context, observable)
     report = is_consistent(family, criterion=args.criterion, tol=tol)
     disturbance = disturbance_check(family, tol=tol)
@@ -163,8 +163,7 @@ def cmd_consistency(args) -> int:
             for partition, v, c, h in zip(partitions, violations, consistent, holds)
         ]
     if args.json:
-        _print_json(payload)
-        return 0
+        return _print_json(payload)
     print(f"scenario: {scenario.name} (dim {scenario.dim})")
     print(f"observable: {name}")
     print(f"consistent: {'yes' if report.consistent else 'no'}  "
@@ -186,40 +185,23 @@ def cmd_consistency(args) -> int:
 def cmd_simulate(args) -> int:
     scenario, source = _load(args)
     ctx = scenario.context
+    payload = {"command": "simulate", "scenario": source, "dim": scenario.dim, "observable": None,
+               "trials": args.trials, "seed": args.seed, "workers": args.workers}
     if args.no_intermediate:
         if args.observable is not None:
             raise _UsageError("--observable and --no-intermediate are mutually exclusive")
-        name, observable = None, None
         target = abs(inner(ctx.postselection, ctx.preselection)) ** 2
         target_kind = "undisturbed"
         estimate = estimate_final_probability(ctx, None, args.trials, args.seed,
                                               workers=args.workers)
     else:
-        name, observable = _pick_observable(scenario, args)
+        payload["observable"], observable = _pick_observable(scenario, args)
         target = disturbed_final_probability(ctx, observable)
         target_kind = "disturbed"
         # One ensemble gives both: its postselected count is the final
         # probability's numerator.
         stats = estimate_abl(ctx, observable, args.trials, args.seed, workers=args.workers)
         estimate = stats.postselected_count / args.trials
-    final_stderr = math.sqrt(max(target * (1.0 - target), 0.0) / args.trials)
-    final_z = _z_score(estimate - target, final_stderr)
-    payload = {
-        "command": "simulate",
-        "scenario": source,
-        "dim": scenario.dim,
-        "observable": name,
-        "trials": args.trials,
-        "seed": args.seed,
-        "workers": args.workers,
-        "final_probability": {
-            "estimate": estimate,
-            "target": float(target),
-            "target_kind": target_kind,
-            "z": final_z,
-        },
-    }
-    if observable is not None:
         exact = abl_distribution(ctx, observable).probabilities
         born = born_distribution(ctx.preselection, observable)
         payload["postselected"] = stats.postselected_count
@@ -236,17 +218,23 @@ def cmd_simulate(args) -> int:
             }
             for i in range(len(observable))
         ]
+    final_stderr = math.sqrt(max(target * (1.0 - target), 0.0) / args.trials)
+    final_z = _z_score(estimate - target, final_stderr)
+    payload["final_probability"] = {
+        "estimate": estimate,
+        "target": float(target),
+        "target_kind": target_kind,
+        "z": final_z,
+    }
     if args.json:
         for entry in (payload["final_probability"], *payload.get("branches", ())):
             entry["z"] = entry["z"] if math.isfinite(entry["z"]) else None
-        _print_json(payload)
-        return 0
+        return _print_json(payload)
     print(f"scenario: {scenario.name} (dim {scenario.dim})")
-    print(f"observable: {name if name is not None else '(none)'}")
+    print(f"observable: {'(none)' if args.no_intermediate else payload['observable']}")
     print(f"trials {args.trials}  seed {args.seed}  workers {args.workers}")
-    if observable is not None:
-        print(f"postselected: {stats.postselected_count} "
-              f"({_fmt(stats.postselected_count / args.trials)})")
+    if not args.no_intermediate:
+        print(f"postselected: {stats.postselected_count} ({_fmt(estimate)})")
         for i, branch in enumerate(payload["branches"]):
             print(f"branch {i}  eigenvalue {branch['eigenvalue']:g}  "
                   f"freq {_fmt(branch['frequency'])}  "
@@ -273,7 +261,7 @@ def cmd_counterexample(args) -> int:
     scenario = counterexample_scenario(example)
     report = example.report
     if args.json:
-        _print_json({
+        return _print_json({
             "command": "counterexample",
             "dim": args.dim,
             "seed": args.seed,
@@ -290,7 +278,6 @@ def cmd_counterexample(args) -> int:
             },
             "scenario": scenario_to_jsonable(scenario),
         })
-        return 0
     print(f"counterexample found after {example.tries} "
           f"{'try' if example.tries == 1 else 'tries'} "
           f"(dim {args.dim}, seed {args.seed}, gap threshold {args.gap_min:g})")
@@ -305,13 +292,12 @@ def cmd_counterexample(args) -> int:
 def cmd_scenario_validate(args) -> int:
     scenario = _read_scenario(args.path)
     if args.json:
-        _print_json({
+        return _print_json({
             "command": "scenario-validate",
             "path": args.path,
             "ok": True,
             "scenario": scenario_to_jsonable(scenario),
         })
-        return 0
     print(f"ok: {scenario.name} (dim {scenario.dim}, "
           f"observables: {', '.join(sorted(scenario.observables))})")
     sys.stdout.write(dump_scenario(scenario))
@@ -327,7 +313,7 @@ def _abl_args(parser: _Parser):
 def _consistency_args(parser: _Parser):
     _add_scenario_args(parser)
     parser.add_argument("--criterion", choices=("medium", "weak"), default="medium")
-    parser.add_argument("--tolerance", type=float, default=None,
+    parser.add_argument("--tolerance", type=float, default=CONSISTENCY_TOL,
                         help=f"violation tolerance (default {CONSISTENCY_TOL:g})")
     parser.add_argument("--coarse-grainings", action="store_true",
                         help="also report every coarse-graining of the observable")

@@ -18,6 +18,7 @@ Schema (complex numbers are two-element ``[re, im]`` arrays)::
     }
 
 Parsed values go through the same validation as directly constructed ones.
+A key repeated within one object is refused, not overwritten.
 One reader converts each amplitude array in one numpy call and walks its
 rows and pairs only when that fails, so that the error names the field; one
 wrapper reports a constructor's validation error at its field.  Counts no
@@ -187,15 +188,24 @@ def _observable(branches: list[tuple[float, Projector | np.ndarray]]) -> Observa
         for e, p in branches])
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    # json.loads would keep the last of a repeated key's values.
+    node = dict(pairs)
+    if len(node) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return node
+
+
 def parse_scenario(text: str, *, fallback_name: str = "scenario") -> Scenario:
     """Parse scenario JSON.  All errors surface as
     :class:`ScenarioParseError` carrying line or field context."""
     try:
-        root = json.loads(text)
+        root = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise ScenarioParseError(
             f"invalid JSON at line {err.lineno} column {err.colno}: {err.msg}") from err
-    except ValueError as err:  # e.g. an integer literal past Python's digit limit
+    except ValueError as err:  # a repeated key, or an integer past Python's digit limit
         raise ScenarioParseError(f"invalid JSON: {err}") from err
     top = _expect(root, "scenario", dict)
     unknown = set(top) - _TOP_KEYS

@@ -72,12 +72,6 @@ class Scenario:
         return self.observables[key]
 
 
-def _unit(dim: int, k: int) -> Ket:
-    v = np.zeros(dim, dtype=np.complex128)
-    v[k] = 1.0
-    return Ket(v)
-
-
 def _groups(dim: int, labels: Sequence[float],
             *groups: tuple[int, ...]) -> ObservableDecomposition:
     # 0/1 projectors onto groups that partition the canonical basis: valid by construction.
@@ -107,7 +101,7 @@ def three_box() -> Scenario:
 def spin(theta: float) -> Scenario:
     plus_n = Ket([math.cos(theta / 2.0), math.sin(theta / 2.0)])
     minus_n = Ket([-math.sin(theta / 2.0), math.cos(theta / 2.0)])
-    up = _unit(2, 0)
+    up = Ket([1, 0])
     plus_x = Ket.normalized([1, 1])
     minus_x = Ket.normalized([1, -1])
     return Scenario(
@@ -124,7 +118,7 @@ def spin(theta: float) -> Scenario:
 
 
 def _identity(default: str) -> Scenario:
-    a = _unit(2, 0)
+    a = Ket([1, 0])
     b = Ket.normalized([1, 1])
     selection = {"A": "preselection", "B": "postselection"}[default]
     return Scenario(

@@ -355,6 +355,18 @@ def test_scenario_validate_rejects_bad_file(capsys, tmp_path):
     assert "missing" in err
 
 
+@pytest.mark.parametrize("argv", [["abl", "--scenario"], ["scenario", "validate"]])
+def test_an_observable_defined_twice_exits_1(capsys, tmp_path, argv):
+    z = ('"Z": [{"eigenvalue": 1, "kets": [[[1, 0], [0, 0]]]}, '
+         '{"eigenvalue": -1, "kets": [[[0, 0], [1, 0]]]}]')
+    path = tmp_path / "twice.json"
+    path.write_text('{"dim": 2, "preselection": [[1, 0], [0, 0]], '
+                    '"postselection": [[1, 0], [0, 0]], '
+                    f'"observables": {{{z}, {z}}}}}', encoding="utf-8")
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out, err) == (1, "", "error: invalid JSON: repeated key 'Z'\n")
+
+
 @pytest.mark.parametrize("argv", [["abl", "--json", "--scenario"], ["scenario", "validate"]])
 def test_a_branch_with_a_nan_idempotency_residue_exits_1(capsys, tmp_path, argv):
     # Both branches are Hermitian and sum to the identity, but neither is

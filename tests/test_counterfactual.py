@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ablkit.abl import born_distribution
+from ablkit.abl import DIV_TOL, born_distribution
 from ablkit.counterfactual import (
     Counterexample,
     MixingReport,
@@ -16,7 +16,8 @@ from ablkit.counterfactual import (
 )
 from ablkit.errors import DimensionMismatchError, UndefinedTermError, ValidationError
 from ablkit.histories import HistoryFamily, disturbance_check, is_consistent
-from ablkit.linalg import Ket, ObservableDecomposition, basis_containing, projector_from_kets
+from ablkit.linalg import (Ket, ObservableDecomposition, basis_containing, complete_basis,
+                           projector_from_kets)
 from ablkit.sampling import random_basis, random_ket, substream
 from ablkit.scenarios import spin
 
@@ -267,17 +268,55 @@ def test_sharp_shanks_live_mask_either_side_of_div_tol(k, st_sq, weight, denomin
     assert report.vaidman_total == pytest.approx(report.born_total, abs=1e-12)
 
 
+@pytest.mark.parametrize("k, st_sq", [(4, 1.25e-13), (4, 3.125e-14), (3, 2e-12 / 3), (3, 5e-13 / 3)],
+                         ids=["weight-2e-12", "weight-5e-13", "denominator-2e-12",
+                              "denominator-5e-13"])
+def test_vaidman_is_born_up_to_the_mass_below_div_tol(k, st_sq):
+    # The live mask drops the final outcomes whose denominator D_l is at most
+    # DIV_TOL, and with them their joints: for every branch j, Vaidman misses
+    # Born by at most that mass, which is below 1e-12 here.
+    a, final_basis, observable = _live_mask_inputs(k, st_sq)
+    joints = np.array([[np.linalg.norm(f @ p @ a.amplitudes) ** 2 for p in observable.stack]
+                       for f in final_basis.stack])
+    dropped = joints[joints.sum(axis=1) <= DIV_TOL].sum(axis=0)
+    born = born_distribution(a, observable)
+    for j in range(len(observable)):
+        gap = abs(vaidman_total(a, final_basis, observable, j) - born[j])
+        assert gap <= dropped[j] + 1e-15
+        assert gap <= 1e-12
+
+
+def _quadrature(a, rng, rank, beta):
+    """C = {P, I - P} for a Haar-random projector P of ``rank``, and a final
+    basis holding cos(beta) u + i sin(beta) v and sin(beta) u - i cos(beta) v,
+    with u and v the unit vectors along P a and (I - P) a.  On those two
+    kets x_P conj(x_Q) = +-i |Pa||Qa| cos(beta) sin(beta), and the other kets
+    miss a: every family (a, C, b_l) is weakly consistent, but not medium
+    consistent unless beta is 0 or pi/2."""
+    p = projector_from_kets(random_basis(rng, a.dim)[:rank])
+    observable = ObservableDecomposition.from_projectors([p, p.complement()])
+    u, v = (Ket.normalized(m @ a.amplitudes).amplitudes for m in observable.stack)
+    c, s = math.cos(beta), math.sin(beta)
+    return observable, [Ket(f) for f in complete_basis([c * u + 1j * s * v, s * u - 1j * c * v],
+                                                        a.dim)]
+
+
 @st.composite
 def _final_bases_and_observables(draw):
     """Dims 1-8: a Haar-random preselection ``a`` and final basis ``{b_l}``,
     and an observable ``C`` that is a Haar basis, a coarse-graining of the
-    final basis, or a basis containing ``a``."""
+    final basis, or a basis containing ``a``; or, from dim 2, ``C`` and
+    ``{b_l}`` from ``_quadrature``, weakly but not medium consistent."""
     dim = draw(st.integers(1, 8))
     rng = np.random.default_rng([draw(st.integers(0, 2 ** 32 - 1)), 12])
     a = random_ket(rng, dim)
     finals = random_basis(rng, dim)
-    kind = draw(st.sampled_from(["haar", "coarse-graining", "containing"]))
-    if kind == "haar":
+    kind = draw(st.sampled_from(["haar", "coarse-graining", "containing"]
+                                + ["quadrature"] * (dim > 1)))
+    if kind == "quadrature":
+        observable, finals = _quadrature(a, rng, draw(st.integers(1, dim - 1)),
+                                         draw(st.floats(0.0, math.pi / 2)))
+    elif kind == "haar":
         observable = ObservableDecomposition.from_eigenbasis(random_basis(rng, dim))
     elif kind == "coarse-graining":
         labels = draw(st.lists(st.integers(0, dim - 1), min_size=dim, max_size=dim))
@@ -315,3 +354,47 @@ def test_consistent_final_families_make_sharp_shanks_born(case):
         gap = abs(sharp_shanks_total(a, final_basis, observable, k) - born[k])
         assert gap <= gaps + d * 1e-12
         assert gap <= d * n * (n - 1) * tol + d * 1e-12 + d * 1e-14
+
+
+def _dim2_quadrature(beta, phi):
+    # a = (1, 1)/sqrt(2), C the Sz basis, final basis (cos beta, e^{i phi}
+    # sin beta) and (sin beta, -e^{i phi} cos beta).  Then SS_0 - Born_0 =
+    # sin(4 beta) cos(phi) / 4: only the quarter turn phi = pi/2 makes the
+    # families weakly consistent whatever beta is.
+    a = Ket.normalized([1, 1])
+    sz = ObservableDecomposition.from_eigenbasis([Ket([1, 0]), Ket([0, 1])], eigenvalues=[1, -1])
+    e = complex(math.cos(phi), math.sin(phi))
+    c, s = math.cos(beta), math.sin(beta)
+    final_basis = ObservableDecomposition.from_eigenbasis([Ket([c, e * s]), Ket([s, -e * c])])
+    return a, sz, final_basis
+
+
+def test_quadrature_final_basis_makes_sharp_shanks_born_frozen():
+    # Final basis (1, +-i)/sqrt(2): both families are weakly consistent with
+    # medium violation 1/4, and SS = Born = 1/2.
+    a, sz, final_basis = _dim2_quadrature(math.pi / 4, math.pi / 2)
+    for l in range(2):
+        family = HistoryFamily(a.projector(), sz, final_basis.projector(l))
+        assert is_consistent(family, criterion="weak", tol=1e-15).consistent
+        medium = is_consistent(family, criterion="medium")
+        assert not medium.consistent
+        assert medium.max_violation == pytest.approx(0.25, abs=1e-15)
+    for k in range(2):
+        assert sharp_shanks_total(a, final_basis, sz, k) == pytest.approx(0.5, abs=1e-15)
+        assert born_distribution(a, sz)[k] == pytest.approx(0.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("beta", [math.pi / 8, 0.3, math.pi / 4])
+@pytest.mark.parametrize("phi", [0.0, math.pi / 3, math.pi / 2, 2.0, math.pi])
+def test_a_phase_off_the_quarter_turn_breaks_sharp_shanks_born(beta, phi):
+    # The negative control: off phi = pi/2 the families are not even weakly
+    # consistent, and the gap appears unless the two final kets weigh u and v
+    # alike (beta = pi/4), where no phase can open it.
+    a, sz, final_basis = _dim2_quadrature(beta, phi)
+    gap = sharp_shanks_total(a, final_basis, sz, 0) - born_distribution(a, sz)[0]
+    assert gap == pytest.approx(math.sin(4 * beta) * math.cos(phi) / 4, abs=1e-15)
+    weak = is_consistent(HistoryFamily(a.projector(), sz, final_basis.projector(0)),
+                         criterion="weak", tol=0.0).max_violation
+    assert weak == pytest.approx(abs(math.sin(2 * beta) * math.cos(phi)) / 4, abs=1e-15)
+    if phi != math.pi / 2 and beta != math.pi / 4:
+        assert abs(gap) > 0.05

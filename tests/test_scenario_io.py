@@ -86,6 +86,18 @@ def test_parse_error_unknown_top_key():
                   '"observables": {}, "extra": 1}', "unknown keys ['extra']")
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ('"dim": 2,', '"dim": 2, "dim": 3,', "dim"),
+    ('"X": [', '"X": [{"eigenvalue": 1, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}],\n    "X": [',
+     "X"),
+    ('{"eigenvalue": -1,', '{"eigenvalue": 2, "eigenvalue": -1,', "eigenvalue"),
+], ids=["top-level", "observable", "branch"])
+def test_parse_error_repeated_key(old, new, key):
+    text = MINIMAL.replace(old, new, 1)
+    json.loads(text)  # plain json.loads parses it, keeping the last value
+    _expect_error(text, f"repeated key {key!r}")
+
+
 def test_parse_error_bad_dim():
     _expect_error(MINIMAL.replace('"dim": 2', '"dim": 2.5'), "dim")
 
