@@ -26,14 +26,19 @@ observables to ask about.  The compiled-in ones:
     the two identity-check observables: measuring the basis containing the
     preselection (``A``) or the postselection (``B``) yields that state with
     certainty.
+
+A builtin builds each observable once, on its first lookup; ``in``,
+iteration and ``len`` build nothing.  Builtins pickle and deep-copy, built
+or not, and may be shared between threads: two racing first lookups may
+both build, but both return the one stored first.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -60,6 +65,17 @@ class Scenario:
             if obs.dim != self.context.dim:
                 raise ValueError(f"observable {name!r} has dim {obs.dim}, context has {self.context.dim}")
 
+    @classmethod
+    def _validated(cls, name: str, description: str, context: PrePostContext,
+                   factories: dict, default_observable: str) -> "Scenario":
+        # Mirrors Ket._validated, for a builtin: __post_init__ would build
+        # every observable to check its dim.
+        scenario = object.__new__(cls)
+        scenario.__dict__.update(name=name, description=description, context=context,
+                                 observables=_LazyObservables(factories),
+                                 default_observable=default_observable)
+        return scenario
+
     @property
     def dim(self) -> int:
         return self.context.dim
@@ -72,6 +88,29 @@ class Scenario:
         return self.observables[key]
 
 
+class _LazyObservables(Mapping[str, ObservableDecomposition]):
+    # One factory per name, run on its first lookup (setdefault keeps the
+    # first of two racing builds): partials made per builtin() call, as
+    # lambdas do not pickle and partials made at import miss rebound names.
+    def __init__(self, factories: dict):
+        self._factories = factories
+        self._built: dict[str, ObservableDecomposition] = {}
+
+    def __getitem__(self, name: str) -> ObservableDecomposition:
+        if name not in self._built:
+            self._built.setdefault(name, self._factories[name]())
+        return self._built[name]
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._factories
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._factories)
+
+    def __len__(self) -> int:
+        return len(self._factories)
+
+
 def _groups(dim: int, labels: Sequence[float],
             *groups: tuple[int, ...]) -> ObservableDecomposition:
     # 0/1 projectors onto groups that partition the canonical basis: valid by construction.
@@ -80,63 +119,54 @@ def _groups(dim: int, labels: Sequence[float],
         stack, [float(e) for e in labels], [len(g) for g in groups])
 
 
+def _spin_axis(ket: Callable, plus: Sequence[float], minus: Sequence[float]):
+    return ObservableDecomposition.from_eigenbasis([ket(plus), ket(minus)], eigenvalues=[1, -1])
+
+
 def three_box() -> Scenario:
-    a = Ket.normalized([1, 1, 1])
-    b = Ket.normalized([1, 1, -1])
-    return Scenario(
-        name="three-box",
-        description="ball in three boxes, found in box 1 or in box 2 depending on the grouping",
-        context=PrePostContext(a, b),
-        observables={
-            "C": _groups(3, [1, 2, 3], (0,), (1,), (2,)),
-            "Cprime": _groups(3, [1, 2], (0,), (1, 2)),
-            "Cdprime": _groups(3, [1, 2], (0, 2), (1,)),
-            "A": basis_containing(a),
-            "B": basis_containing(b),
-        },
-        default_observable="C",
-    )
+    a, b = Ket.normalized([1, 1, 1]), Ket.normalized([1, 1, -1])
+    return Scenario._validated(
+        "three-box", "ball in three boxes, found in box 1 or in box 2 depending on the grouping",
+        PrePostContext(a, b), {
+            "C": partial(_groups, 3, [1, 2, 3], (0,), (1,), (2,)),
+            "Cprime": partial(_groups, 3, [1, 2], (0,), (1, 2)),
+            "Cdprime": partial(_groups, 3, [1, 2], (0, 2), (1,)),
+            "A": partial(basis_containing, a),
+            "B": partial(basis_containing, b),
+        }, "C")
+
+
+def _spin(theta: float, name: str, description: str, default: str) -> Scenario:
+    cos, sin = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    up = Ket([1, 0])
+    return Scenario._validated(name, description, PrePostContext(up, up), {
+        "Sn": partial(_spin_axis, Ket, [cos, sin], [-sin, cos]),
+        "Sz": partial(_groups, 2, [1, -1], (0,), (1,)),
+        "Sx": partial(_spin_axis, Ket.normalized, [1, 1], [1, -1]),
+    }, default)
 
 
 def spin(theta: float) -> Scenario:
-    plus_n = Ket([math.cos(theta / 2.0), math.sin(theta / 2.0)])
-    minus_n = Ket([-math.sin(theta / 2.0), math.cos(theta / 2.0)])
-    up = Ket([1, 0])
-    plus_x = Ket.normalized([1, 1])
-    minus_x = Ket.normalized([1, -1])
-    return Scenario(
-        name="spin-pi3" if theta == math.pi / 3.0 else f"spin:{theta:g}",
-        description=f"spin-1/2 selected along +z, asked about the axis at {theta:g} rad from z",
-        context=PrePostContext(up, up),
-        observables={
-            "Sn": ObservableDecomposition.from_eigenbasis([plus_n, minus_n], eigenvalues=[1, -1]),
-            "Sz": _groups(2, [1, -1], (0,), (1,)),
-            "Sx": ObservableDecomposition.from_eigenbasis([plus_x, minus_x], eigenvalues=[1, -1]),
-        },
-        default_observable="Sn",
-    )
+    return _spin(theta, "spin-pi3" if theta == math.pi / 3.0 else f"spin:{theta:g}",
+                 f"spin-1/2 selected along +z, asked about the axis at {theta:g} rad from z", "Sn")
 
 
 def _identity(default: str) -> Scenario:
-    a = Ket([1, 0])
-    b = Ket.normalized([1, 1])
+    a, b = Ket([1, 0]), Ket.normalized([1, 1])
     selection = {"A": "preselection", "B": "postselection"}[default]
-    return Scenario(
-        name=f"identity-{default}",
-        description=f"measuring a basis containing the {selection} finds it with certainty",
-        context=PrePostContext(a, b),
-        observables={"A": basis_containing(a), "B": basis_containing(b)},
-        default_observable=default,
-    )
+    return Scenario._validated(
+        f"identity-{default}",
+        f"measuring a basis containing the {selection} finds it with certainty",
+        PrePostContext(a, b),
+        {"A": partial(basis_containing, a), "B": partial(basis_containing, b)}, default)
 
 
 _BUILTINS = {
     "three-box": three_box,
     "spin-pi3": lambda: spin(math.pi / 3.0),
-    "preselect-only": lambda: dataclasses.replace(
-        spin(math.pi / 3.0), name="preselect-only",
-        description="identical pre- and postselection; the postselection never filters",
-        default_observable="Sz"),
+    "preselect-only": lambda: _spin(
+        math.pi / 3.0, "preselect-only",
+        "identical pre- and postselection; the postselection never filters", "Sz"),
     "identity-A": lambda: _identity("A"),
     "identity-B": lambda: _identity("B"),
 }

@@ -246,16 +246,34 @@ def test_disturbed_final_probability_is_sum_of_joints():
         assert disturbed_final_probability(ctx, obs) == total
 
 
+def _nearly_orthogonal_context(rng: np.random.Generator, dim: int, eps: float) -> PrePostContext:
+    """A Haar preselection ``a`` and the postselection ``normalize(p + eps a)``
+    for a Haar ``p`` orthogonalized against ``a``: ``|<b|a>|^2`` is about
+    ``eps^2``, below the overlap floor of :func:`make_context`."""
+    a, p = rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim))
+    a = a / np.linalg.norm(a)
+    p = p - np.vdot(a, p) * a
+    b = p / np.linalg.norm(p) + eps * a
+    return PrePostContext(Ket(a), Ket(b / np.linalg.norm(b)))
+
+
 @st.composite
 def _contexts_and_observables(draw):
-    """A Haar-random context and a rank-mixed observable, dims 1-8."""
+    """A rank-mixed observable, dims 1-8, with a Haar-random context or (dims
+    2-8) a nearly orthogonal one, where postselection is nearly impossible
+    without the intermediate measurement."""
     dim = draw(st.integers(1, 8))
     ranks, left = [], dim
     while left:
         ranks.append(draw(st.integers(1, left)))
         left -= ranks[-1]
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    return make_context(np.random.default_rng(seed), dim), mixed_rank_decomposition(seed, ranks)
+    rng = np.random.default_rng(seed)
+    if dim >= 2 and draw(st.booleans()):
+        ctx = _nearly_orthogonal_context(rng, dim, draw(st.sampled_from([1e-3, 1e-5])))
+    else:
+        ctx = make_context(rng, dim)
+    return ctx, mixed_rank_decomposition(seed, ranks)
 
 
 @settings(max_examples=200, deadline=None)

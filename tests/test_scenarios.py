@@ -1,12 +1,21 @@
+import copy
+import json
 import math
+import pathlib
+import pickle
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from ablkit import cli, scenarios
 from ablkit.abl import abl_distribution, born_distribution
 from ablkit.errors import ValidationError
 from ablkit.linalg import Ket, ObservableDecomposition, Projector, basis_containing
 from ablkit.scenarios import BUILTIN_NAMES, Scenario, builtin, spin, three_box
+
+NAMES = BUILTIN_NAMES + ("spin:0.7",)
+ORACLE = json.loads(pathlib.Path(__file__).with_name("builtin_oracle.json").read_text())
 
 
 def test_all_builtin_names_resolve():
@@ -128,3 +137,121 @@ def test_builtin_observables_pass_the_validating_constructors(name):
             [Projector(m) for m in obs.stack], obs.eigenvalues)
         assert [p.rank for _, p in checked] == [p.rank for _, p in obs], key
         assert checked.stack.tobytes() == obs.stack.tobytes(), key
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every observable the builtins build from here on, in build order: each
+    one comes from a canonical grouping, a spin axis or a basis containing a
+    selection."""
+    observables = []
+    for attr in ("_groups", "_spin_axis", "basis_containing"):
+        def counted(*args, _build=getattr(scenarios, attr)):
+            observables.append(_build(*args))
+            return observables[-1]
+        monkeypatch.setattr(scenarios, attr, counted)
+    return observables
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_builtin_lookups_by_name_build_nothing(name, built):
+    s = builtin(name)
+    keys = list(s.observables)
+    assert keys == [o["name"] for o in ORACLE["scenarios"][name]["observables"]]
+    assert all(key in s.observables for key in keys)
+    assert "missing" not in s.observables
+    assert len(s.observables) == len(keys)
+    assert sorted(s.observables) == sorted(keys)
+    with pytest.raises(KeyError):
+        s.observable("missing")
+    with pytest.raises(KeyError):
+        s.observables["missing"]
+    assert built == []
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_builtin_builds_each_observable_once_on_first_lookup(name, built):
+    s = builtin(name)
+    for count, key in enumerate(s.observables, 1):
+        obs = s.observables[key]
+        assert len(built) == count and built[-1] is obs
+        assert s.observables[key] is obs
+        assert s.observable(key) is obs
+        assert len(built) == count
+    assert s.observable() is s.observables[s.default_observable]
+    assert len(built) == len(s.observables)
+    # no memo outlives its scenario
+    fresh = builtin(name)
+    assert fresh.observables[s.default_observable] is not s.observable()
+
+
+def test_three_box_c_skips_basis_containing(monkeypatch):
+    calls = []
+
+    def counted(ket, _build=scenarios.basis_containing):
+        calls.append(ket)
+        return _build(ket)
+    monkeypatch.setattr(scenarios, "basis_containing", counted)
+    s = builtin("three-box")
+    s.observables["C"]
+    assert calls == []
+    s.observables["A"]
+    assert calls == [s.context.preselection]
+
+
+@pytest.mark.parametrize("source, args, wanted", [
+    ("three-box", ["--observable", "C"], "C"),
+    ("three-box", ["--no-intermediate"], None),
+    ("three-box", [], "C"),
+    ("spin-pi3", ["--observable", "Sn"], "Sn"),
+])
+def test_simulate_builds_only_the_observable_it_reads(capsys, built, source, args, wanted):
+    argv = ["simulate", "--builtin", source, *args, "--trials", "50", "--seed", "3", "--json"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["observable"] == wanted
+    made = list(built)
+    if wanted is None:
+        assert made == []
+    else:
+        assert len(made) == 1
+        assert made[0].stack.tobytes() == builtin(source).observables[wanted].stack.tobytes()
+
+
+def _pickled(scenario):
+    return pickle.loads(pickle.dumps(scenario))
+
+
+@pytest.mark.parametrize("round_trip", [_pickled, copy.deepcopy], ids=["pickle", "deepcopy"])
+@pytest.mark.parametrize("built_first", [False, True], ids=["unbuilt", "built"])
+@pytest.mark.parametrize("name", NAMES)
+def test_builtins_survive_pickle_and_deepcopy(name, built_first, round_trip):
+    s = builtin(name)
+    if built_first:
+        dict(s.observables.items())
+    copied = round_trip(s)
+    want = ORACLE["scenarios"][name]
+    assert (copied.name, copied.description, copied.default_observable) == (
+        want["name"], want["description"], want["default_observable"])
+    assert copied.context.preselection.amplitudes.tobytes().hex() == want["preselection"]
+    assert copied.context.postselection.amplitudes.tobytes().hex() == want["postselection"]
+    assert list(copied.observables) == [o["name"] for o in want["observables"]]
+    for key, o in zip(copied.observables, want["observables"]):
+        assert copied.observables[key].stack.tobytes().hex() == o["stack"], key
+        assert copied.observables[key] is copied.observable(key)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_builtins_pass_the_checks_their_construction_skips(name):
+    # Builtins skip Scenario.__post_init__, which would build every
+    # observable; these are its two checks.
+    s = builtin(name)
+    assert s.default_observable in s.observables
+    for key, obs in s.observables.items():
+        assert obs.dim == s.context.dim, key
+
+
+def test_threads_racing_on_a_first_lookup_get_one_observable():
+    s = builtin("three-box")
+    with ThreadPoolExecutor(4) as pool:
+        seen = list(pool.map(lambda _: s.observables["A"], range(32)))
+    assert all(obs is s.observables["A"] for obs in seen)
