@@ -15,7 +15,7 @@ import json
 import math
 import sys
 
-from .abl import DIV_TOL, abl_distribution, born_distribution, disturbed_final_probability
+from .abl import DIV_TOL, abl_distribution, born_distribution
 from .counterfactual import DEFAULT_GAP_MIN, find_counterexample
 from .errors import (
     AblkitError,
@@ -28,7 +28,7 @@ from .errors import (
 from .histories import (CONSISTENCY_TOL, HistoryFamily, coarse_graining_table, disturbance_check,
                          is_consistent)
 # Unused here; bench/workloads.py's tracer rebinds these names.
-from .abl import joint_probability  # noqa: F401
+from .abl import disturbed_final_probability, joint_probability  # noqa: F401
 from .histories import enumerate_coarse_grainings  # noqa: F401
 from .linalg import ALG_TOL, inner
 from .scenario_io import counterexample_scenario, dump_scenario, load_scenario, scenario_to_jsonable
@@ -196,13 +196,14 @@ def cmd_simulate(args) -> int:
                                               workers=args.workers)
     else:
         payload["observable"], observable = _pick_observable(scenario, args)
-        target = disturbed_final_probability(ctx, observable)
         target_kind = "disturbed"
         # One ensemble gives both: its postselected count is the final
-        # probability's numerator.
+        # probability's numerator.  It runs before the exact kernel, so an
+        # impossible postselection reports that no trial postselected.
         stats = estimate_abl(ctx, observable, args.trials, args.seed, workers=args.workers)
         estimate = stats.postselected_count / args.trials
-        exact = abl_distribution(ctx, observable).probabilities
+        dist = abl_distribution(ctx, observable)
+        target = sum(dist.joints.tolist())  # the Python sum disturbed_final_probability takes
         born = born_distribution(ctx.preselection, observable)
         payload["postselected"] = stats.postselected_count
         payload["branches"] = [
@@ -211,9 +212,9 @@ def cmd_simulate(args) -> int:
                 "count": int(stats.branch_counts[i]),
                 "frequency": float(stats.conditional_freq[i]),
                 "stderr": float(stats.stderr[i]),
-                "abl": float(exact[i]),
+                "abl": float(dist.probabilities[i]),
                 "born": float(born[i]),
-                "z": _z_score(float(stats.conditional_freq[i] - exact[i]),
+                "z": _z_score(float(stats.conditional_freq[i] - dist.probabilities[i]),
                               float(stats.stderr[i])),
             }
             for i in range(len(observable))

@@ -77,8 +77,9 @@ def _joint_table(a: Ket, final_basis: ObservableDecomposition,
     return (w.real ** 2 + w.imag ** 2).sum(axis=2)
 
 
-def _sharp_shanks(joints: np.ndarray, denominators: np.ndarray, weights: np.ndarray,
-                  branch: int) -> float:
+def _mix(joints: np.ndarray, denominators: np.ndarray, weights: np.ndarray, branch: int) -> float:
+    # Sharp-Shanks weighs by the undisturbed final probabilities, Vaidman by
+    # the disturbed ones (the denominators), which leave no live term undefined.
     live = weights > DIV_TOL
     undefined = np.flatnonzero(live & (denominators <= DIV_TOL))
     if undefined.size:
@@ -87,13 +88,6 @@ def _sharp_shanks(joints: np.ndarray, denominators: np.ndarray, weights: np.ndar
             f"final outcome {l} has weight {float(weights[l])!r} but the ABL conditional is "
             f"undefined (denominator {float(denominators[l])!r})")
     return float(np.sum(weights[live] * (joints[live, branch] / denominators[live])))
-
-
-def _vaidman(joints: np.ndarray, denominators: np.ndarray, branch: int) -> float:
-    # The disturbed weight of an outcome is its ABL denominator, so outcomes
-    # with a vanishing denominator contribute zero.
-    live = denominators > DIV_TOL
-    return float(np.sum(denominators[live] * (joints[live, branch] / denominators[live])))
 
 
 def sharp_shanks_total(a: Ket, final_basis: ObservableDecomposition,
@@ -107,7 +101,7 @@ def sharp_shanks_total(a: Ket, final_basis: ObservableDecomposition,
     :class:`UndefinedTermError`.
     """
     joints = _joint_table(a, final_basis, observable, branch)
-    return _sharp_shanks(joints, joints.sum(axis=1), born_distribution(a, final_basis), branch)
+    return _mix(joints, joints.sum(axis=1), born_distribution(a, final_basis), branch)
 
 
 def vaidman_total(a: Ket, final_basis: ObservableDecomposition,
@@ -116,7 +110,8 @@ def vaidman_total(a: Ket, final_basis: ObservableDecomposition,
     obtain when the intermediate observable really is measured.  Equals the
     Born probability of ``branch`` up to rounding."""
     joints = _joint_table(a, final_basis, observable, branch)
-    return _vaidman(joints, joints.sum(axis=1), branch)
+    denominators = joints.sum(axis=1)
+    return _mix(joints, denominators, denominators, branch)
 
 
 def mixing_report(a: Ket, final_basis: ObservableDecomposition,
@@ -126,8 +121,8 @@ def mixing_report(a: Ket, final_basis: ObservableDecomposition,
     joints = _joint_table(a, final_basis, observable, branch)
     born_total = float(born_distribution(a, observable)[branch])
     denominators = joints.sum(axis=1)
-    ss_total = _sharp_shanks(joints, denominators, born_distribution(a, final_basis), branch)
-    vt = _vaidman(joints, denominators, branch)
+    ss_total = _mix(joints, denominators, born_distribution(a, final_basis), branch)
+    vt = _mix(joints, denominators, denominators, branch)
     return MixingReport(born_total, ss_total, vt, float(abs(born_total - ss_total)))
 
 

@@ -112,12 +112,9 @@ class _TrialSampler:
         return np.concatenate(([hits.size], np.bincount(hits, minlength=self.n_branches)))
 
     def sample(self, rng: np.random.Generator) -> TrialRecord:
-        if self.intermediate_cum is None:
-            final = _pick(self.final_cums[0], rng.random())
-            return TrialRecord(None, final, final == 0)
-        u = rng.random(2)
-        branch = _pick(self.intermediate_cum, u[0])
-        final = _pick(self.final_cums[branch], u[1])
+        u = rng.random(self.draws)
+        branch = None if self.intermediate_cum is None else _pick(self.intermediate_cum, u[0])
+        final = _pick(self.final_cums[branch or 0], u[-1])
         return TrialRecord(branch, final, final == 0)
 
 
@@ -127,7 +124,9 @@ def run_trial(ctx: PrePostContext, observable: ObservableDecomposition | None,
     return _TrialSampler(ctx, observable).sample(rng)
 
 
-def _ensemble_counts(sampler: _TrialSampler, trials: int, seed: int, workers: int) -> np.ndarray:
+def _ensemble_counts(ctx: PrePostContext, observable: ObservableDecomposition | None,
+                     trials: int, seed: int, workers: int) -> np.ndarray:
+    sampler = _TrialSampler(ctx, observable)
     if trials < 1:
         raise ValidationError(f"trials must be at least 1, got {trials}")
     if trials > 2 ** 64:
@@ -148,8 +147,7 @@ def estimate_abl(ctx: PrePostContext, observable: ObservableDecomposition,
     """Estimate the ABL distribution by conditioning simulated runs on
     postselection.  Raises :class:`NoPostselectedTrialsError` when not a
     single trial postselects."""
-    sampler = _TrialSampler(ctx, observable)
-    counts = _ensemble_counts(sampler, trials, seed, workers)
+    counts = _ensemble_counts(ctx, observable, trials, seed, workers)
     postselected = int(counts[0])
     if postselected == 0:
         raise NoPostselectedTrialsError(
@@ -165,6 +163,5 @@ def estimate_final_probability(ctx: PrePostContext,
                                trials: int, seed: int, *, workers: int = 1) -> float:
     """Fraction of trials that pass postselection, with or without an
     intervening measurement of ``observable``."""
-    sampler = _TrialSampler(ctx, observable)
-    counts = _ensemble_counts(sampler, trials, seed, workers)
+    counts = _ensemble_counts(ctx, observable, trials, seed, workers)
     return int(counts[0]) / trials

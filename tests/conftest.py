@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ablkit.abl import PrePostContext
-from ablkit.linalg import Ket, ObservableDecomposition, Projector
+from ablkit.linalg import Ket, ObservableDecomposition, Projector, orthonormalize
+from ablkit.sampling import random_ket
 from ablkit.scenarios import three_box
 
 
@@ -50,3 +51,15 @@ def mixed_rank_decomposition(seed: int, ranks, eigenvalues=None) -> ObservableDe
         projectors.append(Projector(cols @ cols.conj().T, rank=rank))
         start += rank
     return ObservableDecomposition.from_projectors(projectors, eigenvalues)
+
+
+def near_degenerate_basis(rng: np.random.Generator, dim: int) -> list[Ket]:
+    """A basis of ``dim`` >= 2 whose first two kets come from inputs at an
+    angle of about 1e-6, so the second is a Gram-Schmidt residual of norm
+    about 1e-6: a Haar ket, that ket nudged by 1e-6, and dim - 2 Gaussian
+    vectors, through ``orthonormalize``."""
+    u = random_ket(rng, dim).amplitudes
+    gaussians = rng.standard_normal((dim - 1, dim)) + 1j * rng.standard_normal((dim - 1, dim))
+    nudge = gaussians[0] - u * np.vdot(u, gaussians[0])
+    near = u + 1e-6 * nudge / np.linalg.norm(nudge)
+    return [Ket(q) for q in orthonormalize([u, near, *gaussians[1:]])]

@@ -568,8 +568,12 @@ def test_domain_errors_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "abl", "--scenario", str(path))
     assert code == 2
     assert "postselection" in err
-    code, _, err = run(capsys, "simulate", "--scenario", str(path), "--trials", "50")
-    assert code == 2
+    # The ensemble runs before the exact ABL distribution, so an impossible
+    # postselection is reported as the simulation saw it.
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "simulate", "--scenario", str(path), "--trials", "100", *extra)
+        assert (code, out, err) == (
+            2, "", "error: none of the 100 trials passed postselection (seed 0)\n")
 
 
 # main builds the named subcommand's parser alone when the first argument

@@ -21,6 +21,8 @@ from ablkit.linalg import (Ket, ObservableDecomposition, basis_containing, compl
 from ablkit.sampling import random_basis, random_ket, substream
 from ablkit.scenarios import spin
 
+from conftest import near_degenerate_basis
+
 
 def spin_inputs():
     s = spin(math.pi / 3)
@@ -303,14 +305,16 @@ def _quadrature(a, rng, rank, beta):
 
 @st.composite
 def _final_bases_and_observables(draw):
-    """Dims 1-8: a Haar-random preselection ``a`` and final basis ``{b_l}``,
-    and an observable ``C`` that is a Haar basis, a coarse-graining of the
-    final basis, or a basis containing ``a``; or, from dim 2, ``C`` and
-    ``{b_l}`` from ``_quadrature``, weakly but not medium consistent."""
+    """Dims 1-8: a Haar-random preselection ``a``, a Haar or (from dim 2)
+    near-degenerate final basis ``{b_l}``, and an observable ``C`` that is a
+    Haar basis, a coarse-graining of the final basis, or a basis containing
+    ``a``; or, from dim 2, ``C`` and ``{b_l}`` from ``_quadrature``, weakly
+    but not medium consistent."""
     dim = draw(st.integers(1, 8))
     rng = np.random.default_rng([draw(st.integers(0, 2 ** 32 - 1)), 12])
     a = random_ket(rng, dim)
-    finals = random_basis(rng, dim)
+    near_degenerate = dim > 1 and draw(st.booleans())
+    finals = (near_degenerate_basis if near_degenerate else random_basis)(rng, dim)
     kind = draw(st.sampled_from(["haar", "coarse-graining", "containing"]
                                 + ["quadrature"] * (dim > 1)))
     if kind == "quadrature":

@@ -34,7 +34,7 @@ from ablkit.sampling import random_basis, random_ket
 from ablkit.scenario_io import load_scenario
 from ablkit.scenarios import BUILTIN_NAMES, builtin, three_box
 
-from conftest import make_context, mixed_rank_decomposition
+from conftest import make_context, mixed_rank_decomposition, near_degenerate_basis
 
 SCENARIO = three_box()
 CTX = SCENARIO.context
@@ -373,14 +373,15 @@ _ROUNDING = 1e-15
 
 @st.composite
 def _bases_and_contexts(draw):
-    """A Haar-random basis, optionally nudged toward the tolerances, or a
-    rank-mixed decomposition (dims 1-6), with a Haar-random context whose
-    preselection may be drawn inside one branch, which makes the family
-    consistent."""
+    """A Haar-random or near-degenerate basis, optionally nudged toward the
+    tolerances, or a rank-mixed decomposition (dims 1-6), with a Haar-random
+    context whose preselection may be drawn inside one branch, which makes
+    the family consistent."""
     dim = draw(st.integers(1, 6))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng([seed, 1])
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["mixed-rank", "haar"] + ["near-degenerate"] * (dim > 1)))
+    if kind == "mixed-rank":
         ranks, left = [], dim
         while left:
             ranks.append(draw(st.integers(1, left)))
@@ -388,9 +389,10 @@ def _bases_and_contexts(draw):
         base = mixed_rank_decomposition(seed, ranks)
     else:
         nudge = draw(st.sampled_from([0.0, 1e-11, 3e-11]))
+        basis = (random_basis if kind == "haar" else near_degenerate_basis)(rng, dim)
         kets = [Ket.normalized(k.amplitudes + nudge * (rng.standard_normal(dim)
                                                        + 1j * rng.standard_normal(dim)))
-                for k in random_basis(rng, dim)]
+                for k in basis]
         try:
             base = ObservableDecomposition.from_eigenbasis(kets)
         except ValidationError:
@@ -572,14 +574,16 @@ def test_verdicts_of_many_branch_families_match_plain_numpy_bit_for_bit(dim):
 @st.composite
 def _weakly_consistent_families(draw):
     """Dims 1-8: a fine observable of at most ``MAX_ENUMERATED_BRANCHES``
-    branches (a Haar basis grouped by labels) and a context whose family is
+    branches (a Haar or, from dim 2, a near-degenerate basis grouped by
+    labels) and a context whose family is
     weakly consistent by construction, then nudged by 0, 1e-9 or 1e-6:
     the preselection or the postselection lies in one branch, or exactly two
     branches carry amplitudes a quarter turn apart, which is weakly but not
     medium consistent."""
     dim = draw(st.integers(1, 8))
     rng = np.random.default_rng([draw(st.integers(0, 2 ** 32 - 1)), 18])
-    kets = random_basis(rng, dim)
+    near_degenerate = dim > 1 and draw(st.booleans())
+    kets = (near_degenerate_basis if near_degenerate else random_basis)(rng, dim)
     labels = draw(st.lists(st.integers(0, MAX_ENUMERATED_BRANCHES - 1),
                            min_size=dim, max_size=dim))
     fine = ObservableDecomposition.from_projectors(
@@ -654,3 +658,64 @@ def test_abl_is_not_additive_without_consistency():
     scale = 3 * 2  # |B|(|B|-1) = 0 for B = {box 1}, and n(n-1) = 6
     assert gap > (scale * CONSISTENCY_TOL + 1e-14) / dist.denominator
     assert gap <= scale * weak.max_violation / dist.denominator
+
+
+def _contrary_context(rng, dim, t):
+    """Kent's contrary inferences (PRL 78, 2874, 1997): a Haar basis ``e`` and
+    a context whose amplitudes x_i = <b|e_i><e_i|a> are proportional to
+    s = (k, k, -k, t) for a random unit phase k.  Returns ``e`` and the
+    context."""
+    e = random_basis(rng, dim)
+    a = random_ket(rng, dim)
+    kets = np.array([k.amplitudes for k in e])
+    kappa = np.exp(2j * np.pi * rng.random())
+    s = np.concatenate([[kappa, kappa, -kappa], t])
+    b = Ket.normalized(np.conj(s / (kets.conj() @ a.amplitudes)) @ kets)
+    return e, PrePostContext(a, b)
+
+
+def _two_outcome_abl(ctx, projector):
+    # ABL of ``projector`` in the family {P, I - P}, and that family's verdict
+    observable = ObservableDecomposition.from_projectors([projector, projector.complement()])
+    report = is_consistent(HistoryFamily.from_context(ctx, observable))
+    return float(abl_distribution(ctx, observable).probabilities[0]), report.consistent
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(3, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_consistent_families_make_contrary_inferences(dim, seed):
+    # With sum(t) = 0, the amplitudes of I - E1, I - E2 and E1 + E3 sum to 0:
+    # two consistent families each make one of the orthogonal E1, E2
+    # certain, and a third makes E1 + E3, which contains E1, impossible.
+    # Only the fine family, which is inconsistent, ranks them as Born-like
+    # odds: |k|^2 / (3 |k|^2 + |t|^2) <= 1/3 each.
+    rng = np.random.default_rng([seed, 21])
+    t = rng.standard_normal(dim - 3) + 1j * rng.standard_normal(dim - 3)
+    e, ctx = _contrary_context(rng, dim, t - t.mean() if dim > 3 else t)
+    e1, e2 = e[0].projector(), e[1].projector()
+    assert np.abs(e1.matrix @ e2.matrix).max() <= 1e-14
+    for certain in (e1, e2):
+        abl, consistent = _two_outcome_abl(ctx, certain)
+        assert consistent and abs(abl - 1.0) <= 1e-12
+    impossible, consistent = _two_outcome_abl(ctx, projector_from_kets([e[0], e[2]]))
+    assert consistent and impossible <= 1e-12
+    fine = ObservableDecomposition.from_eigenbasis(e)
+    assert not is_consistent(HistoryFamily.from_context(ctx, fine)).consistent
+    probabilities = abl_distribution(ctx, fine).probabilities
+    assert max(probabilities[0], probabilities[1]) <= 1 / 3 + 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.integers(4, 8), seed=st.integers(0, 2 ** 32 - 1),
+       offset=st.complex_numbers(min_magnitude=1e-3, max_magnitude=10.0))
+def test_contrary_inferences_need_the_amplitudes_of_i_minus_e1_to_cancel(dim, seed, offset):
+    # Negative control: with sum(t) = offset the amplitude of I - E1 is
+    # offset times that of E1, so ABL(E1) = 1 / (1 + |offset|^2) and E1 is
+    # no longer certain.
+    rng = np.random.default_rng([seed, 21])
+    t = rng.standard_normal(dim - 3) + 1j * rng.standard_normal(dim - 3)
+    e, ctx = _contrary_context(rng, dim, t - t.mean() + offset / (dim - 3))
+    abl, _ = _two_outcome_abl(ctx, e[0].projector())
+    expected = 1.0 / (1.0 + abs(offset) ** 2)
+    assert abl == pytest.approx(expected, rel=1e-9)
+    assert abl < 1.0 - 1e-7

@@ -277,3 +277,54 @@ def test_sampler_skip_of_collapsed_norms_near_div_tol(norm, live):
     assert sum(r.intermediate_branch == 0 for r in records) == 6
     assert any(r.postselected and r.intermediate_branch == 0 for r in records) == live
     assert sampler.tally(u).tolist() == _scalar_counts(records, len(flipped))
+
+
+#: Ensembles per exact-binomial check, and the trials in each.
+PIT_SEEDS, PIT_TRIALS = 300, 4000
+_LOG_FACTORIALS = np.array([math.lgamma(i + 1) for i in range(PIT_TRIALS + 1)])
+
+
+def _binomial_pmf(n: int, p: float) -> np.ndarray:
+    """Exact Binomial(n, p) pmf over 0..n, for n <= PIT_TRIALS, from log space."""
+    k = np.arange(n + 1)
+    return np.exp(_LOG_FACTORIALS[n] - _LOG_FACTORIALS[k] - _LOG_FACTORIALS[n - k]
+                  + k * math.log(p) + (n - k) * math.log1p(-p))
+
+
+def _randomized_pit(count: int, n: int, p: float, v: float) -> float:
+    # F(count - 1) + v * P(count): exactly Uniform(0, 1) when count is
+    # Binomial(n, p) and v is an independent uniform.
+    pmf = _binomial_pmf(n, p)
+    return float(pmf[:count].sum() + v * pmf[count])
+
+
+
+@pytest.mark.parametrize("name, observable", [("three-box", None), ("three-box", "C"),
+                                              ("spin-pi3", "Sn")])
+def test_sampler_counts_follow_the_exact_binomial(name, observable):
+    """Over seeds 0-299 at 4000 trials, the postselected count without an
+    intermediate measurement, or the count of intermediate branch 0 given
+    the postselected count, is Binomial with the exact probability.  Their
+    randomized PIT values must then be Uniform(0, 1): the test refuses when
+    the Kolmogorov-Smirnov distance D exceeds sqrt(ln(2 / alpha) / (2 n)),
+    which by the Dvoretzky-Kiefer-Wolfowitz inequality (Massart's constant)
+    a correct sampler does with probability at most alpha = 1e-6 per case."""
+    scenario = builtin(name)
+    ctx = scenario.context
+    v = np.random.default_rng(2024).random(PIT_SEEDS)
+    pit = []
+    for seed in range(PIT_SEEDS):
+        if observable is None:
+            p = abs(np.vdot(ctx.postselection.amplitudes, ctx.preselection.amplitudes)) ** 2
+            n = PIT_TRIALS
+            count = round(estimate_final_probability(ctx, None, n, seed) * n)
+        else:
+            obs = scenario.observables[observable]
+            p = float(abl_distribution(ctx, obs).probabilities[0])
+            stats = estimate_abl(ctx, obs, PIT_TRIALS, seed)
+            n, count = stats.postselected_count, int(stats.branch_counts[0])
+        pit.append(_randomized_pit(count, n, p, v[seed]))
+    u = np.sort(pit)
+    ranks = np.arange(1, PIT_SEEDS + 1) / PIT_SEEDS
+    distance = max((ranks - u).max(), (u - ranks + 1 / PIT_SEEDS).max())
+    assert distance <= math.sqrt(math.log(2 / 1e-6) / (2 * PIT_SEEDS))
