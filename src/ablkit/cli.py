@@ -11,12 +11,9 @@ exactly; JSON has no infinity, so an infinite ``z`` or tolerance is ``null``.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
-from .abl import DIV_TOL, abl_distribution, born_distribution
-from .counterfactual import DEFAULT_GAP_MIN, find_counterexample
 from .errors import (
     AblkitError,
     ImpossiblePostselectionError,
@@ -25,15 +22,35 @@ from .errors import (
     UndefinedTermError,
     ZeroProjectionError,
 )
-from .histories import (CONSISTENCY_TOL, HistoryFamily, coarse_graining_table, disturbance_check,
-                         is_consistent)
-# Unused here; bench/workloads.py's tracer rebinds these names.
-from .abl import disturbed_final_probability, joint_probability  # noqa: F401
-from .histories import enumerate_coarse_grainings  # noqa: F401
-from .linalg import ALG_TOL, inner
-from .scenario_io import counterexample_scenario, dump_scenario, load_scenario, scenario_to_jsonable
-from .scenarios import BUILTIN_NAMES, Scenario, builtin
-from .simulate import estimate_abl, estimate_final_probability
+
+#: The library names this module uses, by home module.  Handlers import them
+#: at call time, so a command loads only the modules it runs.  They import
+#: them from this module (``from .cli import name``), which binds each on first
+#: access (PEP 562), because ``bench/workloads.py``'s tracer rebinds names
+#: here; ``disturbed_final_probability``, ``joint_probability`` and
+#: ``enumerate_coarse_grainings`` are listed for the tracer alone.
+_LIBRARY = {
+    "abl": """DIV_TOL abl_distribution born_distribution disturbed_final_probability
+              joint_probability""",
+    "counterfactual": "DEFAULT_GAP_MIN find_counterexample",
+    "histories": """CONSISTENCY_TOL HistoryFamily coarse_graining_table disturbance_check
+                    enumerate_coarse_grainings is_consistent""",
+    "linalg": "ALG_TOL inner",
+    "scenario_io": "counterexample_scenario dump_scenario load_scenario scenario_to_jsonable",
+    "scenarios": "BUILTIN_NAMES Scenario builtin",
+    "simulate": "estimate_abl estimate_final_probability",
+}
+_HOME = {name: module for module, names in _LIBRARY.items() for name in names.split()}
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f".{_HOME[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
 
 _DOMAIN_ERRORS = (ImpossiblePostselectionError, NoPostselectedTrialsError,
                   ZeroProjectionError, UndefinedTermError)
@@ -64,6 +81,7 @@ def _positive_int(text: str) -> int:
 
 
 def _add_scenario_args(parser: argparse.ArgumentParser):
+    from .cli import BUILTIN_NAMES
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--scenario", metavar="PATH", help="scenario file to load")
     source.add_argument("--builtin", metavar="NAME",
@@ -73,6 +91,7 @@ def _add_scenario_args(parser: argparse.ArgumentParser):
 
 
 def _read_scenario(path: str) -> Scenario:
+    from .cli import load_scenario
     try:
         return load_scenario(path)
     except OSError as err:  # missing, a directory, unreadable, ...
@@ -81,6 +100,7 @@ def _read_scenario(path: str) -> Scenario:
 
 def _load(args) -> tuple[Scenario, str]:
     if args.builtin is not None:
+        from .cli import builtin
         return builtin(args.builtin), args.builtin
     return _read_scenario(args.scenario), args.scenario
 
@@ -94,11 +114,13 @@ def _pick_observable(scenario: Scenario, args):
 
 
 def _print_json(payload: dict) -> int:
+    import json
     print(json.dumps(payload, sort_keys=True, allow_nan=False))
     return 0
 
 
 def cmd_abl(args) -> int:
+    from .cli import ALG_TOL, DIV_TOL, abl_distribution, born_distribution
     scenario, source = _load(args)
     name, observable = _pick_observable(scenario, args)
     dist = abl_distribution(scenario.context, observable)
@@ -131,6 +153,7 @@ def _blocks_label(blocks: list[list[float]]) -> str:
 
 
 def cmd_consistency(args) -> int:
+    from .cli import HistoryFamily, coarse_graining_table, disturbance_check, is_consistent
     scenario, source = _load(args)
     name, observable = _pick_observable(scenario, args)
     tol = args.tolerance
@@ -183,6 +206,8 @@ def cmd_consistency(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .cli import (abl_distribution, born_distribution, estimate_abl,
+                      estimate_final_probability, inner)
     scenario, source = _load(args)
     ctx = scenario.context
     payload = {"command": "simulate", "scenario": source, "dim": scenario.dim, "observable": None,
@@ -253,6 +278,8 @@ def _z_score(diff: float, stderr: float) -> float:
 
 
 def cmd_counterexample(args) -> int:
+    from .cli import (counterexample_scenario, dump_scenario, find_counterexample,
+                      scenario_to_jsonable)
     example = find_counterexample(args.dim, args.seed, gap_min=args.gap_min,
                                   max_tries=args.max_tries)
     if example is None:
@@ -291,6 +318,7 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_scenario_validate(args) -> int:
+    from .cli import dump_scenario, scenario_to_jsonable
     scenario = _read_scenario(args.path)
     if args.json:
         return _print_json({
@@ -312,6 +340,7 @@ def _abl_args(parser: _Parser):
 
 
 def _consistency_args(parser: _Parser):
+    from .cli import CONSISTENCY_TOL
     _add_scenario_args(parser)
     parser.add_argument("--criterion", choices=("medium", "weak"), default="medium")
     parser.add_argument("--tolerance", type=float, default=CONSISTENCY_TOL,
@@ -334,6 +363,7 @@ def _simulate_args(parser: _Parser):
 
 
 def _counterexample_args(parser: _Parser):
+    from .cli import DEFAULT_GAP_MIN
     parser.add_argument("--dim", type=int, choices=range(2, 7), default=2)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--gap-min", type=float, default=DEFAULT_GAP_MIN)
@@ -398,4 +428,6 @@ def entry():
 
 
 if __name__ == "__main__":
+    # Run as ``python -m ablkit.cli``: the handlers' ``from .cli import`` finds this module.
+    sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])
     entry()

@@ -45,15 +45,17 @@ from __future__ import annotations
 import json
 import math
 from itertools import chain
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from .abl import PrePostContext
-from .counterfactual import Counterexample
 from .errors import AblkitError, ScenarioParseError, ValidationError
 from .linalg import Ket, ObservableDecomposition, Projector, projector_from_kets
 from .scenarios import Scenario
+
+if TYPE_CHECKING:  # annotation only; counterfactual would load sampling
+    from .counterfactual import Counterexample
 
 _TOP_KEYS = {"dim", "name", "description", "preselection", "postselection",
              "observables", "default_observable"}

@@ -114,7 +114,10 @@ class _LazyObservables(Mapping[str, ObservableDecomposition]):
 def _groups(dim: int, labels: Sequence[float],
             *groups: tuple[int, ...]) -> ObservableDecomposition:
     # 0/1 projectors onto groups that partition the canonical basis: valid by construction.
-    stack = np.array([np.diag([float(k in g) for k in range(dim)]) for g in groups], np.complex128)
+    # Entry (k, k) of projector i is flat entry i*dim*dim + k*(dim + 1) of the stack.
+    stack = np.zeros((len(groups), dim, dim), np.complex128)
+    ones = [i * dim * dim + k * (dim + 1) for i, g in enumerate(groups) for k in g]
+    stack.reshape(-1)[ones] = 1.0
     return ObservableDecomposition._validated(
         stack, [float(e) for e in labels], [len(g) for g in groups])
 

@@ -1,14 +1,22 @@
-"""Import hygiene of the ``ablkit`` package, read from its source with ``ast``.
+"""Import hygiene of the ``ablkit`` package.
 
-No module reaches into a private name of a sibling module, and every name a
-module imports is used there or rebound on it by the benchmark's tracer
-(``bench/run.py --trace 1``).  This reads ``bench/`` and changes nothing
-there.
+Read from its source with ``ast``: no module reaches into a private name of
+a sibling module, and every name a module imports is used there or rebound
+on it by the benchmark's tracer (``bench/run.py --trace 1``).  This reads
+``bench/`` and changes nothing there.
+
+Run in fresh interpreters: importing ``ablkit.cli`` loads no library module,
+each command loads only the modules it runs, and ``python -m ablkit.cli``
+loads no second copy of ``cli``.
 """
 
 import ast
 import importlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -97,3 +105,56 @@ def test_every_imported_name_is_used_or_traced(path, traced_names):
     unused = [f"line {line}: {name}" for name, line in _imported_names(tree).items()
               if name not in used and (module, name) not in traced_names]
     assert unused == []
+
+
+# Runs ``main(argv)`` (or nothing, for an empty argv) in a fresh interpreter
+# and prints the ablkit modules it loaded.
+_LOADED = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import ablkit.cli
+if sys.argv[2:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = ablkit.cli.main(sys.argv[2:])
+    assert code == 0, code
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "ablkit")))
+"""
+
+
+def _loaded(*argv: str) -> set[str]:
+    done = subprocess.run([sys.executable, "-c", _LOADED, str(ROOT / "src"), *argv], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return {name.removeprefix("ablkit.") for name in json.loads(done.stdout)}
+
+
+def test_importing_the_cli_loads_no_library_module():
+    assert _loaded() == {"ablkit", "cli", "errors"}
+
+
+_UNUSED = {
+    "abl --builtin three-box": {"simulate", "sampling", "scenario_io", "counterfactual",
+                                "histories"},
+    "abl --scenario tests/cli_oracle/three-box.json": {"simulate", "sampling", "counterfactual"},
+    "simulate --builtin three-box --trials 50": {"scenario_io", "counterfactual", "histories"},
+}
+
+
+@pytest.mark.parametrize("command", list(_UNUSED))
+def test_a_command_loads_only_the_modules_it_runs(command):
+    loaded = _loaded(*command.split())
+    assert "scenarios" in loaded  # the command ran
+    assert loaded & _UNUSED[command] == set()
+
+
+def test_running_the_cli_as_a_module_loads_it_once(capsys):
+    # The handlers' ``from .cli import`` must find the ``__main__`` module,
+    # not import cli.py again (-X importtime lists each module imported).
+    argv = ["abl", "--builtin", "three-box"]
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "ablkit.cli", *argv],
+                          cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, timeout=120, check=True)
+    from ablkit.cli import main
+    assert main(argv) == 0
+    assert done.stdout == capsys.readouterr().out
+    imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()]
+    assert "ablkit" in imported and "ablkit.cli" not in imported
