@@ -81,13 +81,13 @@ def _mix(joints: np.ndarray, denominators: np.ndarray, weights: np.ndarray, bran
     # Sharp-Shanks weighs by the undisturbed final probabilities, Vaidman by
     # the disturbed ones (the denominators), which leave no live term undefined.
     live = weights > DIV_TOL
-    undefined = np.flatnonzero(live & (denominators <= DIV_TOL))
+    undefined = (live & (denominators <= DIV_TOL)).nonzero()[0]
     if undefined.size:
         l = int(undefined[0])
         raise UndefinedTermError(
             f"final outcome {l} has weight {float(weights[l])!r} but the ABL conditional is "
             f"undefined (denominator {float(denominators[l])!r})")
-    return float(np.sum(weights[live] * (joints[live, branch] / denominators[live])))
+    return float((weights[live] * (joints[live, branch] / denominators[live])).sum())
 
 
 def sharp_shanks_total(a: Ket, final_basis: ObservableDecomposition,

@@ -21,6 +21,7 @@ rows; ``coarse_graining_verdicts`` wraps its rows in the reports above.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,8 @@ def _state_of(projector: Projector) -> np.ndarray:
     # A unit vector spanning a rank-1 projector, up to a global phase (which
     # cancels from every quantity below): its largest column, rescaled.
     m = projector.matrix
-    k = int(np.argmax(m.diagonal().real))
-    return m[:, k] / np.sqrt(m[k, k].real)
+    k = int(m.diagonal().real.argmax())
+    return m[:, k] / math.sqrt(m[k, k].real)
 
 
 def _amplitudes(stack: np.ndarray, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
@@ -157,7 +158,7 @@ def disturbance_check(family: HistoryFamily, *, tol: float = CONSISTENCY_TOL) ->
     if not tol >= 0.0:
         raise ValidationError(f"tolerance must be non-negative, got {tol}")
     x, undisturbed = family._x, family._undisturbed
-    disturbed = float(np.sum(x.real ** 2 + x.imag ** 2))
+    disturbed = float((x.real ** 2 + x.imag ** 2).sum())
     return DisturbanceCheck(undisturbed, disturbed, abs(undisturbed - disturbed) <= tol)
 
 
@@ -228,7 +229,7 @@ def coarse_graining_table(family: HistoryFamily, *, criterion: str = "medium",
     x = amplitudes[[[slots[block] for block in blocks] + [0] * (width - len(blocks))
                     for blocks in partitions]]
     d, violations, consistent = _decoherence(x, criterion, tol)
-    disturbed = np.sum(x.real ** 2 + x.imag ** 2, axis=1).tolist()
+    disturbed = (x.real ** 2 + x.imag ** 2).sum(axis=1).tolist()
     return (partitions, d, violations.tolist(), consistent.tolist(),
             disturbed, [abs(family._undisturbed - s) <= tol for s in disturbed])
 

@@ -114,7 +114,8 @@ class Ket:
 
     def projector(self) -> "Projector":
         """The rank-1 projector onto this state."""
-        return Projector._validated(np.outer(self.amplitudes, self.amplitudes.conj()), 1)
+        a = self.amplitudes
+        return Projector._validated(a[:, None] * a.conj()[None, :], 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,7 +139,7 @@ class Projector:
             residue = _max_abs(m @ m - m)
         if not residue <= ALG_TOL:
             raise ValidationError("projector matrix is not idempotent")
-        trace = float(np.trace(m).real)
+        trace = float(m.trace().real)
         rank = int(round(trace)) if self.rank is None else int(self.rank)
         if rank <= 0:
             raise ValidationError("projector rank must be a positive integer")
@@ -209,7 +210,7 @@ class ObservableDecomposition:
         for i in range(len(branches) - 1):
             overlaps = np.abs(stack[i] @ stack[i + 1:])
             if overlaps.max() > ALG_TOL:
-                j = i + 1 + int(np.argmax(overlaps.max(axis=(1, 2)) > ALG_TOL))
+                j = i + 1 + int((overlaps.max(axis=(1, 2)) > ALG_TOL).argmax())
                 raise ValidationError(_overlapping(i, j))
         stack.setflags(write=False)
         # As in _validated.
@@ -351,7 +352,7 @@ def trace_product(ops: Sequence) -> complex:
     acc = mats[0]
     for m in mats[1:]:
         acc = acc @ m
-    return complex(np.trace(acc))
+    return complex(acc.trace())
 
 
 def orthonormalize(vectors: Sequence[np.ndarray], *, tol: float = SPAN_TOL) -> list[np.ndarray]:
@@ -370,7 +371,7 @@ def orthonormalize(vectors: Sequence[np.ndarray], *, tol: float = SPAN_TOL) -> l
         input_sq = np.vdot(w, w).real if basis else 0.0
         for _ in range(2):
             for q in basis:
-                w = w - q * np.vdot(q, w)
+                w -= q * np.vdot(q, w)
             norm = _norm(w)
             if norm <= tol or 2.0 * norm * norm >= input_sq:
                 break
@@ -392,7 +393,7 @@ def projector_from_kets(kets: Sequence[Ket]) -> Projector:
     basis = orthonormalize([k.amplitudes for k in kets])
     m = np.zeros((dim, dim), dtype=np.complex128)
     for q in basis:
-        m += np.outer(q, q.conj())
+        m += q[:, None] * q.conj()[None, :]
     return Projector(m, rank=len(basis))
 
 
@@ -412,7 +413,7 @@ def complete_basis(vectors: Sequence[np.ndarray], dim: int) -> list[np.ndarray]:
         w = np.zeros(dim, dtype=np.complex128)
         w[k] = 1.0
         for q in basis:
-            w = w - q * np.vdot(q, w)
+            w -= q * np.vdot(q, w)
         norm = _norm(w)
         if norm > SPAN_TOL:
             basis.append(w / norm)

@@ -165,6 +165,6 @@ def random_basis(rng: np.random.Generator, dim: int) -> list[Ket]:
     """
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
+    d = r.diagonal()
     q = q * (d / np.abs(d))
     return [Ket._validated(row) for row in q.T.copy()]

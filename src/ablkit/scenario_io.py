@@ -51,7 +51,7 @@ import numpy as np
 
 from .abl import PrePostContext
 from .errors import AblkitError, ScenarioParseError, ValidationError
-from .linalg import Ket, ObservableDecomposition, Projector, projector_from_kets
+from .linalg import Ket, ObservableDecomposition, Projector, orthonormalize, projector_from_kets
 from .scenarios import Scenario
 
 if TYPE_CHECKING:  # annotation only; counterfactual would load sampling
@@ -170,9 +170,7 @@ def _branch(node, path: str, dim: int) -> tuple[float, Projector | np.ndarray]:
         raise _fail(f"{path}.kets", f"expected at most {dim} kets, got {len(nodes)}")
     kets = [_ket(k, f"{path}.kets[{i}]", dim) for i, k in enumerate(nodes)]
     if len(kets) == 1:
-        # Scaled as orthonormalize scales it.
-        v = kets[0].amplitudes
-        return eigenvalue, v / float(np.linalg.norm(v))
+        return eigenvalue, orthonormalize([kets[0].amplitudes])[0]
     return eigenvalue, _built(path, projector_from_kets, kets)
 
 
@@ -186,7 +184,8 @@ def _observable(branches: list[tuple[float, Projector | np.ndarray]]) -> Observa
         return ObservableDecomposition._from_amplitudes(
             np.array([q for _, q in branches]), eigenvalues, signed_zeros=False)
     return ObservableDecomposition([
-        (e, Projector._validated(np.outer(p, p.conj()) + 0.0, 1) if isinstance(p, np.ndarray) else p)
+        (e, Projector._validated(p[:, None] * p.conj()[None, :] + 0.0, 1)
+         if isinstance(p, np.ndarray) else p)
         for e, p in branches])
 
 
@@ -351,9 +350,9 @@ def dump_scenario(scenario: Scenario) -> str:
 def _ket_from_rank1(m: np.ndarray) -> Ket:
     # Largest column of the rank-1 projector |v><v| is v (up to phase); fix
     # the phase by making the largest amplitude real positive.
-    col = m[:, int(np.argmax(np.linalg.norm(m, axis=0)))]
+    col = m[:, int(np.linalg.norm(m, axis=0).argmax())]
     v = col / np.linalg.norm(col)
-    lead = v[int(np.argmax(np.abs(v)))]
+    lead = v[int(np.abs(v).argmax())]
     return Ket.normalized(v * (lead.conjugate() / abs(lead)))
 
 

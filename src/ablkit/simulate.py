@@ -56,8 +56,7 @@ class EnsembleStats:
 
 def _pick(cumulative: np.ndarray, u: float) -> int:
     # Inverse-CDF draw; the clamp absorbs cumulative sums that round below 1.
-    idx = int(np.searchsorted(cumulative, u, side="right"))
-    return min(idx, len(cumulative) - 1)
+    return min(int(cumulative.searchsorted(u, side="right")), len(cumulative) - 1)
 
 
 class _TrialSampler:
@@ -78,7 +77,7 @@ class _TrialSampler:
             self.intermediate_cum = None
             live, unit = np.ones(1, dtype=bool), a[None, :]
         else:
-            self.intermediate_cum = np.cumsum(born_distribution(ctx.preselection, observable))
+            self.intermediate_cum = born_distribution(ctx.preselection, observable).cumsum()
             # Branches of Born weight ~0 are never drawn; their rows stay 0.
             collapsed = observable.stack @ a
             norms = np.array([np.linalg.norm(c) for c in collapsed])
@@ -87,8 +86,8 @@ class _TrialSampler:
         # These thresholds decide counts: per-row norms and stacked matvecs
         # keep them bitwise those of collapsing one branch at a time.
         self.final_cums = np.zeros((len(live), dim))
-        self.final_cums[live] = np.cumsum(
-            np.abs(final_states.conj() @ unit[:, :, None])[:, :, 0] ** 2, axis=1)
+        self.final_cums[live] = (
+            np.abs(final_states.conj() @ unit[:, :, None])[:, :, 0] ** 2).cumsum(axis=1)
         # _pick returns final outcome 0 exactly when no entry of the
         # (nondecreasing) row is <= u, i.e. when u < row[0]; with a
         # one-element basis its clamp always returns 0.
@@ -106,7 +105,7 @@ class _TrialSampler:
         the same as tallying :meth:`sample` row by row."""
         if self.intermediate_cum is None:
             return np.array([np.count_nonzero(u[:, 0] < self.postselect_below[0])])
-        branch = np.minimum(np.searchsorted(self.intermediate_cum, u[:, 0], side="right"),
+        branch = np.minimum(self.intermediate_cum.searchsorted(u[:, 0], side="right"),
                             self.n_branches - 1)
         hits = branch[u[:, 1] < self.postselect_below[branch]]
         return np.concatenate(([hits.size], np.bincount(hits, minlength=self.n_branches)))

@@ -2,8 +2,9 @@
 
 Read from its source with ``ast``: no module reaches into a private name of
 a sibling module, and every name a module imports is used there or rebound
-on it by the benchmark's tracer (``bench/run.py --trace 1``).  This reads
-``bench/`` and changes nothing there.
+on it by the benchmark's tracer (``bench/run.py --trace 1``), and no module
+calls one of NumPy's Python-level wrappers that an array method replaces
+with the same bits.  This reads ``bench/`` and changes nothing there.
 
 Run in fresh interpreters: importing ``ablkit.cli`` loads no library module,
 each command loads only the modules it runs, and ``python -m ablkit.cli``
@@ -105,6 +106,48 @@ def test_every_imported_name_is_used_or_traced(path, traced_names):
     unused = [f"line {line}: {name}" for name, line in _imported_names(tree).items()
               if name not in used and (module, name) not in traced_names]
     assert unused == []
+
+
+#: NumPy functions whose Python-level wrapper costs 0.5-2 us per call at the
+#: sizes ablkit works at, with the form that computes the same bits without it.
+_WRAPPERS = {
+    "sum": "x.sum()",
+    "outer": "a[:, None] * b[None, :] (1-d a, b)",
+    "flatnonzero": "x.nonzero()[0] (1-d x)",
+    "argmax": "x.argmax()",
+    "diagonal": "x.diagonal()",
+    "cumsum": "x.cumsum()",
+    "searchsorted": "a.searchsorted(v)",
+    "trace": "x.trace()",
+}
+
+
+def _wrapper_uses(tree: ast.Module) -> list[str]:
+    numpy = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names if alias.name == "numpy"}
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in _WRAPPERS
+                and isinstance(node.value, ast.Name) and node.value.id in numpy):
+            found.append(f"line {node.lineno}: {node.value.id}.{node.attr}: "
+                         f"use {_WRAPPERS[node.attr]}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [f"line {node.lineno}: from numpy import {alias.name}: "
+                      f"use {_WRAPPERS[alias.name]}"
+                      for alias in node.names if alias.name in _WRAPPERS]
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_numpy_wrapper_that_an_array_method_replaces(path):
+    assert _wrapper_uses(_tree(path)) == []
+
+
+@pytest.mark.parametrize("name", list(_WRAPPERS))
+def test_the_wrapper_rule_names_the_array_method(name):
+    tree = ast.parse(f"import numpy as xp\nfrom numpy import {name}\nxp.{name}(v)\n")
+    assert sorted(_wrapper_uses(tree)) == [f"line 2: from numpy import {name}: use {_WRAPPERS[name]}",
+                                           f"line 3: xp.{name}: use {_WRAPPERS[name]}"]
 
 
 # Runs ``main(argv)`` (or nothing, for an empty argv) in a fresh interpreter
