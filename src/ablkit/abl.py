@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ImpossiblePostselectionError, ZeroProjectionError
+from .errors import (DimensionMismatchError, ImpossiblePostselectionError, ValidationError,
+                     ZeroProjectionError)
 from .linalg import Ket, ObservableDecomposition, apply_operator, operator_matrix
 
 #: Denominators at or below this threshold count as zero.
@@ -120,6 +121,8 @@ def abl_probabilities(initial, observable: ObservableDecomposition, final,
     probability that the postselection succeeds at all, is ``div_tol`` or
     below.
     """
+    if not div_tol >= 0.0:
+        raise ValidationError(f"tolerance must be non-negative, got {div_tol}")
     p_init = operator_matrix(initial, dim=observable.dim)
     p_final = operator_matrix(final, dim=observable.dim)
     stack = observable.stack

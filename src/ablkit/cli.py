@@ -23,32 +23,16 @@ from .errors import (
     ZeroProjectionError,
 )
 
-#: The library names this module uses, by home module.  Handlers import them
-#: at call time, so a command loads only the modules it runs.  They import
-#: them from this module (``from .cli import name``), which binds each on first
-#: access (PEP 562), because ``bench/workloads.py``'s tracer rebinds names
-#: here; ``disturbed_final_probability``, ``joint_probability`` and
-#: ``enumerate_coarse_grainings`` are listed for the tracer alone.
-_LIBRARY = {
-    "abl": """DIV_TOL abl_distribution born_distribution disturbed_final_probability
-              joint_probability""",
-    "counterfactual": "DEFAULT_GAP_MIN find_counterexample",
-    "histories": """CONSISTENCY_TOL HistoryFamily coarse_graining_table disturbance_check
-                    enumerate_coarse_grainings is_consistent""",
-    "linalg": "ALG_TOL inner",
-    "scenario_io": "counterexample_scenario dump_scenario load_scenario scenario_to_jsonable",
-    "scenarios": "BUILTIN_NAMES Scenario builtin",
-    "simulate": "estimate_abl estimate_final_probability",
-}
-_HOME = {name: module for module, names in _LIBRARY.items() for name in names.split()}
-
-
+# Handlers read library names from this module (``from .cli import name``) at
+# call time, so a command loads only the modules it runs, and a rebinding of
+# ``ablkit.cli.<name>`` by ``bench/workloads.py``'s tracer, made before or
+# after first use, is what gets called.  Any name the package exports
+# resolves here on first access (PEP 562), through the package's own table.
 def __getattr__(name):
-    if name not in _HOME:
+    package = sys.modules[__package__]
+    if name not in package.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-    value = getattr(import_module(f".{_HOME[name]}", __package__), name)
-    globals()[name] = value
+    value = globals()[name] = getattr(package, name)
     return value
 
 
@@ -363,7 +347,7 @@ def _simulate_args(parser: _Parser):
 
 
 def _counterexample_args(parser: _Parser):
-    from .cli import DEFAULT_GAP_MIN
+    from .counterfactual import DEFAULT_GAP_MIN
     parser.add_argument("--dim", type=int, choices=range(2, 7), default=2)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--gap-min", type=float, default=DEFAULT_GAP_MIN)

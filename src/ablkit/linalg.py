@@ -365,6 +365,8 @@ def orthonormalize(vectors: Sequence[np.ndarray], *, tol: float = SPAN_TOL) -> l
     falls to ``tol`` or below, i.e. the inputs are (numerically) linearly
     dependent.
     """
+    if not tol >= 0.0:
+        raise ValidationError(f"tolerance must be non-negative, got {tol}")
     basis: list[np.ndarray] = []
     for k, v in enumerate(vectors):
         w = np.array(v, dtype=np.complex128)

@@ -54,9 +54,9 @@ class EnsembleStats:
     stderr: np.ndarray
 
 
-def _pick(cumulative: np.ndarray, u: float) -> int:
-    # Inverse-CDF draw; the clamp absorbs cumulative sums that round below 1.
-    return min(int(cumulative.searchsorted(u, side="right")), len(cumulative) - 1)
+def _pick(cumulative: np.ndarray, u):
+    # Inverse-CDF draw(s); the clamp absorbs cumulative sums that round below 1.
+    return np.minimum(cumulative.searchsorted(u, side="right"), len(cumulative) - 1)
 
 
 class _TrialSampler:
@@ -105,15 +105,14 @@ class _TrialSampler:
         the same as tallying :meth:`sample` row by row."""
         if self.intermediate_cum is None:
             return np.array([np.count_nonzero(u[:, 0] < self.postselect_below[0])])
-        branch = np.minimum(self.intermediate_cum.searchsorted(u[:, 0], side="right"),
-                            self.n_branches - 1)
+        branch = _pick(self.intermediate_cum, u[:, 0])
         hits = branch[u[:, 1] < self.postselect_below[branch]]
         return np.concatenate(([hits.size], np.bincount(hits, minlength=self.n_branches)))
 
     def sample(self, rng: np.random.Generator) -> TrialRecord:
         u = rng.random(self.draws)
-        branch = None if self.intermediate_cum is None else _pick(self.intermediate_cum, u[0])
-        final = _pick(self.final_cums[branch or 0], u[-1])
+        branch = None if self.intermediate_cum is None else int(_pick(self.intermediate_cum, u[0]))
+        final = int(_pick(self.final_cums[branch or 0], u[-1]))
         return TrialRecord(branch, final, final == 0)
 
 

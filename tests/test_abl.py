@@ -20,6 +20,7 @@ from ablkit.abl import (
 from ablkit.errors import (
     DimensionMismatchError,
     ImpossiblePostselectionError,
+    ValidationError,
     ZeroProjectionError,
 )
 from ablkit.histories import HistoryFamily, decoherence_matrix, disturbance_check
@@ -148,6 +149,26 @@ def test_denominators_either_side_of_div_tol(denominator, defined):
                          abl_probabilities(ctx.initial_projector, obs, ctx.final_projector)):
         assert denom == pytest.approx(denominator, rel=1e-12)
         np.testing.assert_array_equal(probs, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("div_tol", [float("nan"), -1.0, -1e-300, float("-inf")])
+def test_abl_probabilities_refuses_an_invalid_division_cutoff(div_tol):
+    # Such a cutoff let a zero denominator through, as probabilities of nan.
+    obs = ObservableDecomposition.from_eigenbasis([Ket.normalized([1, 0]),
+                                                   Ket.normalized([0, 1])])
+    with pytest.raises(ValidationError) as err:
+        abl_probabilities(Ket.normalized([1, 0]).projector(), obs,
+                          Ket.normalized([0, 1]).projector(), div_tol=div_tol)
+    assert str(err.value) == f"tolerance must be non-negative, got {div_tol}"
+
+
+def test_abl_probabilities_accepts_a_zero_division_cutoff():
+    obs = ObservableDecomposition.from_eigenbasis([Ket.normalized([1, 0]),
+                                                   Ket.normalized([0, 1])])
+    probs, denom = abl_probabilities(Ket.normalized([1, 0]).projector(), obs,
+                                     Ket.normalized([1, 1]).projector(), div_tol=0.0)
+    np.testing.assert_array_equal(probs, [1.0, 0.0])
+    assert denom == pytest.approx(0.5, rel=1e-12)
 
 
 def test_abl_probabilities_accepts_multirank_endpoints():

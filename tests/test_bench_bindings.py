@@ -87,3 +87,28 @@ def test_a_rebound_cli_name_is_what_the_command_calls(name, when):
     seen = json.loads(done.stdout)
     assert seen["calls"] >= 1
     assert seen["wrapped"] == seen["plain"] != ""
+
+
+# In a fresh interpreter: the names given, each read from ``ablkit.cli`` first,
+# that are not the package's own object.
+_SAME = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import ablkit, ablkit.cli
+print(json.dumps([name for name in sys.argv[2:]
+                  if getattr(ablkit.cli, name) is not getattr(ablkit, name)]))
+"""
+
+
+def test_a_traced_cli_name_is_the_package_name(monkeypatch):
+    # cli resolves library names through the package's one table, the names
+    # that only the tracer reads included.
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    names = [attr for module, attr, _ in workloads._cli_bindings()
+             if module.__name__ == "ablkit.cli"]
+    assert names
+    root = BENCH.parent
+    done = subprocess.run([sys.executable, "-c", _SAME, str(root / "src"), *names],
+                          cwd=root, capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(done.stdout) == []

@@ -150,6 +150,46 @@ def test_the_wrapper_rule_names_the_array_method(name):
                                            f"line 3: xp.{name}: use {_WRAPPERS[name]}"]
 
 
+
+def _unresolved_cli_reads(tree: ast.Module, exported) -> list[str]:
+    # Names read with ``from .cli import`` that cli neither defines at top
+    # level nor resolves through the package's exports.
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined |= {target.id for target in node.targets if isinstance(target, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            defined |= set(_imported_names(ast.Module(body=[node], type_ignores=[])))
+    return [f"line {node.lineno}: {alias.name}" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "cli"
+            for alias in node.names if alias.name not in defined | set(exported)]
+
+
+def test_every_name_cli_reads_from_itself_resolves():
+    # A handler's ``from .cli import name`` finds the name only if cli
+    # defines it or the package exports it; otherwise its command fails.
+    import ablkit
+    tree = _tree(PACKAGE / "cli.py")
+    assert any(isinstance(node, ast.ImportFrom) and node.module == "cli"
+               for node in ast.walk(tree))
+    assert _unresolved_cli_reads(tree, ablkit.__all__) == []
+
+
+def test_the_cli_read_rule_names_an_unexported_name():
+    tree = ast.parse("import sys\n_FMT = 1\ndef f():\n"
+                     "    from .cli import sys, _FMT, f, inner, DEFAULT_GAP_MIN\n")
+    assert _unresolved_cli_reads(tree, ["inner"]) == ["line 4: DEFAULT_GAP_MIN"]
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "_SUBMODULES", "_HOME", "DEFAULT_GAP_MIN"])
+def test_the_cli_resolves_no_name_the_package_does_not_export(name):
+    import ablkit.cli
+    with pytest.raises(AttributeError) as err:
+        getattr(ablkit.cli, name)
+    assert str(err.value) == f"module 'ablkit.cli' has no attribute {name!r}"
+
 # Runs ``main(argv)`` (or nothing, for an empty argv) in a fresh interpreter
 # and prints the ablkit modules it loaded.
 _LOADED = """

@@ -143,6 +143,21 @@ def test_orthonormalize_output_is_orthonormal():
         np.testing.assert_allclose(gram, np.eye(dim), atol=1e-10)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-300, float("-inf")])
+def test_orthonormalize_refuses_an_invalid_tolerance(tol):
+    # Such a tolerance let a zero residual through, as a vector of nan.
+    for vectors in ([np.zeros(2)], [np.array([1.0, 0.0])], []):
+        with pytest.raises(ValidationError) as err:
+            orthonormalize(vectors, tol=tol)
+        assert str(err.value) == f"tolerance must be non-negative, got {tol}"
+
+
+def test_orthonormalize_accepts_a_zero_tolerance():
+    assert len(orthonormalize([np.array([1.0, 1j])], tol=0.0)) == 1
+    with pytest.raises(DegenerateSpanError):
+        orthonormalize([np.zeros(2)], tol=0.0)
+
+
 def _near_dependent_kets(seed: int, r: float):
     # q0 and normalize(q0 + r q1) for a seeded complex QR basis q: the second
     # ket's Gram-Schmidt residual is about r, and one pass leaves it a

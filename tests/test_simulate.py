@@ -279,6 +279,23 @@ def test_sampler_skip_of_collapsed_norms_near_div_tol(norm, live):
     assert sampler.tally(u).tolist() == _scalar_counts(records, len(flipped))
 
 
+def test_a_uniform_past_the_last_cumulative_weight_draws_the_last_branch():
+    # Ten Born weights of 0.1 sum to 1 - 2**-53, so u0 = 1 - 2**-53 lies past
+    # every cumulative entry and only the clamp keeps the draw on branch 9.
+    uniform = Ket.normalized(np.ones(10))
+    ctx = PrePostContext(uniform, uniform)
+    observable = ObservableDecomposition.from_eigenbasis([Ket(row) for row in np.eye(10)])
+    sampler = _TrialSampler(ctx, observable)
+    assert sampler.intermediate_cum[-1] == 1.0 - 2 ** -53
+    u = np.array([[1.0 - 2 ** -53, u1] for u1 in (0.0, 0.05, 0.5)])
+    assert (sampler.intermediate_cum.searchsorted(u[:, 0], side="right") == 10).all()
+    records = [run_trial(ctx, observable, _FixedUniforms(row)) for row in u]
+    assert records == [TrialRecord(9, 0, True), TrialRecord(9, 0, True), TrialRecord(9, 9, False)]
+    assert all(type(r.intermediate_branch) is int and type(r.final_branch) is int
+               for r in records)
+    assert sampler.tally(u).tolist() == [2] + [0] * 9 + [2]
+
+
 #: Ensembles per exact-binomial check, and the trials in each.
 PIT_SEEDS, PIT_TRIALS = 300, 4000
 _LOG_FACTORIALS = np.array([math.lgamma(i + 1) for i in range(PIT_TRIALS + 1)])
