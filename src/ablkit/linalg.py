@@ -355,6 +355,21 @@ def trace_product(ops: Sequence) -> complex:
     return complex(acc.trace())
 
 
+def _project_out(w: np.ndarray, basis: Sequence[np.ndarray], tol: float,
+                 again_below_sq: float) -> float:
+    # Modified Gram-Schmidt of ``w`` against the orthonormal ``basis``, in
+    # place; returns the residual norm.  Unless that is at most ``tol``, a
+    # residual whose squared norm is below ``again_below_sq`` is projected a
+    # second time.
+    for _ in range(2):
+        for q in basis:
+            w -= q * np.vdot(q, w)
+        norm = _norm(w)
+        if norm <= tol or norm * norm >= again_below_sq:
+            break
+    return norm
+
+
 def orthonormalize(vectors: Sequence[np.ndarray], *, tol: float = SPAN_TOL) -> list[np.ndarray]:
     """Modified Gram-Schmidt orthonormalization.
 
@@ -363,20 +378,23 @@ def orthonormalize(vectors: Sequence[np.ndarray], *, tol: float = SPAN_TOL) -> l
     2005), since one pass leaves it a non-orthogonality of about
     eps / residual.  Raises :class:`DegenerateSpanError` when a residual norm
     falls to ``tol`` or below, i.e. the inputs are (numerically) linearly
-    dependent.
+    dependent, :class:`DimensionMismatchError` for vectors of differing
+    lengths, and :class:`ValidationError` for a vector that is not 1-d or
+    whose norm is not finite.
     """
     if not tol >= 0.0:
         raise ValidationError(f"tolerance must be non-negative, got {tol}")
     basis: list[np.ndarray] = []
     for k, v in enumerate(vectors):
         w = np.array(v, dtype=np.complex128)
-        input_sq = np.vdot(w, w).real if basis else 0.0
-        for _ in range(2):
-            for q in basis:
-                w -= q * np.vdot(q, w)
-            norm = _norm(w)
-            if norm <= tol or 2.0 * norm * norm >= input_sq:
-                break
+        if w.ndim != 1:
+            raise ValidationError(f"vector {k} is not 1-d: shape {w.shape}")
+        if basis and w.shape != basis[0].shape:
+            raise DimensionMismatchError(
+                f"vector {k} has length {w.size}, vector 0 has length {basis[0].size}")
+        norm = _project_out(w, basis, tol, 0.5 * np.vdot(w, w).real if basis else 0.0)
+        if not math.isfinite(norm):
+            raise ValidationError(f"vector {k} does not have a finite norm")
         if norm <= tol:
             raise DegenerateSpanError(
                 f"vector {k} is linearly dependent on its predecessors (residual norm {norm:.3e})")
@@ -402,11 +420,21 @@ def projector_from_kets(kets: Sequence[Ket]) -> Projector:
 def complete_basis(vectors: Sequence[np.ndarray], dim: int) -> list[np.ndarray]:
     """Extend vectors to a full orthonormal basis of a ``dim``-dimensional space.
 
-    Deterministic: candidates are the canonical basis vectors taken in index
-    order, keeping each one whose Gram-Schmidt residual survives the
-    dependence cutoff.
+    Deterministic: after :func:`orthonormalize`, candidates are the canonical
+    basis vectors taken in index order, keeping each one whose Gram-Schmidt
+    residual survives the dependence cutoff.  They go through the same loop
+    with a narrower second-pass rule: a candidate whose residual's squared
+    norm is below 1e-3 (about 3 % of its norm) is projected a second time,
+    so the basis completed around a vector near an axis, or with several
+    small components, is orthonormal too.  Raises :class:`ValidationError`
+    for ``dim < 1`` and :class:`DimensionMismatchError` for vectors whose
+    length is not ``dim``.
     """
-    basis = orthonormalize(vectors) if len(vectors) else []
+    if dim < 1:
+        raise ValidationError(f"dimension must be at least 1, got {dim}")
+    basis = orthonormalize(vectors)
+    if basis and basis[0].size != dim:
+        raise DimensionMismatchError(f"vectors of length {basis[0].size} in dimension {dim}")
     if len(basis) > dim:
         raise ValidationError(f"{len(basis)} orthonormal vectors cannot fit in dimension {dim}")
     for k in range(dim):
@@ -414,9 +442,7 @@ def complete_basis(vectors: Sequence[np.ndarray], dim: int) -> list[np.ndarray]:
             break
         w = np.zeros(dim, dtype=np.complex128)
         w[k] = 1.0
-        for q in basis:
-            w -= q * np.vdot(q, w)
-        norm = _norm(w)
+        norm = _project_out(w, basis, SPAN_TOL, 1e-3)
         if norm > SPAN_TOL:
             basis.append(w / norm)
     if len(basis) != dim:

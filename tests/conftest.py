@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -63,3 +65,13 @@ def near_degenerate_basis(rng: np.random.Generator, dim: int) -> list[Ket]:
     nudge = gaussians[0] - u * np.vdot(u, gaussians[0])
     near = u + 1e-6 * nudge / np.linalg.norm(nudge)
     return [Ket(q) for q in orthonormalize([u, near, *gaussians[1:]])]
+
+
+def near_axis_ket(rng: np.random.Generator, dim: int, axis: int, angle: float) -> Ket:
+    """A ket at ``angle`` from the canonical basis vector ``axis``, tilted
+    toward a Gaussian direction orthogonal to it."""
+    tilt = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    tilt[axis] = 0.0
+    amps = math.sin(angle) * tilt / np.linalg.norm(tilt)
+    amps[axis] = math.cos(angle)
+    return Ket(amps)

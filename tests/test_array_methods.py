@@ -96,9 +96,13 @@ def _ref_complete_basis(vectors, dim: int) -> list[np.ndarray]:
             break
         w = np.zeros(dim, dtype=np.complex128)
         w[k] = 1.0
-        for q in basis:
-            w = w - q * np.vdot(q, w)
-        norm = _norm(w)
+        # A candidate whose residual's squared norm is below 1e-3 is projected twice.
+        for _ in range(2):
+            for q in basis:
+                w = w - q * np.vdot(q, w)
+            norm = _norm(w)
+            if norm <= SPAN_TOL or norm * norm >= 1e-3:
+                break
         if norm > SPAN_TOL:
             basis.append(w / norm)
     return basis
@@ -208,9 +212,10 @@ def test_projector_from_kets():
 
 def _basis_containing_outcome(build, ket):
     # The decomposition's labels and stack, or the message of the
-    # ValidationError it raises: complete_basis projects each canonical
-    # candidate once, so a ket within 1e-6 of an axis leaves its completion
-    # non-orthogonal by about 1e-10, and both sides refuse it.
+    # ValidationError it raises.  Both sides project a canonical candidate
+    # that keeps less than about 3 % of its norm a second time, so both
+    # accept a ket within 1e-6 of an axis, which one pass left non-orthogonal
+    # by about 1e-10.
     try:
         obs = build(ket)
     except ValidationError as err:

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from ablkit.errors import DegenerateSpanError, DimensionMismatchError, ValidationError
 from ablkit.histories import enumerate_coarse_grainings
 from ablkit.linalg import (
+    ALG_TOL,
     Branch,
     Ket,
     ObservableDecomposition,
@@ -20,7 +22,7 @@ from ablkit.linalg import (
 )
 from ablkit.linalg import _norm
 
-from conftest import OVERFLOWING_HERMITIAN, mixed_rank_decomposition
+from conftest import OVERFLOWING_HERMITIAN, mixed_rank_decomposition, near_axis_ket
 
 
 def unit(dim, k):
@@ -293,6 +295,77 @@ def test_basis_containing_puts_ket_first():
         assert len(obs) == dim
         np.testing.assert_allclose(obs.matrix(0), np.outer(k.amplitudes, k.amplitudes.conj()),
                                    atol=1e-12)
+
+
+@pytest.mark.parametrize("angle", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
+def test_basis_containing_puts_a_ket_near_an_axis_first(angle):
+    # One Gram-Schmidt pass over the canonical candidates left the basis
+    # around such a ket non-orthogonal by about eps / angle, and
+    # basis_containing refused the ket for angles 1e-5 to 1e-8.
+    rng = np.random.default_rng(26)
+    for dim in range(2, 9):
+        for axis in range(dim):
+            for _ in range(4):
+                k = near_axis_ket(rng, dim, axis, angle)
+                obs = basis_containing(k)
+                assert len(obs) == dim
+                np.testing.assert_allclose(obs.matrix(0), k.projector().matrix, atol=1e-12)
+                basis = np.array(complete_basis([k.amplitudes], dim))
+                assert np.abs(basis.conj() @ basis.T - np.eye(dim)).max() <= ALG_TOL
+
+
+def test_basis_containing_puts_a_ket_with_several_small_components_first():
+    # Components at scales 1e-9 to 1 leave several canonical candidates with
+    # small residuals in a row; one pass's error then grows with each, and a
+    # second pass only below a residual of 1e-4 still refused some kets.
+    rng = np.random.default_rng(2626)
+    for _ in range(2000):
+        dim = int(rng.integers(2, 9))
+        scales = 10.0 ** rng.uniform(-9, 0, dim)
+        scales[rng.integers(dim)] = 1.0
+        k = Ket.normalized(scales * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)))
+        assert len(basis_containing(k)) == dim
+        basis = np.array(complete_basis([k.amplitudes], dim))
+        assert np.abs(basis.conj() @ basis.T - np.eye(dim)).max() <= ALG_TOL
+
+
+def test_orthonormalize_refuses_vectors_of_mixed_length():
+    with pytest.raises(DimensionMismatchError, match="vector 1 has length 2, vector 0 has length 3"):
+        orthonormalize([np.ones(3), np.ones(2)])
+
+
+def test_orthonormalize_refuses_a_vector_that_is_not_1d():
+    # It returned a (2, 2) array as a "vector", and complete_basis leaked
+    # numpy's broadcast error.
+    with pytest.raises(ValidationError, match=r"vector 0 is not 1-d: shape \(2, 2\)"):
+        orthonormalize([np.eye(2)])
+    with pytest.raises(ValidationError, match=r"vector 0 is not 1-d: shape \(2, 2\)"):
+        complete_basis([np.eye(2)], 4)
+
+
+@pytest.mark.parametrize("vectors", [
+    [np.array([np.nan, 1.0])],
+    [np.array([1.0, 0.0]), np.array([np.nan, 1.0])],
+    [np.array([1.0, 0.0]), np.array([np.inf, 1.0])],
+], ids=["nan-first", "nan-second", "inf-second"])
+def test_orthonormalize_refuses_a_vector_without_a_finite_norm(vectors):
+    # It returned a vector of nan, with a RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"vector {len(vectors) - 1} does not have a finite norm"):
+            orthonormalize(vectors)
+
+
+def test_complete_basis_refuses_vectors_of_another_dimension():
+    # numpy's reshape error leaked through.
+    with pytest.raises(DimensionMismatchError, match="vectors of length 3 in dimension 5"):
+        complete_basis([np.ones(3)], 5)
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_complete_basis_refuses_a_dimension_below_one(dim):
+    with pytest.raises(ValidationError, match=f"dimension must be at least 1, got {dim}"):
+        complete_basis([], dim)
 
 
 def _branchwise(kets, eigenvalues):

@@ -10,8 +10,8 @@ import ablkit.simulate
 
 from ablkit.abl import DIV_TOL, PrePostContext, abl_distribution, disturbed_final_probability
 from ablkit.errors import NoPostselectedTrialsError, ValidationError
-from ablkit.linalg import Ket, ObservableDecomposition, basis_containing, complete_basis
-from ablkit.sampling import random_basis, substream
+from ablkit.linalg import ALG_TOL, Ket, ObservableDecomposition, basis_containing, complete_basis
+from ablkit.sampling import random_basis, random_ket, substream
 from ablkit.scenarios import BUILTIN_NAMES, builtin, spin, three_box
 from ablkit.simulate import (
     CHUNK,
@@ -23,7 +23,7 @@ from ablkit.simulate import (
     run_trial,
 )
 
-from conftest import make_context, mixed_rank_decomposition
+from conftest import make_context, mixed_rank_decomposition, near_axis_ket
 
 SCENARIO = three_box()
 CTX = SCENARIO.context
@@ -246,6 +246,22 @@ def test_sampler_tables_match_per_branch_collapse_on_random_draws(data, dim, see
     else:
         observable = None
     _assert_tables_bitwise(ctx, observable)
+
+
+@pytest.mark.parametrize("angle", [1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
+def test_sampler_final_rows_sum_to_one_for_a_postselection_near_an_axis(angle):
+    # One Gram-Schmidt pass left the final basis around such a postselection
+    # non-orthogonal, and the final outcome probabilities summed to 1 only
+    # within about 4e-8.
+    rng = np.random.default_rng(2626)
+    for dim in range(2, 9):
+        for axis in range(dim):
+            for _ in range(4):
+                ctx = PrePostContext(random_ket(rng, dim), near_axis_ket(rng, dim, axis, angle))
+                observable = ObservableDecomposition.from_eigenbasis(random_basis(rng, dim))
+                for sampler in (_TrialSampler(ctx, None), _TrialSampler(ctx, observable)):
+                    live = sampler.final_cums[:, -1] != 0.0
+                    assert np.abs(sampler.final_cums[live, -1] - 1.0).max() <= ALG_TOL
 
 
 class _FixedUniforms:
