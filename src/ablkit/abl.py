@@ -64,8 +64,9 @@ class PrePostContext:
 @dataclass(frozen=True, eq=False)
 class AblDistribution:
     """ABL conditional outcome probabilities together with the raw
-    denominator (the postselection probability if the observable is
-    measured), kept so callers can see how close the conditioning came to
+    denominator ``float(joints.sum())``, the postselection probability if
+    the observable is measured (what :func:`disturbed_final_probability`
+    returns), kept so callers can see how close the conditioning came to
     being impossible, and the read-only ``joints`` it conditioned: entry
     ``i`` is :func:`joint_probability` for branch ``i``."""
 
@@ -154,8 +155,8 @@ def disturbed_final_probability(ctx: PrePostContext, observable: ObservableDecom
     """Probability that the postselection succeeds when ``observable`` is
     measured (and its outcome discarded) between the two selections.
 
-    This is exactly the sum of the joint probabilities over branches; with no
-    intervening measurement the postselection probability would instead be
-    ``|<b|a>|^2``.
+    This is the ABL denominator ``float(joints.sum())``, bit for bit
+    :attr:`AblDistribution.denominator`; with no intervening measurement the
+    postselection probability would instead be ``|<b|a>|^2``.
     """
-    return sum(_context_joints(ctx, observable).tolist())
+    return float(_context_joints(ctx, observable).sum())

@@ -137,6 +137,7 @@ def _blocks_label(blocks: list[list[float]]) -> str:
 
 
 def cmd_consistency(args) -> int:
+    from dataclasses import asdict
     from .cli import HistoryFamily, coarse_graining_table, disturbance_check, is_consistent
     scenario, source = _load(args)
     name, observable = _pick_observable(scenario, args)
@@ -154,11 +155,7 @@ def cmd_consistency(args) -> int:
         "consistent": report.consistent,
         "max_violation": report.max_violation,
         "decoherence": [[[z.real, z.imag] for z in row] for row in report.matrix],
-        "disturbance": {
-            "undisturbed": disturbance.undisturbed,
-            "disturbed": disturbance.disturbed,
-            "holds": disturbance.holds,
-        },
+        "disturbance": asdict(disturbance),
     }
     if args.coarse_grainings:
         eigenvalues = observable.eigenvalues
@@ -212,7 +209,7 @@ def cmd_simulate(args) -> int:
         stats = estimate_abl(ctx, observable, args.trials, args.seed, workers=args.workers)
         estimate = stats.postselected_count / args.trials
         dist = abl_distribution(ctx, observable)
-        target = sum(dist.joints.tolist())  # the Python sum disturbed_final_probability takes
+        target = dist.denominator
         born = born_distribution(ctx.preselection, observable)
         payload["postselected"] = stats.postselected_count
         payload["branches"] = [
@@ -232,7 +229,7 @@ def cmd_simulate(args) -> int:
     final_z = _z_score(estimate - target, final_stderr)
     payload["final_probability"] = {
         "estimate": estimate,
-        "target": float(target),
+        "target": target,
         "target_kind": target_kind,
         "z": final_z,
     }
@@ -262,6 +259,7 @@ def _z_score(diff: float, stderr: float) -> float:
 
 
 def cmd_counterexample(args) -> int:
+    from dataclasses import asdict
     from .cli import (counterexample_scenario, dump_scenario, find_counterexample,
                       scenario_to_jsonable)
     example = find_counterexample(args.dim, args.seed, gap_min=args.gap_min,
@@ -282,12 +280,7 @@ def cmd_counterexample(args) -> int:
             "found": True,
             "tries": example.tries,
             "branch": example.branch,
-            "report": {
-                "born_total": report.born_total,
-                "ss_total": report.ss_total,
-                "vaidman_total": report.vaidman_total,
-                "ss_gap": report.ss_gap,
-            },
+            "report": asdict(report),
             "scenario": scenario_to_jsonable(scenario),
         })
     print(f"counterexample found after {example.tries} "

@@ -93,15 +93,15 @@ def _mix(joints: np.ndarray, denominators: np.ndarray, weights: np.ndarray, bran
 def sharp_shanks_total(a: Ket, final_basis: ObservableDecomposition,
                        observable: ObservableDecomposition, branch: int) -> float:
     """Average the ABL conditionals for ``branch`` over the final outcomes,
-    weighted as if nothing were measured in between.
+    weighted as if nothing were measured in between: the ``ss_total`` of
+    :func:`mixing_report`, which it returns.
 
     Final outcomes of zero weight contribute nothing and their (possibly
     undefined) conditionals are never consulted.  A nonzero-weight outcome
     whose ABL denominator vanishes leaves the average undefined and raises
     :class:`UndefinedTermError`.
     """
-    joints = _joint_table(a, final_basis, observable, branch)
-    return _mix(joints, joints.sum(axis=1), born_distribution(a, final_basis), branch)
+    return mixing_report(a, final_basis, observable, branch).ss_total
 
 
 def vaidman_total(a: Ket, final_basis: ObservableDecomposition,

@@ -61,7 +61,7 @@ def _decoherence(x: np.ndarray, criterion: str, tol: float):
     # D = x x^dagger (read-only), its largest off-diagonal violation under
     # the criterion, and whether that is within tol.
     if criterion not in _CRITERIA:
-        raise ValueError(f"criterion must be one of {_CRITERIA}, got {criterion!r}")
+        raise ValidationError(f"criterion must be one of {_CRITERIA}, got {criterion!r}")
     if not tol >= 0.0:
         raise ValidationError(f"tolerance must be non-negative, got {tol}")
     k, n = x.shape

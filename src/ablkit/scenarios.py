@@ -43,7 +43,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .abl import PrePostContext
-from .errors import ValidationError
+from .errors import DimensionMismatchError, ValidationError
 from .linalg import Ket, ObservableDecomposition, basis_containing
 # projector_from_kets is unused here; bench/workloads.py's tracer rebinds this name.
 from .linalg import projector_from_kets  # noqa: F401
@@ -58,12 +58,13 @@ class Scenario:
 
     def __post_init__(self):
         if self.default_observable not in self.observables:
-            raise ValueError(
+            raise ValidationError(
                 f"default observable {self.default_observable!r} not among "
                 f"{sorted(self.observables)}")
         for name, obs in self.observables.items():
             if obs.dim != self.context.dim:
-                raise ValueError(f"observable {name!r} has dim {obs.dim}, context has {self.context.dim}")
+                raise DimensionMismatchError(
+                    f"observable {name!r} has dim {obs.dim}, context has {self.context.dim}")
 
     @classmethod
     def _validated(cls, name: str, description: str, context: PrePostContext,

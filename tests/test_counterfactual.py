@@ -218,6 +218,22 @@ def test_search_arguments_raise_validation_error(bad):
         find_counterexample(**kwargs)
 
 
+def test_search_skips_a_try_whose_totals_are_undefined(monkeypatch):
+    from ablkit import counterfactual
+    calls = []
+
+    def undefined_once(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise UndefinedTermError("final outcome 0 has an undefined conditional")
+        return mixing_report(*args)
+
+    monkeypatch.setattr(counterfactual, "mixing_report", undefined_once)
+    example = find_counterexample(3, seed=0, gap_min=1e-6)
+    assert example.tries == 2 and len(calls) == 2
+    assert example.report == mixing_report(*calls[1])
+
+
 def _live_mask_inputs(k, st_sq):
     """a = s on indices 1..k, b = t there too, each with its remaining
     weight on an index the other leaves at 0.  Final outcome b then has

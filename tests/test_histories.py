@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ablkit.abl import PrePostContext, abl_distribution
-from ablkit.errors import DimensionMismatchError, TooManyBranchesError, ValidationError
+from ablkit.errors import AblkitError, DimensionMismatchError, TooManyBranchesError, ValidationError
 from ablkit.histories import (
     CONSISTENCY_TOL,
     MAX_ENUMERATED_BRANCHES,
@@ -57,6 +57,18 @@ def test_family_validates_dimensions():
     with pytest.raises(DimensionMismatchError):
         HistoryFamily(Projector(CTX.initial_projector, rank=1), two_dim,
                       Projector(CTX.final_projector, rank=1))
+
+
+def test_family_dim_is_the_intermediate_dim():
+    assert FAMILY_BOXES.dim == 3
+    ctx = PrePostContext(Ket.normalized([1, 0]), Ket.normalized([1, 1]))
+    assert HistoryFamily.from_context(ctx, basis_containing(Ket.normalized([1, 1j]))).dim == 2
+
+
+def test_unknown_criterion_is_an_ablkit_validation_error():
+    with pytest.raises(ValidationError, match="criterion must be one of") as err:
+        is_consistent(FAMILY_BOXES, criterion="strong")
+    assert isinstance(err.value, AblkitError)
 
 
 def test_decoherence_functional_frozen_values():

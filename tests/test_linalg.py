@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ablkit.abl import abl_probabilities
 from ablkit.errors import DegenerateSpanError, DimensionMismatchError, ValidationError
 from ablkit.histories import enumerate_coarse_grainings
 from ablkit.linalg import (
@@ -56,6 +57,15 @@ def test_ket_normalized_scales():
     np.testing.assert_allclose(k.amplitudes, [0.6, 0.8j], atol=1e-15)
     with pytest.raises(ValidationError):
         Ket.normalized([0.0, 0.0])
+
+
+def test_ket_normalized_refuses_an_overflowing_norm_without_a_warning():
+    # The sum of squares overflowed with numpy's RuntimeWarning, which the
+    # suite's warning filter raised in place of this error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=r"ket norm\^2 = 0.0, expected 1 within 1e-09"):
+            Ket.normalized([1e200, 1.0])
 
 
 def test_ket_amplitudes_read_only():
@@ -134,6 +144,16 @@ def test_projector_from_kets_matches_direct_gram_schmidt():
 def test_projector_from_kets_rejects_dependent_set():
     with pytest.raises(DegenerateSpanError):
         projector_from_kets([A, A])
+
+
+@pytest.mark.parametrize("kets, error, message", [
+    ([], ValidationError, "needs at least one ket"),
+    ([A, Ket.normalized([1, 1])], DimensionMismatchError,
+     "vector 1 has length 2, vector 0 has length 3"),
+], ids=["empty", "mixed-dimension"])
+def test_projector_from_kets_refuses(kets, error, message):
+    with pytest.raises(error, match=message):
+        projector_from_kets(kets)
 
 
 def test_orthonormalize_output_is_orthonormal():
@@ -226,6 +246,20 @@ def test_apply_operator():
     np.testing.assert_allclose(apply_operator(np.eye(3), A), A.amplitudes, atol=1e-15)
     with pytest.raises(DimensionMismatchError):
         apply_operator(np.eye(2), A)
+
+
+@pytest.mark.parametrize("call, matrix, message", [
+    ("apply_operator", np.ones((3, 2)), r"square operator matrix, got shape \(3, 2\)"),
+    ("apply_operator", np.full((3, 3), np.nan), "operator entries must be finite"),
+    ("abl_probabilities", np.ones(3), r"square operator matrix, got shape \(3,\)"),
+    ("abl_probabilities", np.diag([np.inf, 0.0, 0.0]), "operator entries must be finite"),
+], ids=["apply-non-square", "apply-nan", "abl-1d", "abl-inf"])
+def test_operator_matrix_refuses_a_non_square_or_non_finite_matrix(call, matrix, message):
+    with pytest.raises(ValidationError, match=message):
+        if call == "apply_operator":
+            apply_operator(matrix, A)
+        else:
+            abl_probabilities(matrix, basis_containing(A), A.projector())
 
 
 def test_decomposition_requires_completeness():
@@ -347,7 +381,8 @@ def test_orthonormalize_refuses_a_vector_that_is_not_1d():
     [np.array([np.nan, 1.0])],
     [np.array([1.0, 0.0]), np.array([np.nan, 1.0])],
     [np.array([1.0, 0.0]), np.array([np.inf, 1.0])],
-], ids=["nan-first", "nan-second", "inf-second"])
+    [np.array([1e200, 1.0])],
+], ids=["nan-first", "nan-second", "inf-second", "overflowing-first"])
 def test_orthonormalize_refuses_a_vector_without_a_finite_norm(vectors):
     # It returned a vector of nan, with a RuntimeWarning.
     with warnings.catch_warnings():
@@ -360,6 +395,15 @@ def test_complete_basis_refuses_vectors_of_another_dimension():
     # numpy's reshape error leaked through.
     with pytest.raises(DimensionMismatchError, match="vectors of length 3 in dimension 5"):
         complete_basis([np.ones(3)], 5)
+
+
+def test_complete_basis_refuses_more_vectors_than_dim():
+    # Gram-Schmidt's cutoff is absolute: a third vector of norm 1e30 in the
+    # plane keeps a rounding residual above it, so three vectors survive.
+    vectors = [np.array([1.0, 2.0]), np.array([2.0, -1.0]), np.array([1e30, 1e30])]
+    assert len(orthonormalize(vectors)) == 3
+    with pytest.raises(ValidationError, match="3 orthonormal vectors cannot fit in dimension 2"):
+        complete_basis(vectors, 2)
 
 
 @pytest.mark.parametrize("dim", [0, -1])

@@ -10,7 +10,7 @@ import pytest
 
 from ablkit import cli, scenarios
 from ablkit.abl import abl_distribution, born_distribution
-from ablkit.errors import ValidationError
+from ablkit.errors import AblkitError, DimensionMismatchError, ValidationError
 from ablkit.linalg import Ket, ObservableDecomposition, Projector, basis_containing
 from ablkit.scenarios import BUILTIN_NAMES, Scenario, builtin, spin, three_box
 
@@ -111,6 +111,21 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(name="x", description="", context=s.context,
                  observables={"Q": two_dim}, default_observable="Q")
+
+
+@pytest.mark.parametrize("observables, default, error, message", [
+    ({"C": "C"}, "nope", ValidationError, "default observable 'nope' not among"),
+    ({"Q": "two-dim"}, "Q", DimensionMismatchError, "observable 'Q' has dim 2, context has 3"),
+], ids=["unknown-default", "mixed-dimension"])
+def test_scenario_refusals_are_ablkit_errors(observables, default, error, message):
+    s = three_box()
+    two_dim = basis_containing(Ket.normalized([1, 1]))
+    observables = {name: two_dim if obs == "two-dim" else s.observables[obs]
+                   for name, obs in observables.items()}
+    with pytest.raises(error, match=message) as err:
+        Scenario(name="x", description="", context=s.context,
+                 observables=observables, default_observable=default)
+    assert isinstance(err.value, AblkitError)
 
 
 def test_observable_accessor():
