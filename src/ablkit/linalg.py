@@ -5,11 +5,11 @@ resolutions of the identity), plus inner products, operator application,
 and traces of operator products.  A decomposition also carries its branch
 projectors as one stacked array, which the probability kernels work on.
 Validation happens once, at construction from raw numbers; what is derived
-from validated objects (a ket's projector, a coarse-graining) is valid by
-construction and not checked again.  A basis of kets is checked from its
-amplitudes alone: for rows ``a_i`` of ``A`` and ``P_i = a_i a_i^dagger``,
-``sum_i P_i = A^T conj(A)`` and
-``max|P_i P_j| = |<a_i|a_j>| max|a_i| max|a_j|``, so the checks cost two
+from validated objects (a ket's projector, the projector onto a span of
+kets, a complement, a coarse-graining) is valid by construction and not
+checked again.  A basis of kets is checked from its amplitudes alone: for
+rows ``a_i`` of ``A`` and ``P_i = a_i a_i^dagger``, ``sum_i P_i = A^T conj(A)``
+and ``max|P_i P_j| = |<a_i|a_j>| max|a_i| max|a_j|``, so the checks cost two
 small products instead of ``n^2`` matrix products.  Everything is
 immutable, so instances are safe to share between threads.
 """
@@ -155,7 +155,7 @@ class Projector:
     def _validated(cls, matrix: np.ndarray, rank: int) -> "Projector":
         # For a matrix that is a projector by construction, made read-only
         # here: a validated ket's |v><v| (Hermitian to rounding, residues
-        # norm^2 - 1, within NORM_TOL) or a sum of a decomposition's branches.
+        # norm^2 - 1, within NORM_TOL), a sum of orthonormal |q><q|, or I - P.
         matrix.setflags(write=False)
         proj = object.__new__(cls)
         object.__setattr__(proj, "matrix", matrix)
@@ -167,10 +167,11 @@ class Projector:
         return self.matrix.shape[0]
 
     def complement(self) -> "Projector":
-        """Projector onto the orthogonal complement (must itself be nonzero)."""
+        """Projector onto the orthogonal complement (must itself be nonzero),
+        not re-validated: ``I - P`` has the residues of the validated ``P``."""
         if self.rank >= self.dim:
             raise ValidationError("complement of a full-rank projector is the zero projector")
-        return Projector(np.eye(self.dim) - self.matrix, rank=self.dim - self.rank)
+        return Projector._validated(np.eye(self.dim) - self.matrix, self.dim - self.rank)
 
 
 class Branch(NamedTuple):
@@ -346,13 +347,11 @@ def trace_product(ops: Sequence) -> complex:
     """
     if len(ops) == 0:
         raise ValidationError("trace_product needs at least one operator")
-    mats = [operator_matrix(op) for op in ops]
-    dim = mats[0].shape[0]
-    for m in mats[1:]:
-        if m.shape[0] != dim:
+    acc = operator_matrix(ops[0])
+    for op in ops[1:]:
+        m = operator_matrix(op)
+        if m.shape[0] != acc.shape[0]:
             raise DimensionMismatchError("operators differ in dimension")
-    acc = mats[0]
-    for m in mats[1:]:
         acc = acc @ m
     return complex(acc.trace())
 
@@ -379,10 +378,11 @@ def orthonormalize(vectors: Sequence[np.ndarray], *, tol: float = SPAN_TOL) -> l
     projected a second time ("twice is enough": Giraud, Langou & Rozložník
     2005), since one pass leaves it a non-orthogonality of about
     eps / residual.  Raises :class:`DegenerateSpanError` when a residual norm
-    falls to ``tol`` or below, i.e. the inputs are (numerically) linearly
-    dependent, :class:`DimensionMismatchError` for vectors of differing
-    lengths, and :class:`ValidationError` for a vector that is not 1-d or
-    whose norm is not finite.
+    falls to ``tol`` times that vector's own norm or below, so ``c v`` gets
+    one answer at every scale ``c`` (and more than ``d`` vectors of length
+    ``d`` are refused), :class:`DimensionMismatchError` for vectors of
+    differing lengths, and :class:`ValidationError` for a vector that is not
+    1-d or whose norm is not finite.
     """
     if not tol >= 0.0:
         raise ValidationError(f"tolerance must be non-negative, got {tol}")
@@ -394,10 +394,12 @@ def orthonormalize(vectors: Sequence[np.ndarray], *, tol: float = SPAN_TOL) -> l
         if basis and w.shape != basis[0].shape:
             raise DimensionMismatchError(
                 f"vector {k} has length {w.size}, vector 0 has length {basis[0].size}")
-        norm = _project_out(w, basis, tol, 0.5 * np.vdot(w, w).real if basis else 0.0)
+        size_sq = np.vdot(w, w).real
+        cutoff = tol * math.sqrt(size_sq)
+        norm = _project_out(w, basis, cutoff, 0.5 * size_sq)
         if not math.isfinite(norm):
             raise ValidationError(f"vector {k} does not have a finite norm")
-        if norm <= tol:
+        if norm <= cutoff:
             raise DegenerateSpanError(
                 f"vector {k} is linearly dependent on its predecessors (residual norm {norm:.3e})")
         basis.append(w / norm)
@@ -405,15 +407,14 @@ def orthonormalize(vectors: Sequence[np.ndarray], *, tol: float = SPAN_TOL) -> l
 
 
 def projector_from_kets(kets: Sequence[Ket]) -> Projector:
-    """Projector onto the span of the given kets (need not be orthogonal)."""
+    """Projector onto the span of the given kets (need not be orthogonal), not
+    re-validated: :func:`orthonormalize` returns a basis orthonormal to eps."""
     if not kets:
         raise ValidationError("projector_from_kets needs at least one ket")
-    dim = kets[0].dim
     basis = orthonormalize([k.amplitudes for k in kets])
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    for q in basis:
-        m += q[:, None] * q.conj()[None, :]
-    return Projector(m, rank=len(basis))
+    # Summed from 0, which turns the -0.0 entries of a product into +0.0.
+    m = sum(q[:, None] * q.conj()[None, :] for q in basis)
+    return Projector._validated(m, len(basis))
 
 
 def complete_basis(vectors: Sequence[np.ndarray], dim: int) -> list[np.ndarray]:
@@ -434,8 +435,6 @@ def complete_basis(vectors: Sequence[np.ndarray], dim: int) -> list[np.ndarray]:
     basis = orthonormalize(vectors)
     if basis and basis[0].size != dim:
         raise DimensionMismatchError(f"vectors of length {basis[0].size} in dimension {dim}")
-    if len(basis) > dim:
-        raise ValidationError(f"{len(basis)} orthonormal vectors cannot fit in dimension {dim}")
     for k in range(dim):
         if len(basis) == dim:
             break

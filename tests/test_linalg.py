@@ -398,11 +398,12 @@ def test_complete_basis_refuses_vectors_of_another_dimension():
 
 
 def test_complete_basis_refuses_more_vectors_than_dim():
-    # Gram-Schmidt's cutoff is absolute: a third vector of norm 1e30 in the
-    # plane keeps a rounding residual above it, so three vectors survive.
+    # A third vector of norm 1e30 in the plane keeps a rounding residual far
+    # above 1e-8 but far below 1e-8 of its own norm.
     vectors = [np.array([1.0, 2.0]), np.array([2.0, -1.0]), np.array([1e30, 1e30])]
-    assert len(orthonormalize(vectors)) == 3
-    with pytest.raises(ValidationError, match="3 orthonormal vectors cannot fit in dimension 2"):
+    with pytest.raises(DegenerateSpanError, match="vector 2 is linearly dependent"):
+        orthonormalize(vectors)
+    with pytest.raises(DegenerateSpanError, match="vector 2 is linearly dependent"):
         complete_basis(vectors, 2)
 
 
@@ -639,3 +640,82 @@ def test_rank1_branches_equal_the_kets_projectors():
         for j in range(dim):
             np.testing.assert_array_equal(obs.matrix(j), kets[j].projector().matrix)
             np.testing.assert_array_equal(obs.projector(j).matrix, obs.stack[j])
+
+
+# --- one Gram-Schmidt rule at every scale ------------------------------------
+
+_SCALES = (1e-120, 1e-30, 1e-6, 1.0, 1e6, 1e30, 1e120)
+
+
+def _gauss(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _spanning(rng, dim, n, residual):
+    # n - 1 generic vectors in dimension dim, then a unit combination of
+    # them plus ``residual`` times a unit vector orthogonal to their span,
+    # so its residual relative to its norm is about ``residual``.
+    q = np.linalg.qr(_gauss(rng, (dim, dim)))[0]
+    vectors = _gauss(rng, (n - 1, n - 1)) @ q[:, :n - 1].T
+    last = _gauss(rng, n - 1) @ vectors
+    last /= np.linalg.norm(last)
+    return [*vectors, last + residual * q[:, n - 1]]
+
+
+def _gram_schmidt_sets():
+    # (vectors, whether orthonormalize accepts them)
+    yield [np.array([1.0, 2.0]), np.array([2.0, -1.0])], True
+    yield [np.array([1.0, 2.0]), np.array([2.0, -1.0]), np.array([1e30, 1e30])], False
+    rng = np.random.default_rng(28)
+    for dim in range(2, 9):
+        for n in range(2, dim + 1):
+            yield list(_gauss(rng, (n, dim))), True
+            yield _spanning(rng, dim, n, 2e-8), True
+            yield _spanning(rng, dim, n, 5e-9), False
+            yield _spanning(rng, dim, n, 0.0), False
+        yield list(_gauss(rng, (dim + 1, dim))), False
+
+
+def _accepts(vectors):
+    try:
+        basis = orthonormalize(vectors)
+    except DegenerateSpanError:
+        return False
+    q = np.array(basis)
+    assert np.abs(q @ q.conj().T - np.eye(len(q))).max() <= ALG_TOL
+    return True
+
+
+def test_orthonormalize_gives_one_answer_at_every_scale():
+    # The dependence cutoff is relative to each vector's own norm: c v is
+    # refused at one scale exactly when it is refused at all of them.
+    for vectors, accepted in _gram_schmidt_sets():
+        answers = [_accepts([c * v for v in vectors]) for c in _SCALES]
+        assert answers == [accepted] * len(_SCALES), [v.tolist() for v in vectors]
+
+
+def _adversarial_kets():
+    # Generic, near-dependent (the last ket keeps 2e-8 of its norm off the
+    # others' span) and skewed (components at scales 1e-9 to 1) kets, at
+    # dims 2-64 and ranks 1..d.
+    rng = np.random.default_rng(2005)
+    for dim in (2, 3, 4, 5, 6, 7, 8, 16, 32, 64):
+        ranks = range(1, dim + 1) if dim <= 8 else (1, 2, dim // 2, dim - 1, dim)
+        for rank in ranks:
+            yield [Ket.normalized(v) for v in _gauss(rng, (rank, dim))]
+            if rank > 1:
+                yield [Ket.normalized(v) for v in _spanning(rng, dim, rank, 2e-8)]
+            scales = 10.0 ** rng.uniform(-9, 0, (rank, dim))
+            scales[np.arange(rank), rng.integers(dim, size=rank)] = 1.0
+            yield [Ket.normalized(v) for v in _gauss(rng, (rank, dim)) * scales]
+
+
+def test_projectors_built_from_kets_pass_the_check_they_skip():
+    # projector_from_kets and complement trust their output; the
+    # constructor's checks accept it.
+    for kets in _adversarial_kets():
+        p = projector_from_kets(kets)
+        assert Projector(p.matrix, rank=p.rank).rank == len(kets)
+        if p.rank < p.dim:
+            c = p.complement()
+            assert Projector(c.matrix, rank=c.rank).rank == p.dim - p.rank
