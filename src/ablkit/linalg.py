@@ -10,8 +10,10 @@ kets, a complement, a coarse-graining) is valid by construction and not
 checked again.  A basis of kets is checked from its amplitudes alone: for
 rows ``a_i`` of ``A`` and ``P_i = a_i a_i^dagger``, ``sum_i P_i = A^T conj(A)``
 and ``max|P_i P_j| = |<a_i|a_j>| max|a_i| max|a_j|``, so the checks cost two
-small products instead of ``n^2`` matrix products.  Everything is
-immutable, so instances are safe to share between threads.
+small products instead of ``n^2`` matrix products.  A norm below
+``_MIN_NORM`` = 1.49e-154, whose square is the smallest normal float, is
+refused, so Gram-Schmidt answers ``c v`` alike for ``c |v|`` from 1.5e-146
+to 1.3e154.  Everything is immutable, so instances are thread-safe.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from .errors import DegenerateSpanError, DimensionMismatchError, ValidationError
 ALG_TOL = 1e-10
 #: Tolerance on ket normalization, |norm^2 - 1|.
 NORM_TOL = 1e-9
-#: Linear-dependence cutoff on residual norms in Gram-Schmidt.
+#: Linear-dependence cutoff in Gram-Schmidt, relative to each vector's norm.
 SPAN_TOL = 1e-8
+_MIN_NORM = math.sqrt(np.finfo(np.float64).smallest_normal)
 
 
 def _as_vector(values) -> np.ndarray:
@@ -107,10 +110,10 @@ class Ket:
 
     @classmethod
     def normalized(cls, values) -> "Ket":
-        """Scale ``values`` to unit norm.  Rejects (near-)zero vectors."""
+        """Scale ``values`` to unit norm.  Rejects a norm below ``_MIN_NORM``."""
         arr = _as_vector(values)
         norm = _norm(arr)
-        if norm <= SPAN_TOL:
+        if not norm >= _MIN_NORM:
             raise ValidationError("cannot normalize a vector of (near-)zero norm")
         return cls._validated(_checked_unit(arr / norm))
 
@@ -133,11 +136,11 @@ class Projector:
 
     def __post_init__(self):
         m = operator_matrix(self.matrix).copy()
-        if _max_abs(m - m.conj().T) > ALG_TOL:
-            raise ValidationError("projector matrix is not Hermitian")
-        # An overflowing m @ m gives a NaN residue, which the check refuses
-        # without a numpy warning.
+        # An overflowing m - m^dagger or m @ m gives an inf or NaN residue,
+        # which the checks refuse without a numpy warning.
         with np.errstate(over="ignore", invalid="ignore"):
+            if not _max_abs(m - m.conj().T) <= ALG_TOL:
+                raise ValidationError("projector matrix is not Hermitian")
             residue = _max_abs(m @ m - m)
         if not residue <= ALG_TOL:
             raise ValidationError("projector matrix is not idempotent")
@@ -349,10 +352,7 @@ def trace_product(ops: Sequence) -> complex:
         raise ValidationError("trace_product needs at least one operator")
     acc = operator_matrix(ops[0])
     for op in ops[1:]:
-        m = operator_matrix(op)
-        if m.shape[0] != acc.shape[0]:
-            raise DimensionMismatchError("operators differ in dimension")
-        acc = acc @ m
+        acc = acc @ operator_matrix(op, dim=acc.shape[0])
     return complex(acc.trace())
 
 
@@ -378,9 +378,9 @@ def orthonormalize(vectors: Sequence[np.ndarray], *, tol: float = SPAN_TOL) -> l
     projected a second time ("twice is enough": Giraud, Langou & Rozložník
     2005), since one pass leaves it a non-orthogonality of about
     eps / residual.  Raises :class:`DegenerateSpanError` when a residual norm
-    falls to ``tol`` times that vector's own norm or below, so ``c v`` gets
-    one answer at every scale ``c`` (and more than ``d`` vectors of length
-    ``d`` are refused), :class:`DimensionMismatchError` for vectors of
+    falls to ``max(tol |v|, _MIN_NORM)`` or below, so ``c v`` gets one answer
+    for ``c |v|`` from 1.5e-146 to 1.3e154 (and more than ``d`` vectors of
+    length ``d`` are refused), :class:`DimensionMismatchError` for vectors of
     differing lengths, and :class:`ValidationError` for a vector that is not
     1-d or whose norm is not finite.
     """
@@ -395,7 +395,7 @@ def orthonormalize(vectors: Sequence[np.ndarray], *, tol: float = SPAN_TOL) -> l
             raise DimensionMismatchError(
                 f"vector {k} has length {w.size}, vector 0 has length {basis[0].size}")
         size_sq = np.vdot(w, w).real
-        cutoff = tol * math.sqrt(size_sq)
+        cutoff = max(tol * math.sqrt(size_sq), _MIN_NORM)
         norm = _project_out(w, basis, cutoff, 0.5 * size_sq)
         if not math.isfinite(norm):
             raise ValidationError(f"vector {k} does not have a finite norm")

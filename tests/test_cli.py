@@ -449,6 +449,17 @@ def test_scenario_validate_rejects_non_finite_numbers(capsys, tmp_path, text):
     assert "expected a finite number" in err
 
 
+def test_scenario_validate_refuses_an_overflowing_hermiticity_residue(capsys, tmp_path):
+    # The residue m - m^dagger overflows; numpy's warning used to precede the
+    # error line.
+    doc = json.loads((CLI_ORACLE / "three-box.json").read_text())
+    doc["observables"]["A"][0]["matrix"][0][0][1] = 1e308
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "scenario", "validate", str(path))
+    assert (code, out, err) == (1, "", "error: observables.A[0]: projector matrix is not Hermitian\n")
+
+
 def test_internal_key_error_is_not_hidden_as_exit_1(capsys, monkeypatch):
     def broken(args):
         raise KeyError("bug")

@@ -53,10 +53,17 @@ def test_ket_rejects_bad_shapes():
 
 
 def test_ket_normalized_scales():
-    k = Ket.normalized([3, 4j])
-    np.testing.assert_allclose(k.amplitudes, [0.6, 0.8j], atol=1e-15)
+    for c in (1e-150, 1e-100, 1e-9, 1.0, 1e100, 1e150):
+        k = Ket.normalized([3 * c, 4j * c])
+        np.testing.assert_allclose(k.amplitudes, [0.6, 0.8j], atol=1e-15)
     with pytest.raises(ValidationError):
         Ket.normalized([0.0, 0.0])
+    # The floor is _MIN_NORM, where the squared norm goes subnormal, not the
+    # Gram-Schmidt cutoff 1e-8.
+    np.testing.assert_allclose(Ket.normalized([1e-9, 1e-9]).amplitudes,
+                               [2 ** -0.5, 2 ** -0.5], atol=1e-15)
+    with pytest.raises(ValidationError, match=r"cannot normalize a vector of \(near-\)zero norm"):
+        Ket.normalized([1e-160, 1e-160])
 
 
 def test_ket_normalized_refuses_an_overflowing_norm_without_a_warning():
@@ -101,6 +108,10 @@ def test_rank1_projector_matrix():
 def test_projector_validation():
     with pytest.raises(ValidationError):
         Projector(np.array([[0.0, 1.0], [0.0, 0.0]]))  # not Hermitian
+    # m - m^dagger overflows, which numpy warned about before refusing.
+    for m in ([[1, 1e308], [-1e308, 0]], [[0, 1e308j], [1e308j, 0]]):
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            Projector(np.array(m))
     with pytest.raises(ValidationError):
         Projector(0.5 * np.eye(2))  # Hermitian but not idempotent
     with pytest.raises(ValidationError):
@@ -236,7 +247,7 @@ def test_trace_product_of_two_rank1_is_overlap():
 def test_trace_product_input_checks():
     with pytest.raises(ValidationError):
         trace_product([])
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError, match="operator dimension 3 != expected 2"):
         trace_product([np.eye(2), np.eye(3)])
 
 
@@ -644,7 +655,7 @@ def test_rank1_branches_equal_the_kets_projectors():
 
 # --- one Gram-Schmidt rule at every scale ------------------------------------
 
-_SCALES = (1e-120, 1e-30, 1e-6, 1.0, 1e6, 1e30, 1e120)
+_SCALES = (1e-140, 1e-120, 1e-30, 1e-6, 1.0, 1e6, 1e30, 1e120)
 
 
 def _gauss(rng, shape):
@@ -692,6 +703,14 @@ def test_orthonormalize_gives_one_answer_at_every_scale():
     for vectors, accepted in _gram_schmidt_sets():
         answers = [_accepts([c * v for v in vectors]) for c in _SCALES]
         assert answers == [accepted] * len(_SCALES), [v.tolist() for v in vectors]
+
+
+@pytest.mark.parametrize("c", [1e-150, 1e-156, 1e-158, 1e-160, 1e-162, 1e-300])
+def test_orthonormalize_below_the_floor_refuses_or_stays_orthonormal(c):
+    # Residuals below _MIN_NORM have subnormal squares, which _norm measures
+    # too coarsely: they are refused, never returned as a wrong basis.
+    for vectors, _ in _gram_schmidt_sets():
+        _accepts([c * v for v in vectors])
 
 
 def _adversarial_kets():

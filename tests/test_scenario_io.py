@@ -458,6 +458,44 @@ def test_emission_refuses_a_dim_above_the_cap():
         scenario_to_jsonable(scenario)
 
 
+# --- extreme finite amplitudes reach the validators cleanly -------------
+
+_EXTREMES = [1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 1e154, 1e-154,
+             1e-320, 5e-324]
+
+
+def _edited_pairs(doc):
+    # The [re, im] pairs the cases edit: the first amplitude of each
+    # selection, and in each branch the first amplitude of its first ket or
+    # the first two entries of its matrix's first row (one on the diagonal).
+    yield doc["preselection"][0]
+    yield doc["postselection"][0]
+    for branches in doc["observables"].values():
+        for branch in branches:
+            if "kets" in branch:
+                yield branch["kets"][0][0]
+            else:
+                yield from branch["matrix"][0][:2]
+
+
+@pytest.mark.parametrize("name", ["three-box.json", "zeros.json"])
+def test_an_extreme_finite_amplitude_parses_or_raises_a_parse_error(name):
+    # Under the suite's warnings-as-errors filter: an imaginary 1e308 on a
+    # branch matrix's diagonal overflowed the Hermiticity residue with
+    # numpy's RuntimeWarning.
+    doc = json.loads((pathlib.Path(__file__).with_name("cli_oracle") / name).read_text())
+    for pair in _edited_pairs(doc):
+        for part in (0, 1):
+            kept = pair[part]
+            for value in _EXTREMES:
+                pair[part] = value
+                try:
+                    parse_scenario(json.dumps(doc))
+                except ScenarioParseError:
+                    pass
+            pair[part] = kept
+
+
 # --- one-ket branches: errors and matrices ---------------------------------
 # The messages below were recorded before one-ket branches were parsed as a
 # rank-1 basis, when each went through projector_from_kets and the
