@@ -104,6 +104,12 @@ class Ket:
         object.__setattr__(ket, "amplitudes", amplitudes)
         return ket
 
+    @classmethod
+    def _unit_rows(cls, amps: np.ndarray) -> np.ndarray:
+        # Each finite row of ``amps`` checked as Ket(row) checks it, and
+        # scaled to unit norm with the bits of orthonormalize([row])[0].
+        return amps / np.array([_norm(_checked_unit(a)) for a in amps])[:, None]
+
     @property
     def dim(self) -> int:
         return self.amplitudes.size
@@ -380,9 +386,10 @@ def orthonormalize(vectors: Sequence[np.ndarray], *, tol: float = SPAN_TOL) -> l
     eps / residual.  Raises :class:`DegenerateSpanError` when a residual norm
     falls to ``max(tol |v|, _MIN_NORM)`` or below, so ``c v`` gets one answer
     for ``c |v|`` from 1.5e-146 to 1.3e154 (and more than ``d`` vectors of
-    length ``d`` are refused), :class:`DimensionMismatchError` for vectors of
-    differing lengths, and :class:`ValidationError` for a vector that is not
-    1-d or whose norm is not finite.
+    length ``d`` are refused; a vector whose own norm is at most ``_MIN_NORM``
+    is named as of (near-)zero norm), :class:`DimensionMismatchError` for
+    vectors of differing lengths, and :class:`ValidationError` for a vector
+    that is not 1-d or whose norm is not finite.
     """
     if not tol >= 0.0:
         raise ValidationError(f"tolerance must be non-negative, got {tol}")
@@ -401,6 +408,7 @@ def orthonormalize(vectors: Sequence[np.ndarray], *, tol: float = SPAN_TOL) -> l
             raise ValidationError(f"vector {k} does not have a finite norm")
         if norm <= cutoff:
             raise DegenerateSpanError(
+                f"vector {k} has (near-)zero norm" if math.sqrt(size_sq) <= _MIN_NORM else
                 f"vector {k} is linearly dependent on its predecessors (residual norm {norm:.3e})")
         basis.append(w / norm)
     return basis

@@ -18,16 +18,17 @@ Schema (complex numbers are two-element ``[re, im]`` arrays)::
     }
 
 Parsed values go through the same validation as directly constructed ones.
-A key repeated within one object is refused, not overwritten.
-One reader converts each amplitude array in one numpy call and walks its
-rows and pairs only when that fails, so that the error names the field; one
-wrapper reports a constructor's validation error at its field.  Counts no
-valid file has (more branches, or kets in a branch, than ``dim``) are
-refused before any entry is read.  A branch given by one ket is the rank-1
-projector ``|q><q|`` onto the ket's unit vector ``q`` by construction, so
-it is not checked again as a matrix; an observable of one-ket branches is a
-rank-1 basis, checked from the Gram matrix of its kets with the errors, in
-the order, of the matrix checks.  Each branch matrix is bit for bit the one
+A key repeated within one object is refused, not overwritten.  An
+observable's kets and matrix rows are converted in one flat numpy call,
+after one pass per nesting level over the lists; its branches are read one
+by one, and each array row by row, only when that fails, so that the first
+error is reported at its field by one wrapper.  Counts no valid file has
+(more branches, or kets in a branch, than ``dim``) are refused before any
+entry is read.  A branch given by one ket is the rank-1 projector
+``|q><q|`` onto the ket's unit vector ``q`` by construction, so it is not
+checked again as a matrix; an observable of one-ket branches is a rank-1
+basis, checked from the Gram matrix of its kets with the errors, in the
+order, of the matrix checks.  Each branch matrix is bit for bit the one
 ``projector_from_kets`` builds.
 
 Emission is canonical (sorted keys, two-space indent, exact float
@@ -100,20 +101,24 @@ def _complex(node, path: str) -> complex:
 
 
 def _bulk_complex(items: list, shape: tuple[int, ...]) -> np.ndarray | None:
-    """``items`` as a complex array of ``shape`` when every leaf is a finite
-    int or float and each innermost list is a ``[re, im]`` pair; ``None``
-    otherwise, so that the caller can name the offending field."""
+    """``items`` as a complex array of ``shape`` when it nests lists of
+    those lengths down to ``[re, im]`` pairs of finite ints and floats;
+    ``None`` otherwise, so that the caller can name the offending field."""
+    # One pass per nesting level checks the types and lengths of all its
+    # lists, so numpy converts one flat list of numbers.
+    nodes = [items]
+    for size in shape + (2,):
+        if set(map(type, nodes)) != {list} or set(map(len, nodes)) != {size}:
+            return None
+        nodes = list(chain.from_iterable(nodes))
+    # numpy would also convert bools and numeric strings, which the schema refuses.
+    if not set(map(type, nodes)) <= {int, float}:
+        return None
     try:
-        pairs = np.array(items, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
+        pairs = np.array(nodes, dtype=np.float64)
+    except OverflowError:  # an int beyond the float range
         return None
-    if pairs.shape != shape + (2,) or not np.isfinite(pairs).all():
-        return None
-    # numpy also converts bools and numeric strings, which the schema refuses.
-    leaves = items
-    for _ in shape:
-        leaves = chain.from_iterable(leaves)
-    if not set(map(type, leaves)) <= {int, float}:
+    if not np.isfinite(pairs).all():
         return None
     return pairs.view(np.complex128).reshape(shape)
 
@@ -147,10 +152,9 @@ def _ket(node, path: str, dim: int) -> Ket:
     return _built(path, Ket, _array(node, path, (dim,)))
 
 
-def _branch(node, path: str, dim: int) -> tuple[float, Projector | np.ndarray]:
-    # The eigenvalue, and the branch's Projector or, for a branch given by
-    # one ket, that ket's unit vector q: |q><q| is a rank-1 projector by
-    # construction, which _observable assembles.
+def _spec(node, path: str, dim: int) -> tuple[float, str, list]:
+    # The branch's eigenvalue, its form ("kets" or "matrix") and that list,
+    # after every check that reads no amplitude.
     spec = _expect(node, path, dict)
     unknown = set(spec) - _BRANCH_KEYS
     if unknown:
@@ -161,17 +165,48 @@ def _branch(node, path: str, dim: int) -> tuple[float, Projector | np.ndarray]:
     if ("kets" in spec) == ("matrix" in spec):
         raise _fail(path, "need exactly one of 'kets' or 'matrix'")
     if "matrix" in spec:
-        matrix = _array(spec["matrix"], f"{path}.matrix", (dim, dim))
-        return eigenvalue, _built(path, Projector, matrix)
+        return eigenvalue, "matrix", _expect(spec["matrix"], f"{path}.matrix", list)
     nodes = _expect(spec["kets"], f"{path}.kets", list)
     if not nodes:
         raise _fail(f"{path}.kets", "expected at least one ket")
     if len(nodes) > dim:  # more than dim kets are linearly dependent
         raise _fail(f"{path}.kets", f"expected at most {dim} kets, got {len(nodes)}")
-    kets = [_ket(k, f"{path}.kets[{i}]", dim) for i, k in enumerate(nodes)]
+    return eigenvalue, "kets", nodes
+
+
+def _branch(node, path: str, dim: int) -> tuple[float, Projector | np.ndarray]:
+    # The eigenvalue, and the branch's Projector or, for a branch given by
+    # one ket, that ket's unit vector q: |q><q| is a rank-1 projector by
+    # construction, which _observable assembles.
+    eigenvalue, form, entry = _spec(node, path, dim)
+    if form == "matrix":
+        return eigenvalue, _built(path, Projector, _array(entry, f"{path}.matrix", (dim, dim)))
+    kets = [_ket(k, f"{path}.kets[{i}]", dim) for i, k in enumerate(entry)]
     if len(kets) == 1:
         return eigenvalue, orthonormalize([kets[0].amplitudes])[0]
     return eigenvalue, _built(path, projector_from_kets, kets)
+
+
+def _batched(nodes: list, path: str, dim: int) -> list | None:
+    # What _branch makes of each branch, from one conversion of all ket and
+    # matrix rows (kets first); None when a row fails it, else raises as _branch.
+    specs = [_spec(b, f"{path}[{i}]", dim) for i, b in enumerate(nodes)]
+    kets = [ket for _, form, entry in specs if form == "kets" for ket in entry]
+    rows = kets + [row for _, form, entry in specs if form == "matrix" for row in entry]
+    amps = _bulk_complex(rows, (len(rows), dim))
+    if amps is None:
+        return None
+    units = Ket._unit_rows(amps[:len(kets)])  # checks every ket as Ket does
+    branches, k, m = [], 0, len(kets)
+    for eigenvalue, form, entry in specs:
+        if form == "matrix":  # Projector refuses a block of other than dim rows
+            p, m = Projector(amps[m:m + len(entry)]), m + len(entry)
+        else:
+            p = units[k] if len(entry) == 1 else projector_from_kets(
+                [Ket._validated(a) for a in amps[k:k + len(entry)]])
+            k += len(entry)
+        branches.append((eigenvalue, p))
+    return branches
 
 
 def _observable(branches: list[tuple[float, Projector | np.ndarray]]) -> ObservableDecomposition:
@@ -234,7 +269,13 @@ def parse_scenario(text: str, *, fallback_name: str = "scenario") -> Scenario:
         nodes = _expect(branches_node, path, list)
         if len(nodes) > dim:  # every branch has rank at least 1
             raise _fail(path, f"expected at most {dim} branches, got {len(nodes)}")
-        branches = [_branch(b, f"{path}[{i}]", dim) for i, b in enumerate(nodes)]
+        try:
+            branches = _batched(nodes, path, dim)
+        except AblkitError:
+            branches = None
+        # Read again one by one, so that the first error in reading order
+        # names its field.
+        branches = branches or [_branch(b, f"{path}[{i}]", dim) for i, b in enumerate(nodes)]
         observables[name] = _built(path, _observable, branches)
     default = top.get("default_observable", next(iter(observables)))
     if not isinstance(default, str) or default not in observables:

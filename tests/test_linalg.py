@@ -191,6 +191,35 @@ def test_orthonormalize_accepts_a_zero_tolerance():
         orthonormalize([np.zeros(2)], tol=0.0)
 
 
+@pytest.mark.parametrize("vectors, k", [
+    ([np.array([1e-160, 0.0])], 0),
+    ([np.zeros(2)], 0),
+    ([np.array([1.0, 0.0]), np.array([0.0, 1e-160j])], 1),
+])
+def test_orthonormalize_names_a_vector_of_near_zero_norm(vectors, k):
+    # Not "linearly dependent on its predecessors": vector 0 has none.
+    with pytest.raises(DegenerateSpanError) as err:
+        orthonormalize(vectors)
+    assert str(err.value) == f"vector {k} has (near-)zero norm"
+
+
+def test_unit_rows_check_as_ket_and_scale_as_orthonormalize():
+    rng = np.random.default_rng(30)
+    rows = _gauss(rng, (6, 5))
+    rows[1, 2] = complex(-0.0, 0.0)
+    rows[2, 0] = complex(5e-324, -0.0)
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    rows[3] *= 1 + 4e-10
+    for row, q in zip(rows, Ket._unit_rows(rows)):
+        assert q.tobytes() == orthonormalize([Ket(row).amplitudes])[0].tobytes()
+    rows[4] *= 1.1
+    with pytest.raises(ValidationError) as expected:
+        Ket(rows[4])
+    with pytest.raises(ValidationError) as err:
+        Ket._unit_rows(rows)
+    assert str(err.value) == str(expected.value)
+
+
 def _near_dependent_kets(seed: int, r: float):
     # q0 and normalize(q0 + r q1) for a seeded complex QR basis q: the second
     # ket's Gram-Schmidt residual is about r, and one pass leaves it a

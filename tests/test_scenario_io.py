@@ -1,5 +1,7 @@
 import json
+import math
 import pathlib
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -8,9 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 from ablkit.abl import PrePostContext, abl_distribution
 from ablkit.counterfactual import find_counterexample, mixing_report
 from ablkit.errors import ScenarioParseError
+from ablkit import scenario_io
 from ablkit.linalg import Ket, basis_containing, projector_from_kets
 from ablkit.scenario_io import (
     MAX_DIM,
+    _bulk_complex,
     counterexample_scenario,
     dump_scenario,
     load_scenario,
@@ -424,6 +428,83 @@ def test_bulk_parse_keeps_each_number_bit_for_bit():
     matrix = doc["observables"]["Z"][0]["matrix"]
     expected = np.array([[complex(float(re), float(im)) for re, im in row] for row in matrix])
     assert scenario.observables["Z"].matrix(0).tobytes() == expected.tobytes()
+
+
+def _nested_bulk_complex(items, shape):
+    # The converter as it was before the flat conversion: numpy on the
+    # nested lists, then a separate scan of the leaf types.
+    try:
+        pairs = np.array(items, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if pairs.shape != shape + (2,) or not np.isfinite(pairs).all():
+        return None
+    leaves = items
+    for _ in shape:
+        leaves = chain.from_iterable(leaves)
+    if not set(map(type, leaves)) <= {int, float}:
+        return None
+    return pairs.view(np.complex128).reshape(shape)
+
+
+_NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-3, 3),
+                     st.sampled_from([-0.0, 5e-324, 1e-320, 2 ** 60 + 1, 2 ** 70 + 1, 10 ** 308]))
+#: What JSON can put where a number belongs and the schema refuses.
+_BAD_LEAVES = st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 309, -(10 ** 400), True,
+                               False, "1", "1.5", "nan", None, {}, [1.0, 0.0], []])
+#: What JSON can put where a list belongs and the schema refuses.
+_BAD_LISTS = st.sampled_from(["ab", "12", "", {}, {"re": 1, "im": 0}, 1.0, 2, True, None])
+
+
+@st.composite
+def _nested(draw, shape):
+    # Lists nested as ``shape`` + (2,) around numbers, with here and there a
+    # leaf or a list the schema refuses, or a list one item short or long.
+    sizes = shape + (2,)
+
+    def node(level):
+        if level == len(sizes):
+            return draw(_NUMBERS if draw(st.integers(0, 29)) else _BAD_LEAVES)
+        if not draw(st.integers(0, 29)):
+            return draw(_BAD_LISTS)
+        size = sizes[level]
+        if not draw(st.integers(0, 29)):
+            size = draw(st.integers(max(size - 1, 0), size + 1))
+        return [node(level + 1) for _ in range(size)]
+    return node(0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.lists(st.integers(0, 4), min_size=1, max_size=3).map(tuple), data=st.data())
+@example(shape=(2,), data=None)
+def test_flat_conversion_matches_the_nested_one(shape, data):
+    items = [[1, 0.5], [True, 0]] if data is None else data.draw(_nested(shape))
+    expected = _nested_bulk_complex(items, shape)
+    actual = _bulk_complex(items, shape)
+    assert (actual is None) == (expected is None)
+    if expected is not None:
+        assert actual.shape == shape
+        assert actual.tobytes() == expected.tobytes()
+
+
+def _valid_texts():
+    from test_parse_oracle import valid_documents
+
+    oracle = pathlib.Path(__file__).with_name("cli_oracle")
+    yield from (oracle / name for name in ("dim-12.json", "three-box.json", "zeros.json"))
+    yield from (dump_scenario(builtin(name)) for name in BUILTIN_NAMES)
+    yield from valid_documents().values()
+
+
+def test_valid_files_are_never_walked_branch_by_branch(monkeypatch):
+    # Reading a branch on its own is only there to name an error: a valid
+    # file that took that path would parse the same, only slower.
+    def walked(node, path, dim):
+        raise AssertionError(f"{path} was read branch by branch")
+
+    monkeypatch.setattr(scenario_io, "_branch", walked)
+    for text in _valid_texts():
+        parse_scenario(text if isinstance(text, str) else text.read_text())
 
 
 @pytest.mark.parametrize("dim", [MAX_DIM + 1, 10 ** 12])
