@@ -25,7 +25,6 @@ import math
 import pathlib
 
 import numpy as np
-import pytest
 
 from ablkit.scenario_io import dump_scenario, parse_scenario
 
@@ -242,9 +241,9 @@ def _pre_non_unit(doc):
     doc["preselection"] = [[2 * re, 2 * im] for re, im in doc["preselection"]]
 
 
-#: The faults that follow each branch fault in a later branch: two each of
-#: the faults found reading the branch, converting its numbers, and
-#: validating what they build.
+#: The faults that follow each branch fault in a later branch, and each
+#: stage fault: two each of the faults found reading the branch, converting
+#: its numbers, and validating what they build.
 SECOND_FAULTS = ("unknown-key", "kets-object", "string-leaf", "huge-int-leaf",
                  "ragged-matrix", "non-unit-ket", "dependent-kets", "not-idempotent")
 
@@ -285,7 +284,7 @@ def fault_documents() -> dict[str, str]:
             j = _with_branch_fault(doc, second, after=i)
             texts[f"X[{i}] {first} + X[{j}] {second}"] = json.dumps(doc)
     for stage, edit in STAGE_FAULTS.items():
-        for name in BRANCH_FAULTS:
+        for name in SECOND_FAULTS:
             doc = json.loads(base)
             edit(doc)
             i = _with_branch_fault(doc, name)

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ablkit import scenario_io
 from ablkit.abl import PrePostContext, abl_distribution
 from ablkit.counterfactual import find_counterexample, mixing_report
 from ablkit.errors import ScenarioParseError
-from ablkit import scenario_io
 from ablkit.linalg import Ket, basis_containing, projector_from_kets
 from ablkit.scenario_io import (
     MAX_DIM,
@@ -24,6 +24,7 @@ from ablkit.scenario_io import (
 from ablkit.scenarios import BUILTIN_NAMES, Scenario, builtin
 
 from conftest import mixed_rank_decomposition
+from test_parse_oracle import valid_documents
 
 MINIMAL = """
 {
@@ -488,10 +489,9 @@ def test_flat_conversion_matches_the_nested_one(shape, data):
 
 
 def _valid_texts():
-    from test_parse_oracle import valid_documents
-
     oracle = pathlib.Path(__file__).with_name("cli_oracle")
-    yield from (oracle / name for name in ("dim-12.json", "three-box.json", "zeros.json"))
+    for name in ("dim-12.json", "three-box.json", "zeros.json"):
+        yield (oracle / name).read_text()
     yield from (dump_scenario(builtin(name)) for name in BUILTIN_NAMES)
     yield from valid_documents().values()
 
@@ -504,7 +504,7 @@ def test_valid_files_are_never_walked_branch_by_branch(monkeypatch):
 
     monkeypatch.setattr(scenario_io, "_branch", walked)
     for text in _valid_texts():
-        parse_scenario(text if isinstance(text, str) else text.read_text())
+        parse_scenario(text)
 
 
 @pytest.mark.parametrize("dim", [MAX_DIM + 1, 10 ** 12])
