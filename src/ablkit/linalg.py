@@ -104,11 +104,11 @@ class Ket:
         object.__setattr__(ket, "amplitudes", amplitudes)
         return ket
 
-    @classmethod
-    def _unit_rows(cls, amps: np.ndarray) -> np.ndarray:
-        # Each finite row of ``amps`` checked as Ket(row) checks it, and
-        # scaled to unit norm with the bits of orthonormalize([row])[0].
-        return amps / np.array([_norm(_checked_unit(a)) for a in amps])[:, None]
+    @staticmethod
+    def _unit(a: np.ndarray) -> np.ndarray:
+        # The finite vector ``a`` checked as Ket(a) checks it, and scaled to
+        # unit norm with the bits of orthonormalize([a])[0].
+        return a / _norm(_checked_unit(a))
 
     @property
     def dim(self) -> int:
@@ -402,10 +402,10 @@ def orthonormalize(vectors: Sequence[np.ndarray], *, tol: float = SPAN_TOL) -> l
             raise DimensionMismatchError(
                 f"vector {k} has length {w.size}, vector 0 has length {basis[0].size}")
         size_sq = np.vdot(w, w).real
+        if not math.isfinite(size_sq):
+            raise ValidationError(f"vector {k} does not have a finite norm")
         cutoff = max(tol * math.sqrt(size_sq), _MIN_NORM)
         norm = _project_out(w, basis, cutoff, 0.5 * size_sq)
-        if not math.isfinite(norm):
-            raise ValidationError(f"vector {k} does not have a finite norm")
         if norm <= cutoff:
             raise DegenerateSpanError(
                 f"vector {k} has (near-)zero norm" if math.sqrt(size_sq) <= _MIN_NORM else

@@ -20,16 +20,16 @@ Schema (complex numbers are two-element ``[re, im]`` arrays)::
 Parsed values go through the same validation as directly constructed ones.
 A key repeated within one object is refused, not overwritten.  An
 observable's kets and matrix rows are converted in one flat numpy call,
-after one pass per nesting level over the lists; its branches are read one
-by one, and each array row by row, only when that fails, so that the first
-error is reported at its field by one wrapper.  Counts no valid file has
-(more branches, or kets in a branch, than ``dim``) are refused before any
-entry is read.  A branch given by one ket is the rank-1 projector
-``|q><q|`` onto the ket's unit vector ``q`` by construction, so it is not
-checked again as a matrix; an observable of one-ket branches is a rank-1
-basis, checked from the Gram matrix of its kets with the errors, in the
-order, of the matrix checks.  Each branch matrix is bit for bit the one
-``projector_from_kets`` builds.
+after one pass per nesting level over the lists; only when that fails is
+each field read on its own, so that the first error is reported at its
+field by one wrapper.  Either way the branches are read once, in order.
+Counts no valid file has (more branches, or kets or matrix rows in a
+branch, than ``dim``) are refused before any entry is read.  A branch
+given by one ket is the rank-1 projector ``|q><q|`` onto the ket's unit
+vector ``q`` by construction, so it is not checked again as a matrix; an
+observable of one-ket branches is a rank-1 basis, checked from the Gram
+matrix of its kets with the errors, in the order, of the matrix checks.
+Each branch matrix is bit for bit the one ``projector_from_kets`` builds.
 
 Emission is canonical (sorted keys, two-space indent, exact float
 round-trip), so emitting, parsing, and emitting again is byte-identical;
@@ -52,7 +52,7 @@ import numpy as np
 
 from .abl import PrePostContext
 from .errors import AblkitError, ScenarioParseError, ValidationError
-from .linalg import Ket, ObservableDecomposition, Projector, orthonormalize, projector_from_kets
+from .linalg import Ket, ObservableDecomposition, Projector, projector_from_kets
 from .scenarios import Scenario
 
 if TYPE_CHECKING:  # annotation only; counterfactual would load sampling
@@ -174,38 +174,36 @@ def _spec(node, path: str, dim: int) -> tuple[float, str, list]:
     return eigenvalue, "kets", nodes
 
 
-def _branch(node, path: str, dim: int) -> tuple[float, Projector | np.ndarray]:
-    # The eigenvalue, and the branch's Projector or, for a branch given by
+def _branches(nodes: list, path: str, dim: int) -> list[tuple[float, Projector | np.ndarray]]:
+    # Each branch's eigenvalue, and its Projector or, for a branch given by
     # one ket, that ket's unit vector q: |q><q| is a rank-1 projector by
-    # construction, which _observable assembles.
-    eigenvalue, form, entry = _spec(node, path, dim)
-    if form == "matrix":
-        return eigenvalue, _built(path, Projector, _array(entry, f"{path}.matrix", (dim, dim)))
-    kets = [_ket(k, f"{path}.kets[{i}]", dim) for i, k in enumerate(entry)]
-    if len(kets) == 1:
-        return eigenvalue, orthonormalize([kets[0].amplitudes])[0]
-    return eigenvalue, _built(path, projector_from_kets, kets)
-
-
-def _batched(nodes: list, path: str, dim: int) -> list | None:
-    # What _branch makes of each branch, from one conversion of all ket and
-    # matrix rows (kets first); None when a row fails it, else raises as _branch.
-    specs = [_spec(b, f"{path}[{i}]", dim) for i, b in enumerate(nodes)]
-    kets = [ket for _, form, entry in specs if form == "kets" for ket in entry]
-    rows = kets + [row for _, form, entry in specs if form == "matrix" for row in entry]
-    amps = _bulk_complex(rows, (len(rows), dim))
-    if amps is None:
-        return None
-    units = Ket._unit_rows(amps[:len(kets)])  # checks every ket as Ket does
-    branches, k, m = [], 0, len(kets)
-    for eigenvalue, form, entry in specs:
-        if form == "matrix":  # Projector refuses a block of other than dim rows
-            p, m = Projector(amps[m:m + len(entry)]), m + len(entry)
+    # construction, which _observable assembles.  The rows of all branches
+    # are converted in one call; when that fails, each field is read by
+    # _array, so that the first error in reading order names its field.
+    # A list longer than dim is refused by its branch before it is read.
+    lists = [b.get("matrix", b.get("kets")) if isinstance(b, dict) else None for b in nodes]
+    amps = None
+    if all(isinstance(rows, list) and len(rows) <= dim for rows in lists):
+        rows = list(chain.from_iterable(lists))
+        amps = _bulk_complex(rows, (len(rows), dim))
+    branches, k = [], 0
+    for i, node in enumerate(nodes):
+        at = f"{path}[{i}]"
+        eigenvalue, form, entry = _spec(node, at, dim)
+        field, n = f"{at}.{form}", len(entry)
+        if form == "matrix":  # _array names a block of other than dim rows
+            matrix = (amps[k:k + n] if amps is not None and n == dim
+                      else _array(entry, field, (dim, dim)))
+            branch = _built(at, Projector, matrix)
         else:
-            p = units[k] if len(entry) == 1 else projector_from_kets(
-                [Ket._validated(a) for a in amps[k:k + len(entry)]])
-            k += len(entry)
-        branches.append((eigenvalue, p))
+            kets = []
+            for j, ket in enumerate(entry):  # each ket read, then checked, in turn
+                a = amps[k + j] if amps is not None else _array(ket, f"{field}[{j}]", (dim,))
+                kets.append((a, _built(f"{field}[{j}]", Ket._unit, a)))
+            branch = kets[0][1] if n == 1 else _built(
+                at, projector_from_kets, [Ket._validated(a) for a, _ in kets])
+        branches.append((eigenvalue, branch))
+        k += n
     return branches
 
 
@@ -269,14 +267,7 @@ def parse_scenario(text: str, *, fallback_name: str = "scenario") -> Scenario:
         nodes = _expect(branches_node, path, list)
         if len(nodes) > dim:  # every branch has rank at least 1
             raise _fail(path, f"expected at most {dim} branches, got {len(nodes)}")
-        try:
-            branches = _batched(nodes, path, dim)
-        except AblkitError:
-            branches = None
-        # Read again one by one, so that the first error in reading order
-        # names its field.
-        branches = branches or [_branch(b, f"{path}[{i}]", dim) for i, b in enumerate(nodes)]
-        observables[name] = _built(path, _observable, branches)
+        observables[name] = _built(path, _observable, _branches(nodes, path, dim))
     default = top.get("default_observable", next(iter(observables)))
     if not isinstance(default, str) or default not in observables:
         raise _fail("default_observable",

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ablkit import linalg
 from ablkit.abl import abl_probabilities
 from ablkit.errors import DegenerateSpanError, DimensionMismatchError, ValidationError
 from ablkit.histories import enumerate_coarse_grainings
@@ -21,7 +22,7 @@ from ablkit.linalg import (
     projector_from_kets,
     trace_product,
 )
-from ablkit.linalg import _norm
+from ablkit.linalg import _norm, _project_out
 
 from conftest import OVERFLOWING_HERMITIAN, mixed_rank_decomposition, near_axis_ket
 
@@ -203,20 +204,21 @@ def test_orthonormalize_names_a_vector_of_near_zero_norm(vectors, k):
     assert str(err.value) == f"vector {k} has (near-)zero norm"
 
 
-def test_unit_rows_check_as_ket_and_scale_as_orthonormalize():
+def test_unit_checks_as_ket_and_scales_as_orthonormalize():
     rng = np.random.default_rng(30)
     rows = _gauss(rng, (6, 5))
     rows[1, 2] = complex(-0.0, 0.0)
     rows[2, 0] = complex(5e-324, -0.0)
     rows /= np.linalg.norm(rows, axis=1)[:, None]
     rows[3] *= 1 + 4e-10
-    for row, q in zip(rows, Ket._unit_rows(rows)):
-        assert q.tobytes() == orthonormalize([Ket(row).amplitudes])[0].tobytes()
+    for row in rows:
+        expected = orthonormalize([Ket(row).amplitudes])[0]
+        assert Ket._unit(row).tobytes() == expected.tobytes()
     rows[4] *= 1.1
     with pytest.raises(ValidationError) as expected:
         Ket(rows[4])
     with pytest.raises(ValidationError) as err:
-        Ket._unit_rows(rows)
+        Ket._unit(rows[4])
     assert str(err.value) == str(expected.value)
 
 
@@ -417,14 +419,24 @@ def test_orthonormalize_refuses_a_vector_that_is_not_1d():
         complete_basis([np.eye(2)], 4)
 
 
-@pytest.mark.parametrize("vectors", [
-    [np.array([np.nan, 1.0])],
-    [np.array([1.0, 0.0]), np.array([np.nan, 1.0])],
-    [np.array([1.0, 0.0]), np.array([np.inf, 1.0])],
-    [np.array([1e200, 1.0])],
-], ids=["nan-first", "nan-second", "inf-second", "overflowing-first"])
-def test_orthonormalize_refuses_a_vector_without_a_finite_norm(vectors):
-    # It returned a vector of nan, with a RuntimeWarning.
+#: Vectors orthonormalize refuses, the last of each list as without a finite norm.
+NON_FINITE = {
+    "nan-first": [np.array([np.nan, 1.0])],
+    "nan-second": [np.array([1.0, 0.0]), np.array([np.nan, 1.0])],
+    "inf-second": [np.array([1.0, 0.0]), np.array([np.inf, 1.0])],
+    "overflowing-first": [np.array([1e200, 1.0])],
+}
+
+
+@pytest.mark.parametrize("vectors", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_orthonormalize_refuses_a_vector_without_a_finite_norm(vectors, monkeypatch):
+    # It returned a vector of nan, with a RuntimeWarning.  The vector is
+    # refused before any arithmetic on it: numpy's SSE loops warn on q * inf.
+    def project_out(w, *args):
+        assert np.isfinite(w).all(), "a vector without a finite norm was projected"
+        return _project_out(w, *args)
+
+    monkeypatch.setattr(linalg, "_project_out", project_out)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match=f"vector {len(vectors) - 1} does not have a finite norm"):

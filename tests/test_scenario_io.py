@@ -176,17 +176,51 @@ def test_name_and_description_must_be_strings(key, literal, type_name):
     ("branches", "observables.X: expected at most 2 branches, got 3"),
     ("kets", "observables.X[0].kets: expected at most 2 kets, got 3"),
     ("no kets", "observables.X[0].kets: expected at least one ket"),
+    ("matrix 2+4", "observables.X[0].matrix: expected 3 rows, got 2"),
+    ("matrix 4+2", "observables.X[0].matrix: expected 3 rows, got 4"),
+    ("matrix 2+3", "observables.X[0].matrix: expected 3 rows, got 2"),
 ])
 def test_parse_refuses_impossible_counts_before_reading_entries(where, message):
-    # The entries are not even objects or kets: the count comes first.
+    # The entries are not even objects or kets: the count comes first.  A
+    # matrix split across two branches has rows that read, but each branch
+    # has its own count.
     doc = json.loads(MINIMAL)
     if where == "branches":
         doc["observables"]["X"] = [0, 0, 0]
+    elif where.startswith("matrix"):
+        doc = _kets_doc([np.zeros((int(n), 3)) for n in where.split()[1].split("+")])
     else:
         doc["observables"]["X"][0]["kets"] = [] if where == "no kets" else [0, 0, 0]
     with pytest.raises(ScenarioParseError) as err:
         parse_scenario(json.dumps(doc))
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("form", ["kets", "matrix"])
+def test_a_list_longer_than_dim_is_refused_before_it_is_converted(monkeypatch, form):
+    shapes = []
+
+    def bulk_complex(items, shape):
+        shapes.append(shape)
+        return original(items, shape)
+
+    original = scenario_io._bulk_complex
+    monkeypatch.setattr(scenario_io, "_bulk_complex", bulk_complex)
+    doc = json.loads(MINIMAL)
+    doc["observables"]["X"][0] = {"eigenvalue": 1, form: [[[1, 0], [0, 0]]] * 3}
+    message = "expected at most 2 kets, got 3" if form == "kets" else "expected 2 rows, got 3"
+    assert _parse_error(doc) == f"observables.X[0].{form}: {message}"
+    assert shapes == [(2,), (2,)]  # the two selections
+
+
+@pytest.mark.parametrize("branch", [0, 1])
+@pytest.mark.parametrize("node", [1, None, True, 2.5, "matrix", "kets", ["matrix"], []],
+                         ids=json.dumps)
+def test_parse_error_branch_that_is_not_an_object(branch, node):
+    doc = json.loads(MINIMAL)
+    doc["observables"]["X"][branch] = node
+    assert _parse_error(doc) == (f"observables.X[{branch}]: expected an object, "
+                                 f"got {type(node).__name__}")
 
 
 def test_parse_error_infinite_dim():
@@ -497,14 +531,25 @@ def _valid_texts():
 
 
 def test_valid_files_are_never_walked_branch_by_branch(monkeypatch):
-    # Reading a branch on its own is only there to name an error: a valid
-    # file that took that path would parse the same, only slower.
-    def walked(node, path, dim):
-        raise AssertionError(f"{path} was read branch by branch")
+    # Reading an observable's fields one by one is only there to name an
+    # error: a valid file that took that path would parse the same, only
+    # slower.  Valid files read only the two selections field by field.
+    read = []
 
-    monkeypatch.setattr(scenario_io, "_branch", walked)
+    def array(node, path, shape):
+        read.append(path)
+        return original(node, path, shape)
+
+    original = scenario_io._array
+    monkeypatch.setattr(scenario_io, "_array", array)
     for text in _valid_texts():
         parse_scenario(text)
+    assert set(read) == {"preselection", "postselection"}
+    # A fault in branch 1 has branch 0 read field by field.
+    doc = json.loads(MINIMAL)
+    doc["observables"]["X"][1]["kets"][0][1] = [0.5]
+    _expect_error(json.dumps(doc), "observables.X[1].kets[0][1]: expected a [re, im] pair")
+    assert "observables.X[0].kets[0]" in read
 
 
 @pytest.mark.parametrize("dim", [MAX_DIM + 1, 10 ** 12])
