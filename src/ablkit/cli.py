@@ -132,8 +132,10 @@ def cmd_abl(args) -> int:
     return 0
 
 
-def _blocks_label(blocks: list[list[float]]) -> str:
-    return "".join("{" + ",".join(f"{e:g}" for e in block) + "}" for block in blocks)
+def _labels(partitions, items: list[str], fmt: str, sep: str, join: str) -> list[str]:
+    # Each partition as join.join(fmt % sep.join(items of a block)), each block made once.
+    texts = {b: fmt % sep.join(map(items.__getitem__, b)) for b in set().union(*partitions)}
+    return [join.join(map(texts.__getitem__, p)) for p in partitions]
 
 
 def cmd_consistency(args) -> int:
@@ -154,18 +156,23 @@ def cmd_consistency(args) -> int:
         "tolerance": tol if math.isfinite(tol) else None,
         "consistent": report.consistent,
         "max_violation": report.max_violation,
-        "decoherence": [[[z.real, z.imag] for z in row] for row in report.matrix],
+        "decoherence": report.matrix.view(float).reshape(*report.matrix.shape, 2).tolist(),
         "disturbance": asdict(disturbance),
     }
     if args.coarse_grainings:
-        eigenvalues = observable.eigenvalues
         partitions, _, violations, consistent, _, holds = coarse_graining_table(
             family, criterion=args.criterion, tol=tol)
-        payload["coarse_grainings"] = [
-            {"blocks": [[eigenvalues[i] for i in block] for block in partition],
-             "consistent": c, "max_violation": v, "disturbance_holds": h}
-            for partition, v, c, h in zip(partitions, violations, consistent, holds)
-        ]
+        if args.json:  # its key sorts first; encode refuses nan as json.dumps does
+            import json
+            encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+            labels = _labels(partitions, encode(observable.eigenvalues)[1:-1].split(", "),
+                             "[%s]", ", ", ", ")
+            words = ("false", "true")
+            rows = ['{"blocks": [%s], "consistent": %s, "disturbance_holds": %s, '
+                    '"max_violation": %s}' % (label, words[c], words[h], v) for label, v, c, h
+                    in zip(labels, encode(violations)[1:-1].split(", "), consistent, holds)]
+            print('{"coarse_grainings": [%s], %s' % (", ".join(rows), encode(payload)[1:]))
+            return 0
     if args.json:
         return _print_json(payload)
     print(f"scenario: {scenario.name} (dim {scenario.dim})")
@@ -178,11 +185,10 @@ def cmd_consistency(args) -> int:
     print(f"measurement leaves postselection undisturbed: {'yes' if disturbance.holds else 'no'}")
     if args.coarse_grainings:
         print("coarse-grainings:")
-        for row in payload["coarse_grainings"]:
-            print(f"  {_blocks_label(row['blocks'])}: "
-                  f"{'consistent' if row['consistent'] else 'inconsistent'}  "
-                  f"max violation {_fmt(row['max_violation'])}  "
-                  f"disturbance identity {'holds' if row['disturbance_holds'] else 'fails'}")
+        labels = _labels(partitions, [f"{e:g}" for e in observable.eigenvalues], "{%s}", ",", "")
+        for label, v, c, h in zip(labels, violations, consistent, holds):
+            print("  %s: %s  max violation %s  disturbance identity %s" % (
+                label, "consistent" if c else "inconsistent", _fmt(v), "holds" if h else "fails"))
     return 0
 
 

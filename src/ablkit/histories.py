@@ -5,18 +5,16 @@ observable, postselect).  Its decoherence functional is
 
     D(i, j) = Tr(P_b P_i P_a P_j) = x_i conj(x_j),  x_i = <b|P_i|a>
 
-whose diagonal holds the joint probabilities of the chain.  A family
-computes its amplitudes ``x`` and |<b|a>|^2 once, at construction.  It is
-consistent (medium decoherence) when every off-diagonal entry vanishes;
-under the weaker criterion only the real parts have to vanish.  For a
-consistent family the intervening measurement does not disturb the
-postselection statistics: sum_j D(j, j) equals |<b|a>|^2.  That disturbance
-identity is checked separately so callers can see both predicates; the
-implication only runs from consistency to the identity, not back.
-``coarse_graining_table`` gives both verdicts for the families around every
-grouping of the observable's branches from one table of block amplitudes
-x_I = <b|sum_{i in I} P_i|a>, through the same routines as one family's
-rows; ``coarse_graining_verdicts`` wraps its rows in the reports above.
+whose diagonal holds the joint probabilities of the chain; a family takes
+``x`` and |<b|a>|^2 once, at construction.  It is consistent (medium
+decoherence) when every off-diagonal entry vanishes, under the weak
+criterion when their real parts do.  A consistent family satisfies the
+disturbance identity sum_j D(j, j) = |<b|a>|^2 (measuring in between leaves
+the postselection statistics alone), but not conversely, so both are checked.
+Every grouping of the observable's branches is one row of a table of block
+bitmasks; each block's amplitude x_I = <b|sum_{i in I} P_i|a> is taken once,
+at the slot of its mask, gathered into the rows, and judged by the same
+routines as one family's ``x`` (``coarse_graining_table``).
 """
 
 from __future__ import annotations
@@ -162,32 +160,37 @@ def disturbance_check(family: HistoryFamily, *, tol: float = CONSISTENCY_TOL) ->
     return DisturbanceCheck(undisturbed, disturbed, abs(undisturbed - disturbed) <= tol)
 
 
-def _set_partitions(n: int) -> list[list[tuple[int, ...]]]:
-    # Partitions of range(n), blocks as ascending tuples ordered by first
-    # appearance; order is deterministic (each element joins existing blocks
-    # first, then starts a new one).
-    partitions: list[list[tuple[int, ...]]] = [[]]
+def _partition_masks(n: int) -> np.ndarray:
+    # The partitions of range(n), each a row of block bitmasks by first
+    # element, zero-padded to n, in lexicographic order of restricted growth
+    # strings.  A row is built as an int holding block g's mask in byte g.
+    rows = [0]
     for i in range(n):
-        partitions = [[*p[:g], p[g] + (i,), *p[g + 1:]] if g < len(p) else [*p, (i,)]
-                      for p in partitions for g in range(len(p) + 1)]
-    return partitions
+        rows = [r | 1 << (8 * g + i) for r in rows for g in range((r.bit_length() + 15) >> 3)]
+    return np.array(rows, dtype="<u8").view(np.uint8).reshape(-1, 8)[:, :n]
+
+
+def _set_partitions(n: int, masks=None) -> list[list[tuple[int, ...]]]:
+    # The rows of ``masks`` (default: n's whole table) as lists of block tuples.
+    blocks = [()]
+    for i in range(n):
+        blocks += [block + (i,) for block in blocks]
+    masks = _partition_masks(n) if masks is None else masks
+    return [[blocks[m] for m in row if m] for row in masks.tolist()]
 
 
 def _coarse_blocks(base: ObservableDecomposition):
-    # The partitions of base's branch set, a slot for every subset of it (the
-    # empty one first, each after its prefix), and each slot's branch matrices
-    # summed from zero in ascending branch order, one add per slot.
+    # base's partition mask table, and each block's branch matrices summed in
+    # ascending branch order at the slot of its bitmask (slot 0 stays zero).
     n = len(base)
     if n > MAX_ENUMERATED_BRANCHES:
         raise TooManyBranchesError(
             f"{n} branches would enumerate too many partitions (cap is {MAX_ENUMERATED_BRANCHES})")
-    subsets: list[tuple[int, ...]] = [()]
     sums = np.zeros((1 << n, base.dim, base.dim), dtype=np.complex128)
     for i in range(n):
-        sums[len(subsets):2 * len(subsets)] = sums[:len(subsets)] + base.stack[i]
-        subsets += [block + (i,) for block in subsets]
+        sums[1 << i:2 << i] = sums[:1 << i] + base.stack[i]
     sums.setflags(write=False)
-    return _set_partitions(n), {block: k for k, block in enumerate(subsets)}, sums
+    return _partition_masks(n), sums
 
 
 def enumerate_coarse_grainings(base: ObservableDecomposition) -> list[ObservableDecomposition]:
@@ -199,17 +202,18 @@ def enumerate_coarse_grainings(base: ObservableDecomposition) -> list[Observable
     the k-th partition ``_set_partitions(len(base))`` returns, with its
     branches in the order of that partition's blocks.  Each distinct block
     (``2**n - 1`` of them) is summed once, in ascending branch order, and
-    each partition's stack is gathered from those sums.  Nothing is validated
-    again: a coarse-graining of a validated resolution of the identity is
-    one, with residues at most ``|I|*|J|`` times the base's for blocks ``I``
-    and ``J``.  Refuses more than :data:`MAX_ENUMERATED_BRANCHES` branches.
+    each partition's stack is gathered from those sums by bitmask.  Nothing
+    is validated again: a coarse-graining of a validated resolution of the
+    identity is one, with residues at most ``|I|*|J|`` times the base's for
+    blocks ``I`` and ``J``.  Refuses more than :data:`MAX_ENUMERATED_BRANCHES`.
     """
-    partitions, slots, sums = _coarse_blocks(base)
-    ranks = {block: sum(base.ranks[i] for i in block) for block in slots}
+    masks, sums = _coarse_blocks(base)
+    ranks = [0]
+    for rank in base.ranks:
+        ranks += [r + rank for r in ranks]
     return [ObservableDecomposition._validated(
-                sums[[slots[block] for block in blocks]],
-                [float(k) for k in range(len(blocks))], [ranks[block] for block in blocks])
-            for blocks in partitions]
+                sums[blocks], [float(k) for k in range(len(blocks))], [ranks[m] for m in blocks])
+            for blocks in ([m for m in row if m] for row in masks.tolist())]
 
 
 def coarse_graining_table(family: HistoryFamily, *, criterion: str = "medium",
@@ -219,18 +223,14 @@ def coarse_graining_table(family: HistoryFamily, *, criterion: str = "medium",
     Partitions come in :func:`enumerate_coarse_grainings`' order, their
     decoherence matrices zero-padded to one ``(n, n)`` shape; the other four
     are per-partition lists of the max violation, the consistency verdict,
-    the disturbed probability and the disturbance identity's verdict.
+    the disturbed probability and the disturbance identity's verdict, all read
+    from one zero-padded row of block bitmasks per partition.
     """
-    partitions, slots, sums = _coarse_blocks(family.intermediate)
-    # x_I = <b|P_I|a> as HistoryFamily computes x; slot 0, the empty block,
-    # has amplitude 0 and pads the rows.
-    amplitudes = _amplitudes(sums, family._pre, family._post)
-    width = len(family.intermediate)
-    x = amplitudes[[[slots[block] for block in blocks] + [0] * (width - len(blocks))
-                    for blocks in partitions]]
+    masks, sums = _coarse_blocks(family.intermediate)
+    x = _amplitudes(sums, family._pre, family._post)[masks]
     d, violations, consistent = _decoherence(x, criterion, tol)
     disturbed = (x.real ** 2 + x.imag ** 2).sum(axis=1).tolist()
-    return (partitions, d, violations.tolist(), consistent.tolist(),
+    return (_set_partitions(masks.shape[1], masks), d, violations.tolist(), consistent.tolist(),
             disturbed, [abs(family._undisturbed - s) <= tol for s in disturbed])
 
 
@@ -242,10 +242,7 @@ def coarse_graining_verdicts(family: HistoryFamily, *, criterion: str = "medium"
     and :func:`disturbance_check` report on the family around it, read from
     :func:`coarse_graining_table` instead of those families.
     """
-    partitions, d, violations, consistent, disturbed, holds = coarse_graining_table(
-        family, criterion=criterion, tol=tol)
-    return [(tuple(blocks),
-             ConsistencyReport(c, d[k, :len(blocks), :len(blocks)], v, criterion, tol),
+    return [(tuple(blocks), ConsistencyReport(c, m[:len(blocks), :len(blocks)], v, criterion, tol),
              DisturbanceCheck(family._undisturbed, s, h))
-            for k, (blocks, v, c, s, h)
-            in enumerate(zip(partitions, violations, consistent, disturbed, holds))]
+            for blocks, m, v, c, s, h in zip(*coarse_graining_table(family, criterion=criterion,
+                                                                     tol=tol))]

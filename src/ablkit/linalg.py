@@ -116,11 +116,14 @@ class Ket:
 
     @classmethod
     def normalized(cls, values) -> "Ket":
-        """Scale ``values`` to unit norm.  Rejects a norm below ``_MIN_NORM``."""
+        """Scale ``values`` to unit norm.  Rejects a norm below ``_MIN_NORM``
+        and one that overflows."""
         arr = _as_vector(values)
         norm = _norm(arr)
-        if not norm >= _MIN_NORM:
-            raise ValidationError("cannot normalize a vector of (near-)zero norm")
+        if not _MIN_NORM <= norm < math.inf:
+            raise ValidationError("cannot normalize a vector whose norm overflows"
+                                  if norm == math.inf else
+                                  "cannot normalize a vector of (near-)zero norm")
         return cls._validated(_checked_unit(arr / norm))
 
     def projector(self) -> "Projector":
@@ -389,7 +392,8 @@ def orthonormalize(vectors: Sequence[np.ndarray], *, tol: float = SPAN_TOL) -> l
     length ``d`` are refused; a vector whose own norm is at most ``_MIN_NORM``
     is named as of (near-)zero norm), :class:`DimensionMismatchError` for
     vectors of differing lengths, and :class:`ValidationError` for a vector
-    that is not 1-d or whose norm is not finite.
+    that is not 1-d or whose norm is not finite (named as overflowing when
+    its entries are finite).
     """
     if not tol >= 0.0:
         raise ValidationError(f"tolerance must be non-negative, got {tol}")
@@ -403,7 +407,9 @@ def orthonormalize(vectors: Sequence[np.ndarray], *, tol: float = SPAN_TOL) -> l
                 f"vector {k} has length {w.size}, vector 0 has length {basis[0].size}")
         size_sq = np.vdot(w, w).real
         if not math.isfinite(size_sq):
-            raise ValidationError(f"vector {k} does not have a finite norm")
+            raise ValidationError(f"vector {k} is finite, but its norm overflows"
+                                  if np.isfinite(w).all() else
+                                  f"vector {k} does not have a finite norm")
         cutoff = max(tol * math.sqrt(size_sq), _MIN_NORM)
         norm = _project_out(w, basis, cutoff, 0.5 * size_sq)
         if norm <= cutoff:

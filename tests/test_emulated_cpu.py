@@ -28,12 +28,12 @@ import test_parse_error_oracle as oracle
 from test_linalg import NON_FINITE
 
 wrong = []
-for name, vectors in NON_FINITE.items():
+for name, (vectors, message) in NON_FINITE.items():
     try:
         orthonormalize(vectors)
         wrong.append(f"{name}: accepted")
     except ValidationError as err:
-        if str(err) != f"vector {len(vectors) - 1} does not have a finite norm":
+        if str(err) != message:
             wrong.append(f"{name}: {err}")
 expected = json.loads(oracle.ORACLE.read_text())
 for doc, node in oracle._documents().items():

@@ -12,6 +12,7 @@ from ablkit.histories import (
     MAX_ENUMERATED_BRANCHES,
     ConsistencyReport,
     HistoryFamily,
+    _partition_masks,
     _set_partitions,
     coarse_graining_table,
     coarse_graining_verdicts,
@@ -356,6 +357,40 @@ def test_enumerate_matches_per_partition_loop_bit_for_bit(base):
         assert g.stack.tobytes() == w.stack.tobytes()
         assert [p.rank for _, p in g] == [p.rank for _, p in w]
         assert g.eigenvalues == w.eigenvalues
+
+
+def _nested_set_partitions(n):
+    # The partition order as the nested comprehension generated it before the
+    # mask table: each element joins the existing blocks in turn, then starts
+    # a new one.
+    partitions = [[]]
+    for i in range(n):
+        partitions = [[*p[:g], p[g] + (i,), *p[g + 1:]] if g < len(p) else [*p, (i,)]
+                      for p in partitions for g in range(len(p) + 1)]
+    return partitions
+
+
+@pytest.mark.parametrize("n", range(1, MAX_ENUMERATED_BRANCHES + 1))
+def test_mask_table_keeps_the_nested_partition_order(n):
+    want = _nested_set_partitions(n)
+    masks = _partition_masks(n)
+    assert masks.shape == (len(want), n)
+    assert masks.tolist() == [[sum(1 << i for i in block) for block in p] + [0] * (n - len(p))
+                              for p in want]
+    assert _set_partitions(n) == want
+    # The k-th coarse-graining is gathered from the k-th partition, each
+    # block summed from zero in ascending branch order.
+    ranks = [1 + i % 3 for i in range(n)]
+    base = mixed_rank_decomposition(n, ranks)
+    family = HistoryFamily.from_context(make_context(np.random.default_rng(n), base.dim), base)
+    assert coarse_graining_table(family)[0] == want
+    for blocks, grained in zip(want, enumerate_coarse_grainings(base), strict=True):
+        stack = np.zeros((len(blocks), base.dim, base.dim), dtype=np.complex128)
+        for a, block in enumerate(blocks):
+            for i in block:
+                stack[a] += base.stack[i]
+        assert grained.stack.tobytes() == stack.tobytes()
+        assert grained.ranks == tuple(sum(ranks[i] for i in block) for block in blocks)
 
 
 def test_enumerate_accepts_a_basis_within_tolerance():

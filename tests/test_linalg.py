@@ -69,11 +69,14 @@ def test_ket_normalized_scales():
 
 def test_ket_normalized_refuses_an_overflowing_norm_without_a_warning():
     # The sum of squares overflowed with numpy's RuntimeWarning, which the
-    # suite's warning filter raised in place of this error.
+    # suite's warning filter raised in place of this error; then the error
+    # misnamed the cause as "ket norm^2 = 0.0" (the vector divided by inf).
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValidationError, match=r"ket norm\^2 = 0.0, expected 1 within 1e-09"):
-            Ket.normalized([1e200, 1.0])
+        for values in ([1e200, 1.0], [1e155, 0.0], [1e200, 1e200]):
+            with pytest.raises(ValidationError,
+                               match="^cannot normalize a vector whose norm overflows$"):
+                Ket.normalized(values)
 
 
 def test_ket_amplitudes_read_only():
@@ -419,17 +422,21 @@ def test_orthonormalize_refuses_a_vector_that_is_not_1d():
         complete_basis([np.eye(2)], 4)
 
 
-#: Vectors orthonormalize refuses, the last of each list as without a finite norm.
+#: Vectors orthonormalize refuses, the last of each list as without a finite
+#: norm, and the message that names why: a non-finite entry, or finite
+#: entries whose squared norm overflows.
 NON_FINITE = {
-    "nan-first": [np.array([np.nan, 1.0])],
-    "nan-second": [np.array([1.0, 0.0]), np.array([np.nan, 1.0])],
-    "inf-second": [np.array([1.0, 0.0]), np.array([np.inf, 1.0])],
-    "overflowing-first": [np.array([1e200, 1.0])],
+    "nan-first": ([np.array([np.nan, 1.0])], "vector 0 does not have a finite norm"),
+    "nan-second": ([np.array([1.0, 0.0]), np.array([np.nan, 1.0])],
+                   "vector 1 does not have a finite norm"),
+    "inf-second": ([np.array([1.0, 0.0]), np.array([np.inf, 1.0])],
+                   "vector 1 does not have a finite norm"),
+    "overflowing-first": ([np.array([1e200, 1.0])], "vector 0 is finite, but its norm overflows"),
 }
 
 
-@pytest.mark.parametrize("vectors", NON_FINITE.values(), ids=NON_FINITE.keys())
-def test_orthonormalize_refuses_a_vector_without_a_finite_norm(vectors, monkeypatch):
+@pytest.mark.parametrize("vectors, message", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_orthonormalize_refuses_a_vector_without_a_finite_norm(vectors, message, monkeypatch):
     # It returned a vector of nan, with a RuntimeWarning.  The vector is
     # refused before any arithmetic on it: numpy's SSE loops warn on q * inf.
     def project_out(w, *args):
@@ -439,7 +446,7 @@ def test_orthonormalize_refuses_a_vector_without_a_finite_norm(vectors, monkeypa
     monkeypatch.setattr(linalg, "_project_out", project_out)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValidationError, match=f"vector {len(vectors) - 1} does not have a finite norm"):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
             orthonormalize(vectors)
 
 
