@@ -130,7 +130,8 @@ def find_counterexample(dim: int, seed: int, gap_min: float = DEFAULT_GAP_MIN,
                         max_tries: int = 1000) -> Counterexample | None:
     """Search Haar-random scenarios for a counterfactual gap above ``gap_min``.
 
-    Try ``t`` draws everything from ``substream(seed, t)``, so the result is
+    Try ``t`` draws everything from ``substream(seed, t)``, so on one
+    BLAS/LAPACK build and CPU kernel (see :func:`random_basis`) the result is
     a pure function of (dim, seed, gap_min, max_tries): re-running returns
     the identical counterexample, and re-evaluating its report from the
     stored fields reproduces the numbers bit for bit.  Returns ``None`` when
@@ -145,8 +146,11 @@ def find_counterexample(dim: int, seed: int, gap_min: float = DEFAULT_GAP_MIN,
     for t in range(max_tries):
         rng = substream(seed, t)
         a = random_ket(rng, dim)
-        final_basis = ObservableDecomposition.from_eigenbasis(random_basis(rng, dim))
-        observable = ObservableDecomposition.from_eigenbasis(random_basis(rng, dim))
+        # from_eigenbasis's decompositions, built unchecked from unitary columns.
+        final_basis = ObservableDecomposition._from_orthonormal(
+            [k.amplitudes for k in random_basis(rng, dim)])
+        observable = ObservableDecomposition._from_orthonormal(
+            [k.amplitudes for k in random_basis(rng, dim)])
         branch = int(rng.integers(dim))
         try:
             report = mixing_report(a, final_basis, observable, branch)

@@ -6,10 +6,12 @@ and traces of operator products.  A decomposition also carries its branch
 projectors as one stacked array, which the probability kernels work on.
 Validation happens once, at construction from raw numbers; what is derived
 from validated objects (a ket's projector, the projector onto a span of
-kets, a complement, a coarse-graining) is valid by construction and not
-checked again.  A basis of kets is checked from its amplitudes alone: for
-rows ``a_i`` of ``A`` and ``P_i = a_i a_i^dagger``, ``sum_i P_i = A^T conj(A)``
-and ``max|P_i P_j| = |<a_i|a_j>| max|a_i| max|a_j|``, so the checks cost two
+kets, a complement, a coarse-graining) or built orthonormal (a vector scaled
+to unit norm, a completed basis, a Haar-random ket or counterexample basis)
+is valid by construction and not checked again.  A basis of kets is checked
+from its amplitudes alone: for rows ``a_i`` of ``A`` and
+``P_i = a_i a_i^dagger``, ``sum_i P_i = A^T conj(A)`` and
+``max|P_i P_j| = |<a_i|a_j>| max|a_i| max|a_j|``, so the checks cost two
 small products instead of ``n^2`` matrix products.  A norm below
 ``_MIN_NORM`` = 1.49e-154, whose square is the smallest normal float, is
 refused, so Gram-Schmidt answers ``c v`` alike for ``c |v|`` from 1.5e-146
@@ -118,13 +120,18 @@ class Ket:
     def normalized(cls, values) -> "Ket":
         """Scale ``values`` to unit norm.  Rejects a norm below ``_MIN_NORM``
         and one that overflows."""
-        arr = _as_vector(values)
+        return cls._scaled(_as_vector(values))
+
+    @classmethod
+    def _scaled(cls, arr: np.ndarray) -> "Ket":
+        # ``arr / |arr|`` for a finite, nonempty 1-d complex vector: within the
+        # norm's checked range the quotient is a unit vector to rounding.
         norm = _norm(arr)
         if not _MIN_NORM <= norm < math.inf:
             raise ValidationError("cannot normalize a vector whose norm overflows"
                                   if norm == math.inf else
                                   "cannot normalize a vector of (near-)zero norm")
-        return cls._validated(_checked_unit(arr / norm))
+        return cls._validated(arr / norm)
 
     def projector(self) -> "Projector":
         """The rank-1 projector onto this state."""
@@ -278,32 +285,39 @@ class ObservableDecomposition:
     def _from_amplitudes(cls, amps: np.ndarray, eigenvalues: Sequence[float], *,
                          signed_zeros: bool = True) -> "ObservableDecomposition":
         # One rank-1 branch P_i = a_i a_i^dagger per unit row a_i of ``amps``,
-        # checked from the amplitudes as the module docstring explains.  With
-        # ``signed_zeros`` false, the -0.0 entries of the products read +0.0,
-        # as in a sum that starts from zeros.
+        # checked from the amplitudes as the module docstring explains.
         labels = [float(e) for e in eigenvalues]
         _check_labels(labels)
         n, dim = amps.shape
         conj = amps.conj()
         residue = amps.T @ conj
-        residue.flat[::dim + 1] -= 1.0
+        residue.reshape(-1)[::dim + 1] -= 1.0
         if _max_abs(residue) > ALG_TOL * dim:
             raise ValidationError(_INCOMPLETE)
         peaks = np.abs(amps).max(axis=1)
         overlaps = np.abs(conj @ amps.T)
         overlaps *= peaks
         overlaps *= peaks[:, None]
-        overlaps.flat[::n + 1] = 0.0
+        overlaps.reshape(-1)[::n + 1] = 0.0
         if overlaps.max() > ALG_TOL:
             # The first pair i < j in row-major order, as the constructor
             # reports it; either order of a pair may be the one that rounds
             # above the bound.
             i, j = np.nonzero(np.triu(np.maximum(overlaps, overlaps.T)) > ALG_TOL)
             raise ValidationError(_overlapping(int(i[0]), int(j[0])))
-        stack = amps[:, :, None] * conj[:, None, :]
+        return cls._from_orthonormal(amps, labels, signed_zeros=signed_zeros)
+
+    @classmethod
+    def _from_orthonormal(cls, rows, eigenvalues: Sequence[float] | None = None, *,
+                          signed_zeros: bool = True) -> "ObservableDecomposition":
+        # _from_amplitudes's branches, unchecked, for ``rows`` orthonormal by
+        # construction.  With ``signed_zeros`` false, the -0.0 entries of the
+        # products read +0.0, as in a sum that starts from zeros.
+        amps = np.asarray(rows)
+        stack = amps[:, :, None] * amps.conj()[:, None, :]
         if not signed_zeros:
             stack += 0.0
-        return cls._validated(stack, labels, (1,) * n)
+        return cls._validated(stack, _labels(eigenvalues, len(amps)), (1,) * len(amps))
 
     @classmethod
     def _validated(cls, stack: np.ndarray, eigenvalues: Sequence[float],
@@ -466,8 +480,7 @@ def basis_containing(ket: Ket) -> ObservableDecomposition:
     """A nondegenerate basis observable whose branch 0 projects onto ``ket``.
 
     The remaining directions come from :func:`complete_basis`, so the result
-    is deterministic for a given input.
+    is deterministic for a given input.  Its second pass leaves the basis
+    orthonormal to rounding, so the decomposition is not checked again.
     """
-    vectors = complete_basis([ket.amplitudes], ket.dim)
-    return ObservableDecomposition._from_amplitudes(np.array(vectors),
-                                                    [float(k) for k in range(ket.dim)])
+    return ObservableDecomposition._from_orthonormal(complete_basis([ket.amplitudes], ket.dim))

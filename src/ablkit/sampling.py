@@ -154,7 +154,8 @@ def substream_uniforms(seed: int, start: int, stop: int, k: int) -> np.ndarray:
 def random_ket(rng: np.random.Generator, dim: int) -> Ket:
     """A Haar-random pure state: normalized standard complex Gaussian."""
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return Ket.normalized(v)
+    # A draw is finite: only Ket.normalized's shape and norm range checks can fail.
+    return Ket._scaled(v) if v.ndim == 1 and v.size else Ket.normalized(v)
 
 
 def random_basis(rng: np.random.Generator, dim: int) -> list[Ket]:
@@ -162,6 +163,8 @@ def random_basis(rng: np.random.Generator, dim: int) -> list[Ket]:
 
     QR of a complex Ginibre matrix with the R diagonal's phases divided out,
     which makes the distribution exactly Haar rather than merely orthonormal.
+    The columns are orthonormal to rounding and not checked again.  Like the
+    QR's, their bits are reproducible per BLAS/LAPACK build and CPU kernel.
     """
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)

@@ -196,6 +196,20 @@ def test_find_counterexample_deterministic():
                                   second.preselection.amplitudes)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_find_counterexample_bases_equal_from_eigenbasis(dim):
+    # the search builds its Haar bases unchecked; from_eigenbasis checks
+    # the same columns and must give the same bits
+    for seed in range(4):
+        example = find_counterexample(dim, seed=seed, gap_min=0.05)
+        rng = substream(seed, example.tries - 1)
+        random_ket(rng, dim)
+        for got in (example.final_basis, example.observable):
+            want = ObservableDecomposition.from_eigenbasis(random_basis(rng, dim))
+            assert got.stack.tobytes() == want.stack.tobytes()
+            assert (got.eigenvalues, got.ranks) == (want.eigenvalues, want.ranks)
+
+
 def test_find_counterexample_gives_up():
     assert find_counterexample(2, seed=3, gap_min=1.5, max_tries=25) is None
 

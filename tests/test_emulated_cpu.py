@@ -1,11 +1,17 @@
-"""A slice of the suite under another CPU kernel, emulated on this one.
+"""Slices of the suite under other CPU kernels, emulated on this one.
 
 OpenBLAS picks its kernel from ``OPENBLAS_CORETYPE`` and numpy skips the
 loops named in ``NPY_DISABLE_CPU_FEATURES``; both act only on the process
-that sets them.  A child interpreter, started with ``-W error`` under the
-``Nehalem`` kernel and numpy's SSE loops, refuses the non-finite vectors of
-``test_linalg.NON_FINITE`` and replays every document of
-``parse_error_oracle.json``, and prints what differs.
+that sets them.  Each child interpreter, started with ``-W error``, prints
+what differs:
+
+- under the ``Nehalem`` kernel and numpy's SSE loops, it refuses the
+  non-finite vectors of ``test_linalg.NON_FINITE`` and replays every
+  document of ``parse_error_oracle.json``;
+- under the ``Haswell`` kernel, it replays ``sampling_oracle.json`` (the
+  uniform windows of up to 4000 draws, whose longer windows repeat the
+  same elementwise arithmetic, and every ``simulate`` command) and
+  ``builtin_oracle.json``, none of which depends on LAPACK's rounding.
 """
 
 import json
@@ -44,6 +50,46 @@ print(json.dumps(wrong))
 """
 
 
+_HASWELL_CHILD = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+import test_builtin_oracle as builtins
+import test_sampling_oracle as sampling
+from ablkit.scenarios import BUILTIN_NAMES
+
+wrong = []
+expected = json.loads(sampling.ORACLE.read_text())
+for seed in sampling.SEEDS:
+    for window, first in sampling.WINDOWS.items():
+        for n in (n for n in sampling.LENGTHS if n <= 4000):
+            got = [sampling._digest(sampling.substream_uniforms(seed, first(n), first(n) + n, k))
+                   for k in sampling.KS]
+            if got != expected["uniforms"][str(seed)][f"{window} n={n}"]:
+                wrong.append(f"uniforms seed={seed} {window} n={n}")
+for command in sampling.COMMANDS:
+    if sampling.simulate_captures(command) != expected["simulate"][command]:
+        wrong.append(f"simulate {command}")
+expected = json.loads(builtins.ORACLE.read_text())
+for name in BUILTIN_NAMES + builtins.EXTRA_NAMES:
+    if builtins.snapshot(name) != expected["scenarios"][name]:
+        wrong.append(f"builtin {name}")
+print(json.dumps(wrong))
+"""
+
+
+def _x86_64_child(script: str, kernel: str, **env) -> list:
+    # What the child running ``script`` under the OpenBLAS ``kernel`` and
+    # the extra environment ``env`` reports as differing.
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip(f"the {kernel} kernel is an x86-64 kernel")
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel, **env)
+    paths = [str(pathlib.Path(ablkit.__file__).parents[1]), str(pathlib.Path(__file__).parent)]
+    child = subprocess.run([sys.executable, "-W", "error", "-c", script, *paths],
+                           env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout)
+
+
 def _dispatched_features() -> list[str]:
     # numpy refuses at import to disable a feature its build does not
     # dispatch, so the list is what this build dispatches and this CPU has.
@@ -55,12 +101,9 @@ def _dispatched_features() -> list[str]:
 
 
 def test_non_finite_vectors_and_parse_errors_under_the_nehalem_kernel():
-    if platform.machine().lower() not in ("x86_64", "amd64"):
-        pytest.skip("the Nehalem kernel is an x86-64 kernel")
-    env = dict(os.environ, OPENBLAS_CORETYPE="Nehalem",
-               NPY_DISABLE_CPU_FEATURES=" ".join(_dispatched_features()))
-    paths = [str(pathlib.Path(ablkit.__file__).parents[1]), str(pathlib.Path(__file__).parent)]
-    child = subprocess.run([sys.executable, "-W", "error", "-c", _CHILD, *paths],
-                           env=env, capture_output=True, text=True, timeout=60)
-    assert child.returncode == 0, child.stderr
-    assert json.loads(child.stdout) == []
+    env = {"NPY_DISABLE_CPU_FEATURES": " ".join(_dispatched_features())}
+    assert _x86_64_child(_CHILD, "Nehalem", **env) == []
+
+
+def test_sampling_and_builtin_oracles_under_the_haswell_kernel():
+    assert _x86_64_child(_HASWELL_CHILD, "Haswell") == []

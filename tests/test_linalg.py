@@ -408,6 +408,43 @@ def test_basis_containing_puts_a_ket_with_several_small_components_first():
         assert np.abs(basis.conj() @ basis.T - np.eye(dim)).max() <= ALG_TOL
 
 
+def _trusted_basis_kets(kind: str, dim: int, rng: np.random.Generator):
+    # Kets whose completed basis basis_containing builds without checks.
+    gauss = lambda: rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    if kind == "generic":
+        return [Ket.normalized(gauss()) for _ in range(4)]
+    if kind == "near-axis":
+        return [near_axis_ket(rng, dim, axis, angle) for axis in {0, dim // 2, dim - 1}
+                for angle in (1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12)] if dim > 1 else []
+    if kind == "axis":
+        return [unit(dim, axis) for axis in range(dim)]
+    if kind == "sparse":
+        return [Ket.normalized(gauss() * (rng.random(dim) < 0.3) + unit(dim, axis).amplitudes)
+                for axis in {0, dim - 1}]
+    # several components of 1e-3 beside order-one ones
+    return [Ket.normalized(gauss() * np.where(rng.random(dim) < 0.5, 1e-3, 1.0))
+            for _ in range(4)]
+
+
+@pytest.mark.parametrize("kind", ["generic", "near-axis", "axis", "sparse", "small-components"])
+def test_basis_containing_builds_the_stack_the_checked_path_accepts(kind):
+    # basis_containing skips the checks of _from_amplitudes: it must build
+    # the same bits, and the residues those checks bound must sit at least
+    # 1000 times below ALG_TOL, at every dimension up to 16.
+    rng = np.random.default_rng(3316)
+    for dim in range(1, 17):
+        for k in _trusted_basis_kets(kind, dim, rng):
+            trusted = basis_containing(k)
+            basis = np.array(complete_basis([k.amplitudes], dim))
+            checked = ObservableDecomposition._from_amplitudes(basis, range(dim))
+            assert trusted.stack.tobytes() == checked.stack.tobytes()
+            assert (trusted.eigenvalues, trusted.ranks) == (checked.eigenvalues, checked.ranks)
+            assert np.abs(basis.T @ basis.conj() - np.eye(dim)).max() <= ALG_TOL / 1000
+            peaks = np.abs(basis).max(axis=1)
+            overlaps = np.abs(basis.conj() @ basis.T) * peaks * peaks[:, None]
+            assert (overlaps - np.diag(overlaps.diagonal())).max() <= ALG_TOL / 1000
+
+
 def test_orthonormalize_refuses_vectors_of_mixed_length():
     with pytest.raises(DimensionMismatchError, match="vector 1 has length 2, vector 0 has length 3"):
         orthonormalize([np.ones(3), np.ones(2)])

@@ -76,6 +76,27 @@ def test_random_ket_is_normalized():
         assert np.linalg.norm(k.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_random_ket_equals_the_normalized_draw():
+    # random_ket skips the checks a Gaussian draw cannot fail
+    rng, again = substream(33, 0), substream(33, 0)
+    for i in range(200):
+        dim = 1 + i % 9
+        draw = again.standard_normal(dim) + 1j * again.standard_normal(dim)
+        assert random_ket(rng, dim).amplitudes.tobytes() == \
+            Ket.normalized(draw).amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("dim", [0, (2, 2)])
+def test_random_ket_refuses_a_shape_as_normalized_does(dim):
+    rng = np.random.default_rng(0)
+    draw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    with pytest.raises(ValidationError) as expected:
+        Ket.normalized(draw)
+    with pytest.raises(ValidationError) as got:
+        random_ket(rng, dim)
+    assert str(got.value) == str(expected.value)
+
+
 def test_random_basis_is_orthonormal_and_complete():
     rng = np.random.default_rng(9)
     for dim in (2, 3, 4, 6):
