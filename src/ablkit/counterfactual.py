@@ -64,17 +64,18 @@ class Counterexample:
 
 
 def _joint_table(a: Ket, final_basis: ObservableDecomposition,
-                 observable: ObservableDecomposition, branch: int) -> np.ndarray:
+                 observable: ObservableDecomposition, branch: int):
     if not (a.dim == final_basis.dim == observable.dim):
         raise DimensionMismatchError(
             f"dimensions differ: state {a.dim}, final basis {final_basis.dim}, "
             f"observable {observable.dim}")
     if not 0 <= branch < len(observable):
         raise IndexError(f"branch {branch} out of range for {len(observable)} branches")
-    # joints[l, j] = Tr(F_l P_j P_a P_j) = ||F_l P_j a||^2 for final-basis
-    # branches F_l of any rank.
-    w = (observable.stack @ a.amplitudes) @ final_basis.stack.swapaxes(1, 2)
-    return (w.real ** 2 + w.imag ** 2).sum(axis=2)
+    # projected[j] = P_j a, and joints[l, j] = Tr(F_l P_j P_a P_j) =
+    # ||F_l P_j a||^2 for final-basis branches F_l of any rank.
+    projected = observable.stack @ a.amplitudes
+    w = projected @ final_basis.stack.swapaxes(1, 2)
+    return projected, (w.real ** 2 + w.imag ** 2).sum(axis=2)
 
 
 def _mix(joints: np.ndarray, denominators: np.ndarray, weights: np.ndarray, branch: int) -> float:
@@ -109,7 +110,7 @@ def vaidman_total(a: Ket, final_basis: ObservableDecomposition,
     """Same average, but weighted by the final-outcome probabilities that
     obtain when the intermediate observable really is measured.  Equals the
     Born probability of ``branch`` up to rounding."""
-    joints = _joint_table(a, final_basis, observable, branch)
+    _, joints = _joint_table(a, final_basis, observable, branch)
     denominators = joints.sum(axis=1)
     return _mix(joints, denominators, denominators, branch)
 
@@ -118,8 +119,8 @@ def mixing_report(a: Ket, final_basis: ObservableDecomposition,
                   observable: ObservableDecomposition, branch: int) -> MixingReport:
     """The Born, Sharp-Shanks and Vaidman totals of ``branch``, from one
     joint table."""
-    joints = _joint_table(a, final_basis, observable, branch)
-    born_total = float(born_distribution(a, observable)[branch])
+    projected, joints = _joint_table(a, final_basis, observable, branch)
+    born_total = float((projected.real ** 2 + projected.imag ** 2).sum(axis=1)[branch])
     denominators = joints.sum(axis=1)
     ss_total = _mix(joints, denominators, born_distribution(a, final_basis), branch)
     vt = _mix(joints, denominators, denominators, branch)

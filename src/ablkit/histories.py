@@ -41,9 +41,13 @@ _CRITERIA = ("medium", "weak")
 def _state_of(projector: Projector) -> np.ndarray:
     # A unit vector spanning a rank-1 projector, up to a global phase (which
     # cancels from every quantity below): its largest column, rescaled.
-    m = projector.matrix
-    k = int(m.diagonal().real.argmax())
-    return m[:, k] / math.sqrt(m[k, k].real)
+    # Memoized, read-only, on the projector, as Ket.projector is on the ket.
+    if "_state" not in projector.__dict__:
+        m = projector.matrix
+        k = int(m.diagonal().real.argmax())
+        projector.__dict__["_state"] = m[:, k] / math.sqrt(m[k, k].real)
+        projector.__dict__["_state"].setflags(write=False)
+    return projector.__dict__["_state"]
 
 
 def _amplitudes(stack: np.ndarray, pre: np.ndarray, post: np.ndarray) -> np.ndarray:

@@ -15,7 +15,9 @@ from its amplitudes alone: for rows ``a_i`` of ``A`` and
 small products instead of ``n^2`` matrix products.  A norm below
 ``_MIN_NORM`` = 1.49e-154, whose square is the smallest normal float, is
 refused, so Gram-Schmidt answers ``c v`` alike for ``c |v|`` from 1.5e-146
-to 1.3e154.  Everything is immutable, so instances are thread-safe.
+to 1.3e154.  Everything is immutable, so instances are thread-safe; what is
+derived from one (a ket's projector) is memoized on it, read-only, and two
+threads that race to build it compute the same bits twice.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ class Ket:
         # Mirrors Projector._validated, for amplitudes of unit norm by construction.
         amplitudes.setflags(write=False)
         ket = object.__new__(cls)
-        object.__setattr__(ket, "amplitudes", amplitudes)
+        ket.__dict__["amplitudes"] = amplitudes
         return ket
 
     @staticmethod
@@ -134,9 +136,11 @@ class Ket:
         return cls._validated(arr / norm)
 
     def projector(self) -> "Projector":
-        """The rank-1 projector onto this state."""
-        a = self.amplitudes
-        return Projector._validated(a[:, None] * a.conj()[None, :], 1)
+        """The rank-1 projector onto this state, built once per ket."""
+        if "_projector" not in self.__dict__:
+            a = self.amplitudes
+            self.__dict__["_projector"] = Projector._validated(a[:, None] * a.conj()[None, :], 1)
+        return self.__dict__["_projector"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,19 +309,20 @@ class ObservableDecomposition:
             # above the bound.
             i, j = np.nonzero(np.triu(np.maximum(overlaps, overlaps.T)) > ALG_TOL)
             raise ValidationError(_overlapping(int(i[0]), int(j[0])))
-        return cls._from_orthonormal(amps, labels, signed_zeros=signed_zeros)
-
-    @classmethod
-    def _from_orthonormal(cls, rows, eigenvalues: Sequence[float] | None = None, *,
-                          signed_zeros: bool = True) -> "ObservableDecomposition":
-        # _from_amplitudes's branches, unchecked, for ``rows`` orthonormal by
-        # construction.  With ``signed_zeros`` false, the -0.0 entries of the
-        # products read +0.0, as in a sum that starts from zeros.
-        amps = np.asarray(rows)
-        stack = amps[:, :, None] * amps.conj()[:, None, :]
+        # With ``signed_zeros`` false, the -0.0 entries of the products read
+        # +0.0, as in a sum that starts from zeros.
+        stack = amps[:, :, None] * conj[:, None, :]
         if not signed_zeros:
             stack += 0.0
-        return cls._validated(stack, _labels(eigenvalues, len(amps)), (1,) * len(amps))
+        return cls._validated(stack, labels, (1,) * n)
+
+    @classmethod
+    def _from_orthonormal(cls, rows, eigenvalues: Sequence[float] | None = None
+                          ) -> "ObservableDecomposition":
+        # _from_amplitudes's branches, unchecked, for rows orthonormal by construction.
+        amps = np.asarray(rows)
+        return cls._validated(amps[:, :, None] * amps.conj()[:, None, :],
+                              _labels(eigenvalues, len(amps)), (1,) * len(amps))
 
     @classmethod
     def _validated(cls, stack: np.ndarray, eigenvalues: Sequence[float],

@@ -4,7 +4,9 @@ Streams come from the Philox (4x64, 10 rounds) counter-based generator keyed
 by the user seed.  Substream ``index`` starts the 256-bit counter at
 ``index * 2**192``, which gives every (seed, index) pair its own block of
 2**192 draws.  Results therefore depend only on the pair, never on
-scheduling, chunking, or worker count.
+scheduling, chunking, or worker count.  As 64-bit words, the key is
+``[seed mod 2**64, seed >> 64]`` and the counter ``[0, 0, 0, index]``, for
+a seed and an index of any integer type: a numpy integer means its ``int``.
 
 ``substream`` returns a numpy ``Generator`` for one index.
 ``substream_uniforms`` computes the first output block, at counter
@@ -19,24 +21,32 @@ skips the product whose words a call with ``k <= 2`` never returns.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import ValidationError
 from .linalg import Ket
 
 
-def _check(seed: int, *indices: int):
+def _check(seed: int, *indices: int) -> tuple[int, ...]:
+    # As ints, in range: a numpy integer would wrap in the key and counter words.
+    seed, *indices = map(operator.index, (seed, *indices))
     if not 0 <= seed < 2 ** 128:
         raise ValidationError(f"seed must be in [0, 2**128), got {seed}")
     for index in indices:
         if not 0 <= index < 2 ** 64:
             raise ValidationError(f"substream index must be in [0, 2**64), got {index}")
+    return seed, *indices
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
     """An independent generator for draw ``index`` of stream ``seed``."""
-    _check(seed, index)
-    return np.random.Generator(np.random.Philox(key=seed, counter=index << 192))
+    seed, index = _check(seed, index)
+    # As uint64 words, which numpy reads faster than it converts ints.
+    return np.random.Generator(np.random.Philox(
+        key=np.array([seed & _MASK64, seed >> 64], dtype=np.uint64),
+        counter=np.array([0, 0, 0, index], dtype=np.uint64)))
 
 
 # Philox4x64 multipliers and Weyl key increments, as in numpy's Philox.
@@ -124,7 +134,8 @@ def substream_uniforms(seed: int, start: int, stop: int, k: int) -> np.ndarray:
     """
     if not 1 <= k <= 4:
         raise ValidationError(f"k must be in [1, 4], got {k}")
-    _check(seed, start, max(start, stop - 1))
+    stop = operator.index(stop)
+    seed, start, _ = _check(seed, start, max(start, stop - 1))
     n = max(stop - start, 0)
     c0, c1, c2, c3 = 1, 0, 0, np.arange(start, stop, dtype=np.uint64)
     if n == 1:
@@ -153,9 +164,12 @@ def substream_uniforms(seed: int, start: int, stop: int, k: int) -> np.ndarray:
 
 def random_ket(rng: np.random.Generator, dim: int) -> Ket:
     """A Haar-random pure state: normalized standard complex Gaussian."""
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    # A draw is finite: only Ket.normalized's shape and norm range checks can fail.
-    return Ket._scaled(v) if v.ndim == 1 and v.size else Ket.normalized(v)
+    if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
+        # Two draws, for the errors numpy and Ket.normalized give such a dim.
+        return Ket.normalized(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    # One draw, the stream and arithmetic of two; only Ket._scaled's norm checks can fail.
+    z = rng.standard_normal((2, dim))
+    return Ket._scaled(z[0] + 1j * z[1])
 
 
 def random_basis(rng: np.random.Generator, dim: int) -> list[Ket]:
@@ -166,8 +180,8 @@ def random_basis(rng: np.random.Generator, dim: int) -> list[Ket]:
     The columns are orthonormal to rounding and not checked again.  Like the
     QR's, their bits are reproducible per BLAS/LAPACK build and CPU kernel.
     """
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
+    z = rng.standard_normal((2, dim, dim))
+    q, r = np.linalg.qr(z[0] + 1j * z[1])
     d = r.diagonal()
     q = q * (d / np.abs(d))
     return [Ket._validated(row) for row in q.T.copy()]

@@ -82,6 +82,19 @@ def test_mixing_report_spin_frozen():
     assert report.ss_gap == pytest.approx(9 / 52, abs=1e-10)
 
 
+def test_mixing_report_born_total_is_born_distributions():
+    # mixing_report reads the Born total from its joint table's projected state
+    for i in range(120):
+        rng = substream(35, i)
+        dim = 1 + i % 8
+        a = random_ket(rng, dim)
+        final_basis, observable = (ObservableDecomposition.from_eigenbasis(random_basis(rng, dim))
+                                   for _ in range(2))
+        for branch in range(dim):
+            assert mixing_report(a, final_basis, observable, branch).born_total == \
+                float(born_distribution(a, observable)[branch])
+
+
 def test_mixture_totals_sum_to_one_random():
     rng = np.random.default_rng(61)
     for trial in range(100):

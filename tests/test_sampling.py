@@ -4,6 +4,13 @@ import pytest
 from ablkit.errors import ValidationError
 from ablkit.linalg import Ket, ObservableDecomposition
 from ablkit.sampling import random_basis, random_ket, substream, substream_uniforms
+from ablkit.scenarios import builtin
+from ablkit.simulate import estimate_abl, run_trial
+
+
+def _state(rng) -> str:
+    # A bit generator's state dict holds arrays, which == cannot compare.
+    return repr(rng.bit_generator.state)
 
 
 def test_substream_reproducible():
@@ -17,6 +24,42 @@ def test_substream_counter_block_arithmetic():
     # highest 64-bit word
     manual = np.random.Generator(np.random.Philox(key=42, counter=[0, 0, 0, 9]))
     np.testing.assert_array_equal(substream(42, 9).random(8), manual.random(8))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1, 2 ** 64, 2 ** 128 - 1])
+@pytest.mark.parametrize("index", [0, 1, 2 ** 63, 2 ** 64 - 1])
+def test_substream_is_numpys_philox_of_the_int_key_and_counter(seed, index):
+    # substream passes the key and counter as uint64 words; numpy's own
+    # conversion of the ints must give the same state and draws.
+    got = substream(seed, index)
+    want = np.random.Generator(np.random.Philox(key=seed, counter=index << 192))
+    assert _state(got) == _state(want)
+    np.testing.assert_array_equal(got.bit_generator.random_raw(8),
+                                  want.bit_generator.random_raw(8))
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint64, np.int32])
+def test_numpy_integer_seeds_and_indices_select_the_int_streams(kind):
+    for seed, index in ((5, 3), (7, 1), (2 ** 31 - 1, 2 ** 31 - 1)):
+        assert _state(substream(kind(seed), kind(index))) == _state(substream(seed, index))
+    np.testing.assert_array_equal(substream_uniforms(kind(7), kind(3), kind(40), 2),
+                                  substream_uniforms(7, 3, 40, 2))
+    tb = builtin("three-box")
+    ctx, obs = tb.context, tb.observables["C"]
+    trials = [run_trial(ctx, obs, substream(7, i)) for i in np.arange(6, dtype=kind)]
+    assert trials == [run_trial(ctx, obs, substream(7, i)) for i in range(6)]
+    got = estimate_abl(ctx, obs, 2000, kind(3))
+    want = estimate_abl(ctx, obs, 2000, 3)
+    assert (got.postselected_count, got.branch_counts.tolist()) == \
+        (want.postselected_count, want.branch_counts.tolist())
+
+
+def test_a_float_seed_or_index_is_refused():
+    for seed, index in ((5.0, 0), (5, 0.0), (np.float64(5), 0)):
+        with pytest.raises(TypeError):
+            substream(seed, index)
+    with pytest.raises(TypeError):
+        substream_uniforms(5.0, 0, 4, 1)
 
 
 def test_substreams_differ_between_indices_and_seeds():
@@ -97,6 +140,37 @@ def test_random_ket_refuses_a_shape_as_normalized_does(dim):
     assert str(got.value) == str(expected.value)
 
 
+# The errors the two-draw random_ket and random_basis gave each dim.
+_DIM_ERRORS = {
+    0: ((ValidationError, "expected a nonempty 1-d amplitude vector, got shape (0,)"), None),
+    (2, 2): ((ValidationError, "expected a nonempty 1-d amplitude vector, got shape (2, 2)"),
+             (TypeError, "'tuple' object cannot be interpreted as an integer")),
+    3.0: ((TypeError, "expected a sequence of integers or a single integer, got '3.0'"),
+          (TypeError, "'float' object cannot be interpreted as an integer")),
+    True: ((TypeError, "expected a sequence of integers or a single integer, got 'True'"),
+           (TypeError, "an integer is required")),
+}
+
+
+@pytest.mark.parametrize("dim", list(_DIM_ERRORS), ids=repr)
+@pytest.mark.parametrize("draw", [random_ket, random_basis])
+def test_random_draws_keep_their_errors_for_a_dim_that_is_not_a_count(draw, dim):
+    error = _DIM_ERRORS[dim][draw is random_basis]
+    if error is None:
+        assert draw(substream(1, 0), dim) == []
+        return
+    with pytest.raises(error[0]) as got:
+        draw(substream(1, 0), dim)
+    assert str(got.value) == error[1]
+
+
+@pytest.mark.parametrize("draw", [random_ket, random_basis])
+def test_random_draws_accept_a_numpy_integer_dim(draw):
+    def amplitudes(out):
+        return [k.amplitudes.tobytes() for k in (out if isinstance(out, list) else [out])]
+    assert amplitudes(draw(substream(2, 5), np.int64(3))) == amplitudes(draw(substream(2, 5), 3))
+
+
 def test_random_basis_is_orthonormal_and_complete():
     rng = np.random.default_rng(9)
     for dim in (2, 3, 4, 6):
@@ -119,6 +193,19 @@ def test_random_basis_kets_are_read_only_unitary_columns():
             assert ket.amplitudes.tobytes() == Ket(q[:, j]).amplitudes.tobytes()
             with pytest.raises(ValueError):
                 ket.amplitudes[0] = 0.0
+
+
+def test_random_basis_equals_the_phase_fixed_qr_of_two_draws():
+    # random_basis takes both parts from one draw: the stream and the
+    # arithmetic of the two draws it replaces
+    rng, again = substream(34, 0), substream(34, 0)
+    for i in range(200):
+        dim = 1 + i % 9
+        z = again.standard_normal((dim, dim)) + 1j * again.standard_normal((dim, dim))
+        q, r = np.linalg.qr(z)
+        q = q * (r.diagonal() / np.abs(r.diagonal()))
+        assert [k.amplitudes.tobytes() for k in random_basis(rng, dim)] == \
+            [column.tobytes() for column in q.T.copy()]
 
 
 def test_random_basis_first_moment_is_unbiased():
