@@ -10,12 +10,12 @@ afterwards:
 The numerator terms are the joint probabilities "outcome i, then
 postselection succeeds"; the denominator is the total probability that the
 postselection succeeds at all, given that C was measured.  Every rank-1
-quantity reads the amplitudes ``x_j = <b|P_j|a>`` from one product
-``observable.stack @ a``; the trace form ``Tr(P_b P_j P_a P_j)`` serves only
-the projector endpoints of :func:`abl_probabilities`.  This module also
-covers the ordinary Born distribution, the Lüders update after a projective
-outcome, and the postselection probability as disturbed by an intervening
-measurement.
+quantity reads the amplitudes ``x_j = <b|P_j|a>`` from the one kernel that
+:mod:`ablkit.histories` reads too; the trace form ``Tr(P_b P_j P_a P_j)``
+serves only the projector endpoints of :func:`abl_probabilities`.  This
+module also covers the ordinary Born distribution, the Lüders update after a
+projective outcome, and the postselection probability as disturbed by an
+intervening measurement.
 """
 
 from __future__ import annotations
@@ -88,7 +88,8 @@ def born_distribution(state: Ket, observable: ObservableDecomposition) -> np.nda
 def _context_joints(ctx: PrePostContext, observable: ObservableDecomposition) -> np.ndarray:
     if ctx.dim != observable.dim:
         raise DimensionMismatchError(f"context dim {ctx.dim} != observable dim {observable.dim}")
-    x = (observable.stack @ ctx.preselection.amplitudes) @ ctx.postselection.amplitudes.conj()
+    x = ObservableDecomposition._amplitudes(observable.stack, ctx.preselection.amplitudes,
+                                            ctx.postselection.amplitudes)
     return x.real ** 2 + x.imag ** 2
 
 

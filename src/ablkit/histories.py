@@ -6,9 +6,11 @@ observable, postselect).  Its decoherence functional is
     D(i, j) = Tr(P_b P_i P_a P_j) = x_i conj(x_j),  x_i = <b|P_i|a>
 
 whose diagonal holds the joint probabilities of the chain; a family takes
-``x`` and |<b|a>|^2 once, at construction.  It is consistent (medium
-decoherence) when every off-diagonal entry vanishes, under the weak
-criterion when their real parts do.  A consistent family satisfies the
+``x`` and |<b|a>|^2 once, at construction, from the states that span its
+projectors (``from_context``: the context's kets) and the amplitude kernel
+:mod:`ablkit.abl` uses, so the disturbed probability is bit for bit the ABL
+denominator.  It is consistent (medium decoherence) when every off-diagonal
+entry vanishes, under the weak criterion when their real parts do.  A consistent family satisfies the
 disturbance identity sum_j D(j, j) = |<b|a>|^2 (measuring in between leaves
 the postselection statistics alone), but not conversely, so both are checked.
 Every grouping of the observable's branches is one row of a table of block
@@ -19,7 +21,6 @@ routines as one family's ``x`` (``coarse_graining_table``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,26 +37,6 @@ CONSISTENCY_TOL = 1e-9
 MAX_ENUMERATED_BRANCHES = 6
 
 _CRITERIA = ("medium", "weak")
-
-
-def _state_of(projector: Projector) -> np.ndarray:
-    # A unit vector spanning a rank-1 projector, up to a global phase (which
-    # cancels from every quantity below): its largest column, rescaled.
-    # Memoized, read-only, on the projector, as Ket.projector is on the ket.
-    if "_state" not in projector.__dict__:
-        m = projector.matrix
-        k = int(m.diagonal().real.argmax())
-        projector.__dict__["_state"] = m[:, k] / math.sqrt(m[k, k].real)
-        projector.__dict__["_state"].setflags(write=False)
-    return projector.__dict__["_state"]
-
-
-def _amplitudes(stack: np.ndarray, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
-    # x_i = <b|P_i|a> for each matrix P_i of ``stack``.  Per-row np.vdot keeps
-    # the rounding residue of cancelling terms (1e-18 for the three-box coarse
-    # families) that a zero tolerance sees and the captured CLI outputs pin; a
-    # stacked matmul can round it to exactly 0.
-    return np.array([np.vdot(post, p) for p in stack @ pre])
 
 
 def _decoherence(x: np.ndarray, criterion: str, tol: float):
@@ -90,10 +71,10 @@ class HistoryFamily:
             raise DimensionMismatchError("initial, intermediate, and final dimensions differ")
         if self.initial.rank != 1 or self.final.rank != 1:
             raise ValidationError("initial and final projectors must be rank 1")
-        object.__setattr__(self, "_pre", _state_of(self.initial))
-        object.__setattr__(self, "_post", _state_of(self.final))
-        object.__setattr__(self, "_x", _amplitudes(self.intermediate.stack, self._pre, self._post))
-        object.__setattr__(self, "_undisturbed", float(abs(np.vdot(self._post, self._pre)) ** 2))
+        pre, post = self.initial._state(), self.final._state()
+        x = ObservableDecomposition._amplitudes(self.intermediate.stack, pre, post)
+        self.__dict__.update(_pre=pre, _post=post, _x=x,
+                             _undisturbed=float(abs(np.vdot(post, pre)) ** 2))
 
     @property
     def dim(self) -> int:
@@ -231,7 +212,7 @@ def coarse_graining_table(family: HistoryFamily, *, criterion: str = "medium",
     from one zero-padded row of block bitmasks per partition.
     """
     masks, sums = _coarse_blocks(family.intermediate)
-    x = _amplitudes(sums, family._pre, family._post)[masks]
+    x = ObservableDecomposition._amplitudes(sums, family._pre, family._post)[masks]
     d, violations, consistent = _decoherence(x, criterion, tol)
     disturbed = (x.real ** 2 + x.imag ** 2).sum(axis=1).tolist()
     return (_set_partitions(masks.shape[1], masks), d, violations.tolist(), consistent.tolist(),

@@ -3,7 +3,8 @@
 Kets, projectors, and projective decompositions of observables (spectral
 resolutions of the identity), plus inner products, operator application,
 and traces of operator products.  A decomposition also carries its branch
-projectors as one stacked array, which the probability kernels work on.
+projectors as one stacked array, which the probability kernels work on, and
+the one routine that takes every rank-1 amplitude ``<b|P_j|a>`` from it.
 Validation happens once, at construction from raw numbers; what is derived
 from validated objects (a ket's projector, the projector onto a span of
 kets, a complement, a coarse-graining) or built orthonormal (a vector scaled
@@ -17,7 +18,8 @@ small products instead of ``n^2`` matrix products.  A norm below
 refused, so Gram-Schmidt answers ``c v`` alike for ``c |v|`` from 1.5e-146
 to 1.3e154.  Everything is immutable, so instances are thread-safe; what is
 derived from one (a ket's projector) is memoized on it, read-only, and two
-threads that race to build it compute the same bits twice.
+threads that race to build it compute the same bits twice.  A copy is
+rebuilt by the unchecked constructors, read-only and without memos.
 """
 
 from __future__ import annotations
@@ -108,6 +110,9 @@ class Ket:
         ket.__dict__["amplitudes"] = amplitudes
         return ket
 
+    def __reduce__(self):
+        return type(self)._validated, (self.amplitudes,)
+
     @staticmethod
     def _unit(a: np.ndarray) -> np.ndarray:
         # The finite vector ``a`` checked as Ket(a) checks it, and scaled to
@@ -139,7 +144,9 @@ class Ket:
         """The rank-1 projector onto this state, built once per ket."""
         if "_projector" not in self.__dict__:
             a = self.amplitudes
-            self.__dict__["_projector"] = Projector._validated(a[:, None] * a.conj()[None, :], 1)
+            p = Projector._validated(a[:, None] * a.conj()[None, :], 1)
+            p.__dict__["_ket"] = a
+            self.__dict__["_projector"] = p
         return self.__dict__["_projector"]
 
 
@@ -184,6 +191,20 @@ class Projector:
         object.__setattr__(proj, "matrix", matrix)
         object.__setattr__(proj, "rank", rank)
         return proj
+
+    def __reduce__(self):
+        if "_ket" in self.__dict__:
+            return Ket.projector, (Ket._validated(self._ket),)
+        return type(self)._validated, (self.matrix, self.rank)
+
+    def _state(self) -> np.ndarray:
+        # A unit vector spanning this rank-1 projector, up to a global phase: the
+        # ket whose projector() it is, else the largest column, rescaled.
+        if "_ket" in self.__dict__:
+            return self._ket
+        m = self.matrix
+        k = int(m.diagonal().real.argmax())
+        return m[:, k] / math.sqrt(m[k, k].real)
 
     @property
     def dim(self) -> int:
@@ -336,6 +357,15 @@ class ObservableDecomposition:
         obs = object.__new__(cls)
         obs.__dict__.update(eigenvalues=tuple(eigenvalues), ranks=tuple(ranks), stack=stack)
         return obs
+
+    def __reduce__(self):
+        return type(self)._validated, (self.stack, self.eigenvalues, self.ranks)
+
+    @staticmethod
+    def _amplitudes(stack: np.ndarray, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
+        # <post|P_j|pre> for each P_j of ``stack``.  Two einsum steps call no BLAS, so
+        # the bits are the same on each CPU kernel tested and row j's need no other row.
+        return np.einsum("ja,a->j", np.einsum("jab,b->ja", stack, pre), post.conj())
 
 
 _INCOMPLETE = "branch projectors do not sum to the identity"

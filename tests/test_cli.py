@@ -409,7 +409,13 @@ def test_scenario_path_that_is_a_directory_exits_1(capsys, tmp_path, argv):
 # `--tolerance 0` coarse-grainings: before their verdicts were read from one
 # table of block amplitudes; the `abl` commands and those on zeros.json:
 # before one-ket branches were parsed as a rank-1 basis and emission
-# formatted each distinct magnitude once); dim-12.json is the scenario-cli
+# formatted each distinct magnitude once).  Fifteen of them (the ten
+# three-box coarse-grainings, four on dim-12.json and `abl --scenario
+# dim-12.json --json`) were recorded again when abl and histories came to
+# take every rank-1 amplitude from one einsum kernel, once each of their
+# numbers was within 1e-12 of the earlier output and every verdict the same
+# but those of the two exactly consistent three-box groupings at
+# --tolerance 0.  dim-12.json is the scenario-cli
 # benchmark's dim-12 file for seed 1, three-box.json the canonical form of
 # the built-in three-box scenario, and zeros.json a scenario whose kets and
 # matrices hold exact zeros, where a branch |q><q| holds -0.0.

@@ -11,7 +11,9 @@ what differs:
 - under the ``Haswell`` kernel, it replays ``sampling_oracle.json`` (the
   uniform windows of up to 4000 draws, whose longer windows repeat the
   same elementwise arithmetic, and every ``simulate`` command) and
-  ``builtin_oracle.json``, none of which depends on LAPACK's rounding.
+  ``builtin_oracle.json``, none of which depends on LAPACK's rounding;
+- under both, it replays the ten three-box ``consistency`` commands of
+  ``cli_oracle/captured.json``, whose amplitudes call no BLAS.
 """
 
 import json
@@ -24,6 +26,26 @@ import sys
 import pytest
 
 import ablkit
+
+# The end of each child: replay the three-box consistency captures, then
+# print what differs.
+_CAPTURES = """
+import contextlib, hashlib, io, pathlib
+from ablkit import cli
+replayed = 0
+for case in json.loads(pathlib.Path(sys.argv[2], "cli_oracle", "captured.json").read_text()):
+    if case["argv"][:3] == ["consistency", "--builtin", "three-box"]:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(case["argv"])
+        replayed += 1
+        if (code, err.getvalue(), hashlib.sha256(out.getvalue().encode()).hexdigest()) != (
+                case["exit"], case["stderr"], case["stdout_sha256"]):
+            wrong.append("captured " + " ".join(case["argv"]))
+if replayed != 10:
+    wrong.append(f"replayed {replayed} captures")
+print(json.dumps(wrong))
+"""
 
 _CHILD = """
 import json, sys
@@ -46,8 +68,7 @@ for doc, node in oracle._documents().items():
     for case, result in oracle.outcomes(node).items():
         if result != expected[doc][case]:
             wrong.append(f"{doc} {case}: {result}")
-print(json.dumps(wrong))
-"""
+""" + _CAPTURES
 
 
 _HASWELL_CHILD = """
@@ -73,8 +94,7 @@ expected = json.loads(builtins.ORACLE.read_text())
 for name in BUILTIN_NAMES + builtins.EXTRA_NAMES:
     if builtins.snapshot(name) != expected["scenarios"][name]:
         wrong.append(f"builtin {name}")
-print(json.dumps(wrong))
-"""
+""" + _CAPTURES
 
 
 def _x86_64_child(script: str, kernel: str, **env) -> list:

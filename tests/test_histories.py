@@ -167,9 +167,12 @@ def test_unknown_criterion_rejected():
 
 
 def test_tolerance_threshold_is_respected():
+    # the three-box violation 1/9 lies between the two tolerances
     assert is_consistent(FAMILY_BOXES, tol=0.2).consistent
-    # rounding residue of order 1e-18 trips a zero tolerance
-    assert not is_consistent(FAMILY_BOX1, tol=0.0).consistent
+    assert not is_consistent(FAMILY_BOXES, tol=0.1).consistent
+    # {1}{2,3} is exactly consistent, and its amplitudes round to the exact zero
+    report = is_consistent(FAMILY_BOX1, tol=0.0)
+    assert report.consistent and report.max_violation == 0.0
     # single-branch family trivially consistent at any tolerance
     trivial = HistoryFamily(
         Projector(CTX.initial_projector, rank=1),

@@ -1,7 +1,8 @@
-"""A ket's projector and a rank-1 projector's state are built once and kept,
-read-only, on the immutable object: two families on one context share them.
-These tests check that the kept values are the ones a fresh build gives and
-that nobody can write them."""
+"""A ket's projector is built once and kept, read-only, on the immutable
+ket, and it keeps the ket as the state that spans it: two families on one
+context share both.  These tests check that the kept values are the ones a
+fresh build gives, that nobody can write them, and that a copy is read-only
+too and rebuilds what it kept."""
 
 import copy
 import pickle
@@ -10,10 +11,10 @@ import numpy as np
 import pytest
 
 from ablkit.abl import PrePostContext
-from ablkit.histories import (HistoryFamily, _state_of, coarse_graining_table, disturbance_check,
-                              is_consistent)
+from ablkit.histories import HistoryFamily, coarse_graining_table, disturbance_check, is_consistent
 from ablkit.linalg import Ket, ObservableDecomposition, basis_containing
 from ablkit.sampling import random_basis, random_ket, substream
+from ablkit.scenarios import builtin
 
 
 def _scenario(i: int):
@@ -43,8 +44,8 @@ def test_a_ket_builds_its_projector_once():
 def test_the_kept_projector_and_state_are_read_only(make):
     k = make(np.array([0.6, 0.8j, 0.0]))
     p = k.projector()
-    state = _state_of(p)
-    assert state is _state_of(p)
+    state = p._state()
+    assert state is k.amplitudes
     for array in (p.matrix, state):
         with pytest.raises(ValueError):
             array[0] = 1.0
@@ -56,7 +57,7 @@ def test_families_on_a_used_context_equal_families_on_fresh_kets():
         ctx = PrePostContext(a, b)
         around = basis_containing(a)
         used = [HistoryFamily.from_context(ctx, o) for o in (observable, around)]
-        # The first family built both projectors and their states; the second reused them.
+        # The first family built both projectors; the second reused them and the kets.
         assert used[0].initial is used[1].initial and used[0]._pre is used[1]._pre
         for family, o in zip(used, (observable, around)):
             fresh = HistoryFamily.from_context(
@@ -64,12 +65,37 @@ def test_families_on_a_used_context_equal_families_on_fresh_kets():
             assert _family_bits(family) == _family_bits(fresh)
 
 
-@pytest.mark.parametrize("clone", [lambda k: pickle.loads(pickle.dumps(k)), copy.deepcopy],
-                         ids=["pickle", "deepcopy"])
+_CLONES = {"pickle": lambda x: pickle.loads(pickle.dumps(x)), "deepcopy": copy.deepcopy}
+
+
+@pytest.mark.parametrize("clone", _CLONES.values(), ids=_CLONES.keys())
 def test_a_ket_with_a_built_projector_survives_a_copy(clone):
     k = random_ket(substream(5, 1), 5)
     built = k.projector().matrix.tobytes()
     c = clone(k)
     assert c.amplitudes.tobytes() == k.amplitudes.tobytes()
+    assert "_projector" not in c.__dict__
     assert c.projector().matrix.tobytes() == built
     assert c.projector().matrix.tobytes() == Ket(k.amplitudes).projector().matrix.tobytes()
+
+
+@pytest.mark.parametrize("clone", _CLONES.values(), ids=_CLONES.keys())
+def test_copies_are_read_only(clone):
+    k = random_ket(substream(5, 2), 4)
+    observable = basis_containing(k)
+    # A ket's projector is copied as that ket's projector, so it keeps the ket
+    # as its state; a projector built from a matrix keeps only the matrix.
+    for original, arrays in ((k, lambda c: [c.amplitudes]),
+                             (k.projector(), lambda c: [c.matrix, c._state()]),
+                             (observable.projector(1), lambda c: [c.matrix]),
+                             (observable, lambda c: [c.stack])):
+        copied = clone(original)
+        assert type(copied) is type(original)
+        assert [a.tobytes() for a in arrays(copied)] == [a.tobytes() for a in arrays(original)]
+        assert not any(a.flags.writeable for a in arrays(copied))
+    scenario = builtin("three-box")
+    scenario.observable("C")  # built before the copy, so the copy holds a copy of it
+    copied = clone(scenario)
+    arrays = [copied.context.preselection.amplitudes, copied.context.postselection.amplitudes,
+              copied.observable("C").stack]
+    assert not any(a.flags.writeable for a in arrays)
