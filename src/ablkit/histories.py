@@ -48,8 +48,7 @@ def _decoherence(x: np.ndarray, criterion: str, tol: float):
     if not tol >= 0.0:
         raise ValidationError(f"tolerance must be non-negative, got {tol}")
     k, n = x.shape
-    # Adding 0.0 turns the -0.0 parts of exactly real products into +0.0.
-    d = x[:, :, None] * x.conj()[:, None, :] + 0.0
+    d = Projector._rank1(x, signed_zeros=False)
     d.setflags(write=False)
     magnitude = (np.abs(d) if criterion == "medium" else np.abs(d.real)).reshape(k, -1)
     magnitude[:, ::n + 1] = 0.0
@@ -60,7 +59,8 @@ def _decoherence(x: np.ndarray, criterion: str, tol: float):
 @dataclass(frozen=True, eq=False)
 class HistoryFamily:
     """One chain family: rank-1 initial and final projectors around a single
-    intermediate projective decomposition."""
+    intermediate projective decomposition.  What it derives from them is
+    read-only, and a copy derives it again."""
 
     initial: Projector
     intermediate: ObservableDecomposition
@@ -73,8 +73,12 @@ class HistoryFamily:
             raise ValidationError("initial and final projectors must be rank 1")
         pre, post = self.initial._state(), self.final._state()
         x = ObservableDecomposition._amplitudes(self.intermediate.stack, pre, post)
+        x.setflags(write=False)
         self.__dict__.update(_pre=pre, _post=post, _x=x,
                              _undisturbed=float(abs(np.vdot(post, pre)) ** 2))
+
+    def __reduce__(self):
+        return type(self), (self.initial, self.intermediate, self.final)
 
     @property
     def dim(self) -> int:

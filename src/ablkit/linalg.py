@@ -5,6 +5,9 @@ resolutions of the identity), plus inner products, operator application,
 and traces of operator products.  A decomposition also carries its branch
 projectors as one stacked array, which the probability kernels work on, and
 the one routine that takes every rank-1 amplitude ``<b|P_j|a>`` from it.
+Every rank-1 ``|q><q|`` comes from ``Projector._rank1``: bases built in
+process keep its signed zeros; spans, one-ket branches read from a file and
+decoherence matrices read +0.0.
 Validation happens once, at construction from raw numbers; what is derived
 from validated objects (a ket's projector, the projector onto a span of
 kets, a complement, a coarse-graining) or built orthonormal (a vector scaled
@@ -143,9 +146,8 @@ class Ket:
     def projector(self) -> "Projector":
         """The rank-1 projector onto this state, built once per ket."""
         if "_projector" not in self.__dict__:
-            a = self.amplitudes
-            p = Projector._validated(a[:, None] * a.conj()[None, :], 1)
-            p.__dict__["_ket"] = a
+            p = Projector._validated(Projector._rank1(self.amplitudes), 1)
+            p.__dict__["_ket"] = self.amplitudes
             self.__dict__["_projector"] = p
         return self.__dict__["_projector"]
 
@@ -197,14 +199,23 @@ class Projector:
             return Ket.projector, (Ket._validated(self._ket),)
         return type(self)._validated, (self.matrix, self.rank)
 
+    @staticmethod
+    def _rank1(rows: np.ndarray, *, signed_zeros: bool = True) -> np.ndarray:
+        # |q><q| for a ket q or per row q of a (k, d) stack; with ``signed_zeros``
+        # false, -0.0 entries read +0.0, as in a sum that starts from zeros.
+        m = rows[..., :, None] * rows.conj()[..., None, :]
+        return m if signed_zeros else m + 0.0
+
     def _state(self) -> np.ndarray:
-        # A unit vector spanning this rank-1 projector, up to a global phase: the
-        # ket whose projector() it is, else the largest column, rescaled.
+        # A read-only unit vector spanning this rank-1 projector, up to a global
+        # phase: the ket whose projector() it is, else the largest column, rescaled.
         if "_ket" in self.__dict__:
             return self._ket
         m = self.matrix
         k = int(m.diagonal().real.argmax())
-        return m[:, k] / math.sqrt(m[k, k].real)
+        state = m[:, k] / math.sqrt(m[k, k].real)
+        state.setflags(write=False)
+        return state
 
     @property
     def dim(self) -> int:
@@ -330,19 +341,14 @@ class ObservableDecomposition:
             # above the bound.
             i, j = np.nonzero(np.triu(np.maximum(overlaps, overlaps.T)) > ALG_TOL)
             raise ValidationError(_overlapping(int(i[0]), int(j[0])))
-        # With ``signed_zeros`` false, the -0.0 entries of the products read
-        # +0.0, as in a sum that starts from zeros.
-        stack = amps[:, :, None] * conj[:, None, :]
-        if not signed_zeros:
-            stack += 0.0
-        return cls._validated(stack, labels, (1,) * n)
+        return cls._validated(Projector._rank1(amps, signed_zeros=signed_zeros), labels, (1,) * n)
 
     @classmethod
     def _from_orthonormal(cls, rows, eigenvalues: Sequence[float] | None = None
                           ) -> "ObservableDecomposition":
         # _from_amplitudes's branches, unchecked, for rows orthonormal by construction.
         amps = np.asarray(rows)
-        return cls._validated(amps[:, :, None] * amps.conj()[:, None, :],
+        return cls._validated(Projector._rank1(amps),
                               _labels(eigenvalues, len(amps)), (1,) * len(amps))
 
     @classmethod
@@ -474,10 +480,8 @@ def projector_from_kets(kets: Sequence[Ket]) -> Projector:
     re-validated: :func:`orthonormalize` returns a basis orthonormal to eps."""
     if not kets:
         raise ValidationError("projector_from_kets needs at least one ket")
-    basis = orthonormalize([k.amplitudes for k in kets])
-    # Summed from 0, which turns the -0.0 entries of a product into +0.0.
-    m = sum(q[:, None] * q.conj()[None, :] for q in basis)
-    return Projector._validated(m, len(basis))
+    basis = np.array(orthonormalize([k.amplitudes for k in kets]))
+    return Projector._validated(Projector._rank1(basis, signed_zeros=False).sum(axis=0), len(basis))
 
 
 def complete_basis(vectors: Sequence[np.ndarray], dim: int) -> list[np.ndarray]:

@@ -208,8 +208,6 @@ def _branches(nodes: list, path: str, dim: int) -> list[tuple[float, Projector |
 
 
 def _observable(branches: list[tuple[float, Projector | np.ndarray]]) -> ObservableDecomposition:
-    # A one-ket branch's matrix is |q><q| + 0.0: projector_from_kets sums
-    # from zeros, which turns the -0.0 entries of the product into +0.0.
     # When every branch is one ket, the observable is a rank-1 basis,
     # checked from its amplitudes as from_eigenbasis checks one.
     eigenvalues = [e for e, _ in branches]
@@ -217,7 +215,7 @@ def _observable(branches: list[tuple[float, Projector | np.ndarray]]) -> Observa
         return ObservableDecomposition._from_amplitudes(
             np.array([q for _, q in branches]), eigenvalues, signed_zeros=False)
     return ObservableDecomposition([
-        (e, Projector._validated(p[:, None] * p.conj()[None, :] + 0.0, 1)
+        (e, Projector._validated(Projector._rank1(p, signed_zeros=False), 1)
          if isinstance(p, np.ndarray) else p)
         for e, p in branches])
 

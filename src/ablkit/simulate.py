@@ -124,13 +124,13 @@ def run_trial(ctx: PrePostContext, observable: ObservableDecomposition | None,
 
 def _ensemble_counts(ctx: PrePostContext, observable: ObservableDecomposition | None,
                      trials: int, seed: int, workers: int) -> np.ndarray:
-    sampler = _TrialSampler(ctx, observable)
     if trials < 1:
         raise ValidationError(f"trials must be at least 1, got {trials}")
     if trials > 2 ** 64:
         raise ValidationError(f"trials must be at most 2**64 (one substream each), got {trials}")
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
+    sampler = _TrialSampler(ctx, observable)
     # counts[0] = postselected trials; counts[1 + j] = postselected with
     # intermediate branch j.
     counts = np.zeros(1 + sampler.n_branches, dtype=np.int64)

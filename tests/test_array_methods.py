@@ -9,7 +9,8 @@ reference, and requires every helper's output to equal it byte for byte,
 signed zeros included.  Inputs reach past the oracles (construction stops
 at dim 12, mixing at dim 8, and neither has signed zeros): seeded Haar draws
 at every dim 1-64, ``Ket([1, 0])``, ``Ket([-0.0, 1j])``, a ket with a tie on
-the diagonal of its projector, and two kets at an angle of 1e-6.
+the diagonal of its projector, and two kets at an angle of 1e-6; spans also
+of three kets with signed zeros and of whole Haar bases.
 """
 
 import functools
@@ -41,6 +42,15 @@ SPECIAL_PAIRS = {
     "[1, 0] and [-0.0, 1j]": (SPECIAL["[1, 0]"], SPECIAL["[-0.0, 1j]"]),
     "[-0.0, 1j] and diagonal tie": (SPECIAL["[-0.0, 1j]"], SPECIAL["diagonal tie"]),
 }
+#: Three kets in dim 3 with exact and negative zeros, the third not orthogonal
+#: to the first: some entries of their span's terms are -0.0, and a sum that
+#: starts from the first term keeps one of them.
+ZEROS_TRIPLE = tuple(Ket.normalized([complex(*z) for z in ket]) for ket in (
+    [(0.0, -0.0), (0.0, -0.0), (1.0, 1.0)],
+    [(-0.0, 0.0), (1.0, -0.0), (-0.0, -0.0)],
+    [(0.0, 1.0), (-0.0, 0.0), (1.0, -0.0)]))
+#: Dims at which projector_from_kets takes the full span of a Haar basis.
+FULL_SPAN_DIMS = (2, 3, 8, 24)
 
 
 @functools.lru_cache(maxsize=None)
@@ -203,6 +213,8 @@ def test_projector_from_kets():
              for dim in DIMS for a, b, observable, _, _ in [_draws(dim)]]
     cases += [(label, [ket]) for label, ket in SPECIAL.items()]
     cases += [(label, list(kets)) for label, kets in SPECIAL_PAIRS.items()]
+    cases += [("dim 3 triple with zeros", list(ZEROS_TRIPLE))]
+    cases += [(f"dim {dim} full Haar span", list(_draws(dim)[2])) for dim in FULL_SPAN_DIMS]
     differ = []
     for label, kets in cases:
         got = projector_from_kets(kets)

@@ -4,7 +4,9 @@ Read from its source with ``ast``: no module reaches into a private name of
 a sibling module, and every name a module imports is used there or rebound
 on it by the benchmark's tracer (``bench/run.py --trace 1``), and no module
 calls one of NumPy's Python-level wrappers that an array method replaces
-with the same bits.  This reads ``bench/`` and changes nothing there.
+with the same bits, and the broadcast rank-1 product ``q q^dagger`` is
+written only in ``Projector._rank1``.  This reads ``bench/`` and changes
+nothing there.
 
 Run in fresh interpreters: importing ``ablkit.cli`` loads no library module,
 each command loads only the modules it runs, and ``python -m ablkit.cli``
@@ -112,7 +114,7 @@ def test_every_imported_name_is_used_or_traced(path, traced_names):
 #: sizes ablkit works at, with the form that computes the same bits without it.
 _WRAPPERS = {
     "sum": "x.sum()",
-    "outer": "a[:, None] * b[None, :] (1-d a, b)",
+    "outer": "Projector._rank1(q) (for q q^dagger)",
     "flatnonzero": "x.nonzero()[0] (1-d x)",
     "argmax": "x.argmax()",
     "diagonal": "x.diagonal()",
@@ -149,6 +151,45 @@ def test_the_wrapper_rule_names_the_array_method(name):
     assert sorted(_wrapper_uses(tree)) == [f"line 2: from numpy import {name}: use {_WRAPPERS[name]}",
                                            f"line 3: xp.{name}: use {_WRAPPERS[name]}"]
 
+
+def _broadcasts(node: ast.AST) -> bool:
+    # A subscript with a None (new axis) in its index.
+    if not isinstance(node, ast.Subscript):
+        return False
+    index = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+    return any(isinstance(e, ast.Constant) and e.value is None for e in index)
+
+
+def _rank1_products(tree: ast.Module) -> list[str]:
+    # Every product of two new-axis subscripts, the broadcast outer product
+    # q[..., :, None] * q.conj()[..., None, :], outside Projector._rank1: the
+    # one place the product and its zero-sign rule live.
+    builder = {id(node) for cls in tree.body
+               if isinstance(cls, ast.ClassDef) and cls.name == "Projector"
+               for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "_rank1"
+               for node in ast.walk(fn)}
+    return [f"line {node.lineno}: rank-1 product: use Projector._rank1"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and id(node) not in builder and _broadcasts(node.left) and _broadcasts(node.right)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_the_rank1_product_is_written_only_in_the_builder(path):
+    assert _rank1_products(_tree(path)) == []
+
+
+def test_the_rank1_rule_names_a_planted_product():
+    tree = ast.parse("class Projector:\n"
+                     "    def _rank1(rows):\n"
+                     "        return rows[..., :, None] * rows.conj()[..., None, :]\n"
+                     "def f(a, x, conj):\n"
+                     "    p = a[:, None] * a.conj()[None, :]\n"
+                     "    d = x.conj()[:, None, :] * x[:, :, None] + 0.0\n"
+                     "    s = a[:, :, None] * conj[:, None, :]\n"
+                     "    return a * a.conj()[:, None], a.conj() * a, a[1:] * a[:-1]\n")
+    assert sorted(_rank1_products(tree)) == [f"line {n}: rank-1 product: use Projector._rank1"
+                                             for n in (5, 6, 7)]
 
 
 def _unresolved_cli_reads(tree: ast.Module, exported) -> list[str]:

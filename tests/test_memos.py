@@ -2,7 +2,8 @@
 ket, and it keeps the ket as the state that spans it: two families on one
 context share both.  These tests check that the kept values are the ones a
 fresh build gives, that nobody can write them, and that a copy is read-only
-too and rebuilds what it kept."""
+too and rebuilds what it kept.  A history family's states and amplitudes are
+read-only as well, on the family and on its copies."""
 
 import copy
 import pickle
@@ -12,7 +13,7 @@ import pytest
 
 from ablkit.abl import PrePostContext
 from ablkit.histories import HistoryFamily, coarse_graining_table, disturbance_check, is_consistent
-from ablkit.linalg import Ket, ObservableDecomposition, basis_containing
+from ablkit.linalg import Ket, ObservableDecomposition, Projector, basis_containing
 from ablkit.sampling import random_basis, random_ket, substream
 from ablkit.scenarios import builtin
 
@@ -79,6 +80,24 @@ def test_a_ket_with_a_built_projector_survives_a_copy(clone):
     assert c.projector().matrix.tobytes() == Ket(k.amplitudes).projector().matrix.tobytes()
 
 
+def _families(k: Ket, observable: ObservableDecomposition) -> list[HistoryFamily]:
+    # One family on kets' projectors and one on projectors built from matrices,
+    # whose states are read from their columns.
+    b = random_ket(substream(5, 3), k.dim)
+    return [HistoryFamily.from_context(PrePostContext(k, b), observable),
+            HistoryFamily(Projector(k.projector().matrix), observable,
+                          Projector(b.projector().matrix))]
+
+
+def test_a_family_is_read_only():
+    k = random_ket(substream(5, 2), 4)
+    for family in _families(k, ObservableDecomposition.from_eigenbasis(
+            random_basis(substream(5, 4), 4))):
+        for array in (family._x, family._pre, family._post):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+
 @pytest.mark.parametrize("clone", _CLONES.values(), ids=_CLONES.keys())
 def test_copies_are_read_only(clone):
     k = random_ket(substream(5, 2), 4)
@@ -88,7 +107,9 @@ def test_copies_are_read_only(clone):
     for original, arrays in ((k, lambda c: [c.amplitudes]),
                              (k.projector(), lambda c: [c.matrix, c._state()]),
                              (observable.projector(1), lambda c: [c.matrix]),
-                             (observable, lambda c: [c.stack])):
+                             (observable, lambda c: [c.stack]),
+                             *((family, lambda c: [c._x, c._pre, c._post])
+                               for family in _families(k, observable))):
         copied = clone(original)
         assert type(copied) is type(original)
         assert [a.tobytes() for a in arrays(copied)] == [a.tobytes() for a in arrays(original)]

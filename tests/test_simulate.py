@@ -137,6 +137,23 @@ def test_input_validation():
         estimate_final_probability(CTX, None, -5, 0)
 
 
+@pytest.mark.parametrize("trials, workers, message", [
+    (0, 1, "trials must be at least 1, got 0"),
+    (2 ** 64 + 1, 1, r"trials must be at most 2\*\*64"),
+    (10, 0, "workers must be at least 1, got 0"),
+])
+def test_bad_counts_are_refused_before_the_sampler_is_built(trials, workers, message):
+    # The refusal must not pay for the sampler's tables (a basis completion
+    # and two products): a complete_basis that raises is never reached.
+    def unreachable(*args):
+        raise AssertionError("complete_basis called")
+    with mock.patch.object(ablkit.simulate, "complete_basis", unreachable):
+        with pytest.raises(ValidationError, match=message):
+            estimate_abl(CTX, C, trials, 0, workers=workers)
+        with pytest.raises(ValidationError, match=message):
+            estimate_final_probability(CTX, None, trials, 0, workers=workers)
+
+
 def _scalar_counts(records, n_branches):
     # [postselected, postselected with intermediate branch j, ...], as the
     # ensemble counts them
