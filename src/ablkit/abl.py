@@ -13,9 +13,9 @@ postselection succeeds at all, given that C was measured.  Every rank-1
 quantity reads the amplitudes ``x_j = <b|P_j|a>`` from the one kernel that
 :mod:`ablkit.histories` reads too; the trace form ``Tr(P_b P_j P_a P_j)``
 serves only the projector endpoints of :func:`abl_probabilities`.  This
-module also covers the ordinary Born distribution, the Lüders update after a
-projective outcome, and the postselection probability as disturbed by an
-intervening measurement.
+module also covers the Born distribution (``ObservableDecomposition._born``),
+the Lüders update after a projective outcome, and the postselection
+probability as disturbed by an intervening measurement.
 """
 
 from __future__ import annotations
@@ -79,10 +79,7 @@ class AblDistribution:
 
 def born_distribution(state: Ket, observable: ObservableDecomposition) -> np.ndarray:
     """Born outcome probabilities for measuring ``observable`` on ``state``."""
-    if state.dim != observable.dim:
-        raise DimensionMismatchError(f"state dim {state.dim} != observable dim {observable.dim}")
-    projected = observable.stack @ state.amplitudes
-    return (projected.real ** 2 + projected.imag ** 2).sum(axis=1)
+    return observable._born(state.amplitudes)[1]
 
 
 def _context_joints(ctx: PrePostContext, observable: ObservableDecomposition) -> np.ndarray:

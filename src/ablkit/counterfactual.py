@@ -71,11 +71,11 @@ def _joint_table(a: Ket, final_basis: ObservableDecomposition,
             f"observable {observable.dim}")
     if not 0 <= branch < len(observable):
         raise IndexError(f"branch {branch} out of range for {len(observable)} branches")
-    # projected[j] = P_j a, and joints[l, j] = Tr(F_l P_j P_a P_j) =
-    # ||F_l P_j a||^2 for final-basis branches F_l of any rank.
-    projected = observable.stack @ a.amplitudes
+    # From _born's projected[j] = P_j a and born[j] = ||P_j a||^2: joints[l, j] =
+    # Tr(F_l P_j P_a P_j) = ||F_l P_j a||^2 for final-basis branches F_l of any rank.
+    projected, born = observable._born(a.amplitudes)
     w = projected @ final_basis.stack.swapaxes(1, 2)
-    return projected, (w.real ** 2 + w.imag ** 2).sum(axis=2)
+    return born, (w.real ** 2 + w.imag ** 2).sum(axis=2)
 
 
 def _mix(joints: np.ndarray, denominators: np.ndarray, weights: np.ndarray, branch: int) -> float:
@@ -119,8 +119,8 @@ def mixing_report(a: Ket, final_basis: ObservableDecomposition,
                   observable: ObservableDecomposition, branch: int) -> MixingReport:
     """The Born, Sharp-Shanks and Vaidman totals of ``branch``, from one
     joint table."""
-    projected, joints = _joint_table(a, final_basis, observable, branch)
-    born_total = float((projected.real ** 2 + projected.imag ** 2).sum(axis=1)[branch])
+    born, joints = _joint_table(a, final_basis, observable, branch)
+    born_total = float(born[branch])
     denominators = joints.sum(axis=1)
     ss_total = _mix(joints, denominators, born_distribution(a, final_basis), branch)
     vt = _mix(joints, denominators, denominators, branch)
@@ -136,12 +136,14 @@ def find_counterexample(dim: int, seed: int, gap_min: float = DEFAULT_GAP_MIN,
     a pure function of (dim, seed, gap_min, max_tries): re-running returns
     the identical counterexample, and re-evaluating its report from the
     stored fields reproduces the numbers bit for bit.  Returns ``None`` when
-    ``max_tries`` draws all fall short.
+    ``max_tries`` draws all fall short, and refuses a ``gap_min`` of 1 or more.
     """
     if not 2 <= dim <= 6:
         raise ValidationError(f"dim must be in [2, 6], got {dim}")
     if not gap_min > 0.0:
         raise ValidationError(f"gap_min must be positive, got {gap_min}")
+    if gap_min >= 1.0:
+        raise ValidationError(f"gap_min must be below 1, which no gap exceeds, got {gap_min}")
     if max_tries < 1:
         raise ValidationError(f"max_tries must be at least 1, got {max_tries}")
     for t in range(max_tries):

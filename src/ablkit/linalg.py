@@ -3,8 +3,9 @@
 Kets, projectors, and projective decompositions of observables (spectral
 resolutions of the identity), plus inner products, operator application,
 and traces of operator products.  A decomposition also carries its branch
-projectors as one stacked array, which the probability kernels work on, and
-the one routine that takes every rank-1 amplitude ``<b|P_j|a>`` from it.
+projectors as one stacked array, which the probability kernels work on, the
+one projection ``_born`` giving every ``P_j a`` and Born weight, and the one
+routine that takes every rank-1 amplitude ``<b|P_j|a>`` from it.
 Every rank-1 ``|q><q|`` comes from ``Projector._rank1``: bases built in
 process keep its signed zeros; spans, one-ket branches read from a file and
 decoherence matrices read +0.0.
@@ -344,12 +345,10 @@ class ObservableDecomposition:
         return cls._validated(Projector._rank1(amps, signed_zeros=signed_zeros), labels, (1,) * n)
 
     @classmethod
-    def _from_orthonormal(cls, rows, eigenvalues: Sequence[float] | None = None
-                          ) -> "ObservableDecomposition":
-        # _from_amplitudes's branches, unchecked, for rows orthonormal by construction.
+    def _from_orthonormal(cls, rows) -> "ObservableDecomposition":
+        # _from_amplitudes's branches 0..n-1, unchecked, for rows orthonormal by construction.
         amps = np.asarray(rows)
-        return cls._validated(Projector._rank1(amps),
-                              _labels(eigenvalues, len(amps)), (1,) * len(amps))
+        return cls._validated(Projector._rank1(amps), _labels(None, len(amps)), (1,) * len(amps))
 
     @classmethod
     def _validated(cls, stack: np.ndarray, eigenvalues: Sequence[float],
@@ -366,6 +365,13 @@ class ObservableDecomposition:
 
     def __reduce__(self):
         return type(self)._validated, (self.stack, self.eigenvalues, self.ranks)
+
+    def _born(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # (P_j a per branch j, Born weights ||P_j a||^2): every Born weight's one source.
+        if a.size != self.dim:
+            raise DimensionMismatchError(f"state dim {a.size} != observable dim {self.dim}")
+        projected = self.stack @ a
+        return projected, (projected.real ** 2 + projected.imag ** 2).sum(axis=1)
 
     @staticmethod
     def _amplitudes(stack: np.ndarray, pre: np.ndarray, post: np.ndarray) -> np.ndarray:

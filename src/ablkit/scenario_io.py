@@ -377,25 +377,17 @@ def dump_scenario(scenario: Scenario) -> str:
     return "".join(out)
 
 
-def _ket_from_rank1(m: np.ndarray) -> Ket:
-    # Largest column of the rank-1 projector |v><v| is v (up to phase); fix
-    # the phase by making the largest amplitude real positive.
-    col = m[:, int(np.linalg.norm(m, axis=0).argmax())]
-    v = col / np.linalg.norm(col)
-    lead = v[int(np.abs(v).argmax())]
-    return Ket.normalized(v * (lead.conjugate() / abs(lead)))
-
-
 def counterexample_scenario(example: Counterexample) -> Scenario:
     """Package a counterexample as a scenario: its state and the first
     final-basis direction become the selections, with the questioned
-    observable as ``C`` and the final basis as ``B``."""
-    context = PrePostContext(example.preselection, _ket_from_rank1(example.final_basis.matrix(0)))
+    observable as ``C`` and the final basis as ``B``; the postselection's
+    largest amplitude is positive and real to rounding."""
+    post = Ket._validated(example.final_basis.projector(0)._state())
     return Scenario(
         name="counterexample",
         description=(f"counterfactual gap {example.report.ss_gap:.6g} "
                      f"on branch {example.branch} of C"),
-        context=context,
+        context=PrePostContext(example.preselection, post),
         observables={"C": example.observable, "B": example.final_basis},
         default_observable="C",
     )

@@ -2,7 +2,7 @@
 
 Each trial prepares the preselected state, optionally measures the
 intermediate observable (Born draw, then Lüders collapse onto a renormalized
-row of the amplitudes ``observable.stack @ a``), and finally measures a basis
+``P_j a``, both from ``observable._born(a)``), and finally measures a basis
 containing the postselection state; the trial is postselected when that
 final outcome is branch 0.  Trial ``i`` of a run draws all its randomness
 from the first Philox block of substream ``(seed, i)``, at counter
@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abl import DIV_TOL, PrePostContext, born_distribution
+# born_distribution and substream are unused here; bench/workloads.py's tracer rebinds them.
+from .abl import DIV_TOL, PrePostContext, born_distribution  # noqa: F401
 from .errors import NoPostselectedTrialsError, ValidationError
 from .linalg import ObservableDecomposition, complete_basis
-# substream is unused here; bench/workloads.py's tracer rebinds this name.
 from .sampling import substream, substream_uniforms  # noqa: F401
 
 #: Trials drawn and tallied per array pass; bounds the temporaries' size.
@@ -77,9 +77,9 @@ class _TrialSampler:
             self.intermediate_cum = None
             live, unit = np.ones(1, dtype=bool), a[None, :]
         else:
-            self.intermediate_cum = born_distribution(ctx.preselection, observable).cumsum()
+            collapsed, born = observable._born(a)
+            self.intermediate_cum = born.cumsum()
             # Branches of Born weight ~0 are never drawn; their rows stay 0.
-            collapsed = observable.stack @ a
             norms = np.array([np.linalg.norm(c) for c in collapsed])
             live = norms > DIV_TOL
             unit = collapsed[live] / norms[live, None]

@@ -322,7 +322,7 @@ def test_counterexample_json_replays(capsys):
 
 def test_counterexample_not_found_exit_code(capsys):
     code, _, err = run(capsys, "counterexample", "--dim", "2", "--seed", "3",
-                       "--gap-min", "1.5", "--max-tries", "20")
+                       "--gap-min", "0.99", "--max-tries", "20")
     assert code == 2
     assert "no counterexample" in err
 
@@ -415,7 +415,10 @@ def test_scenario_path_that_is_a_directory_exits_1(capsys, tmp_path, argv):
 # take every rank-1 amplitude from one einsum kernel, once each of their
 # numbers was within 1e-12 of the earlier output and every verdict the same
 # but those of the two exactly consistent three-box groupings at
-# --tolerance 0.  dim-12.json is the scenario-cli
+# --tolerance 0.  The two `counterexample --dim 4 --seed 11` captures were
+# recorded again when the postselection came to be read from the first final
+# branch's largest column by Projector._state, once each of their eight moved
+# numbers was within 2.3e-16 of the earlier output.  dim-12.json is the scenario-cli
 # benchmark's dim-12 file for seed 1, three-box.json the canonical form of
 # the built-in three-box scenario, and zeros.json a scenario whose kets and
 # matrices hold exact zeros, where a branch |q><q| holds -0.0.
@@ -505,11 +508,12 @@ def test_simulate_trials_beyond_the_index_space_exit_1(capsys, monkeypatch):
     (("abl", "--builtin", "spin:inf"), "spin angle must be finite"),
     (("counterexample", "--gap-min", "-1"), "gap_min must be positive, got -1.0"),
     (("counterexample", "--gap-min", "nan"), "gap_min must be positive, got nan"),
+    (("counterexample", "--gap-min", "1"), "gap_min must be below 1, which no gap exceeds, got 1.0"),
     (("abl", "--builtin", "three-box", "--observable", ""),
      "usage error: unknown observable ''; scenario defines A, B, C, Cdprime, Cprime\n"),
     (("consistency", "--builtin", "three-box", "--observable", ""),
      "usage error: unknown observable ''; scenario defines A, B, C, Cdprime, Cprime\n"),
-], ids=["spin-angle", "spin-inf", "gap-negative", "gap-nan", "abl-observable-empty",
+], ids=["spin-angle", "spin-inf", "gap-negative", "gap-nan", "gap-1", "abl-observable-empty",
         "consistency-observable-empty"])
 def test_bad_user_values_exit_1(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -224,7 +224,7 @@ def test_find_counterexample_bases_equal_from_eigenbasis(dim):
 
 
 def test_find_counterexample_gives_up():
-    assert find_counterexample(2, seed=3, gap_min=1.5, max_tries=25) is None
+    assert find_counterexample(2, seed=3, gap_min=0.99, max_tries=25) is None
 
 
 def test_draws_come_from_per_try_substreams():
@@ -236,8 +236,8 @@ def test_draws_come_from_per_try_substreams():
 
 
 @pytest.mark.parametrize("bad", [dict(dim=1), dict(dim=7), dict(gap_min=0.0),
-                                 dict(gap_min=math.nan), dict(max_tries=0)],
-                         ids=["dim-1", "dim-7", "gap-0", "gap-nan", "tries-0"])
+                                 dict(gap_min=math.nan), dict(gap_min=1.0), dict(max_tries=0)],
+                         ids=["dim-1", "dim-7", "gap-0", "gap-nan", "gap-1", "tries-0"])
 def test_search_arguments_raise_validation_error(bad):
     kwargs = dict(dim=2, seed=0, gap_min=0.05, max_tries=10)
     kwargs.update(bad)

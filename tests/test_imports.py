@@ -4,9 +4,10 @@ Read from its source with ``ast``: no module reaches into a private name of
 a sibling module, and every name a module imports is used there or rebound
 on it by the benchmark's tracer (``bench/run.py --trace 1``), and no module
 calls one of NumPy's Python-level wrappers that an array method replaces
-with the same bits, and the broadcast rank-1 product ``q q^dagger`` is
-written only in ``Projector._rank1``.  This reads ``bench/`` and changes
-nothing there.
+with the same bits, the broadcast rank-1 product ``q q^dagger`` is
+written only in ``Projector._rank1``, and the branch projection
+``<expr>.stack @ <expr>`` only in ``ObservableDecomposition._born``.  This
+reads ``bench/`` and changes nothing there.
 
 Run in fresh interpreters: importing ``ablkit.cli`` loads no library module,
 each command loads only the modules it runs, and ``python -m ablkit.cli``
@@ -160,14 +161,19 @@ def _broadcasts(node: ast.AST) -> bool:
     return any(isinstance(e, ast.Constant) and e.value is None for e in index)
 
 
+def _nodes_in(tree: ast.Module, cls_name: str, fn_name: str) -> set[int]:
+    # The ids of every node inside method ``cls_name.fn_name``.
+    return {id(node) for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name == cls_name
+            for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == fn_name
+            for node in ast.walk(fn)}
+
+
 def _rank1_products(tree: ast.Module) -> list[str]:
     # Every product of two new-axis subscripts, the broadcast outer product
     # q[..., :, None] * q.conj()[..., None, :], outside Projector._rank1: the
     # one place the product and its zero-sign rule live.
-    builder = {id(node) for cls in tree.body
-               if isinstance(cls, ast.ClassDef) and cls.name == "Projector"
-               for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "_rank1"
-               for node in ast.walk(fn)}
+    builder = _nodes_in(tree, "Projector", "_rank1")
     return [f"line {node.lineno}: rank-1 product: use Projector._rank1"
             for node in ast.walk(tree)
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
@@ -190,6 +196,34 @@ def test_the_rank1_rule_names_a_planted_product():
                      "    return a * a.conj()[:, None], a.conj() * a, a[1:] * a[:-1]\n")
     assert sorted(_rank1_products(tree)) == [f"line {n}: rank-1 product: use Projector._rank1"
                                              for n in (5, 6, 7)]
+
+
+def _stack_projections(tree: ast.Module) -> list[str]:
+    # Every ``<expr>.stack @ <expr>``, the projection of a state onto each
+    # branch, outside ObservableDecomposition._born: the one place it lives.
+    born = _nodes_in(tree, "ObservableDecomposition", "_born")
+    return [f"line {node.lineno}: stack projection: use ObservableDecomposition._born"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+            and id(node) not in born
+            and isinstance(node.left, ast.Attribute) and node.left.attr == "stack"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_the_stack_projection_is_written_only_in_born(path):
+    assert _stack_projections(_tree(path)) == []
+
+
+def test_the_projection_rule_names_a_planted_product():
+    tree = ast.parse("class ObservableDecomposition:\n"
+                     "    def _born(self, a):\n"
+                     "        return self.stack @ a\n"
+                     "def f(obs, a, stack, p):\n"
+                     "    x = obs.stack @ a\n"
+                     "    y = obs.final.stack @ (a + a)\n"
+                     "    return p @ stack, p @ obs.stack, stack[0] @ a, obs.stacks @ a\n")
+    assert sorted(_stack_projections(tree)) == [
+        f"line {n}: stack projection: use ObservableDecomposition._born" for n in (5, 6)]
 
 
 def _unresolved_cli_reads(tree: ast.Module, exported) -> list[str]:

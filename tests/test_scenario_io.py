@@ -268,11 +268,15 @@ def test_counterexample_scenario_round_trip_replays_exactly():
 
 
 def test_counterexample_postselection_matches_first_final_branch():
-    example = find_counterexample(2, seed=11, gap_min=0.05)
-    scenario = counterexample_scenario(example)
-    b = scenario.context.postselection
-    p0 = example.final_basis.matrix(0)
-    np.testing.assert_allclose(np.outer(b.amplitudes, b.amplitudes.conj()), p0, atol=1e-12)
+    for dim, seed in ((2, 11), (3, 0), (4, 11), (5, 2), (6, 7)):
+        example = find_counterexample(dim, seed=seed, gap_min=0.05)
+        b = counterexample_scenario(example).context.postselection.amplitudes
+        p0 = example.final_basis.matrix(0)
+        np.testing.assert_allclose(np.outer(b, b.conj()), p0, atol=1e-12)
+        # the phase convention: the largest-magnitude amplitude is real, to
+        # rounding, and positive
+        lead = b[np.abs(b).argmax()]
+        assert abs(lead.imag) <= 1e-15 * lead.real
 
 
 def test_dump_is_canonical_json():
