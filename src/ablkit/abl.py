@@ -15,7 +15,9 @@ quantity reads the amplitudes ``x_j = <b|P_j|a>`` from the one kernel that
 serves only the projector endpoints of :func:`abl_probabilities`.  This
 module also covers the Born distribution (``ObservableDecomposition._born``),
 the Lüders update after a projective outcome, and the postselection
-probability as disturbed by an intervening measurement.
+probability as disturbed by an intervening measurement.  The joints are
+``ObservableDecomposition._weights`` of the amplitudes, and the Lüders
+update divides by ``Ket._norm``.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ def _context_joints(ctx: PrePostContext, observable: ObservableDecomposition) ->
         raise DimensionMismatchError(f"context dim {ctx.dim} != observable dim {observable.dim}")
     x = ObservableDecomposition._amplitudes(observable.stack, ctx.preselection.amplitudes,
                                             ctx.postselection.amplitudes)
-    return x.real ** 2 + x.imag ** 2
+    return ObservableDecomposition._weights(x)
 
 
 def joint_probability(ctx: PrePostContext, observable: ObservableDecomposition, branch: int) -> float:
@@ -143,7 +145,7 @@ def abl_distribution(ctx: PrePostContext, observable: ObservableDecomposition) -
 def luders_update(state: Ket, projector) -> Ket:
     """State after a projective outcome: project and renormalize."""
     projected = apply_operator(projector, state)
-    norm = float(np.linalg.norm(projected))
+    norm = Ket._norm(projected)
     if norm <= DIV_TOL:
         raise ZeroProjectionError("state is orthogonal to the outcome subspace")
     return Ket(projected / norm)

@@ -34,6 +34,8 @@ from .sampling import random_basis, random_ket, substream
 
 #: Default minimum gap for the counterexample search.
 DEFAULT_GAP_MIN = 0.01
+#: Tries one search may make: about 15 minutes at 5400 tries/s, dim 6 (README).
+_MAX_TRIES = 5 * 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,7 @@ def _joint_table(a: Ket, final_basis: ObservableDecomposition,
     # Tr(F_l P_j P_a P_j) = ||F_l P_j a||^2 for final-basis branches F_l of any rank.
     projected, born = observable._born(a.amplitudes)
     w = projected @ final_basis.stack.swapaxes(1, 2)
-    return born, (w.real ** 2 + w.imag ** 2).sum(axis=2)
+    return born, ObservableDecomposition._weights(w).sum(axis=2)
 
 
 def _mix(joints: np.ndarray, denominators: np.ndarray, weights: np.ndarray, branch: int) -> float:
@@ -136,7 +138,8 @@ def find_counterexample(dim: int, seed: int, gap_min: float = DEFAULT_GAP_MIN,
     a pure function of (dim, seed, gap_min, max_tries): re-running returns
     the identical counterexample, and re-evaluating its report from the
     stored fields reproduces the numbers bit for bit.  Returns ``None`` when
-    ``max_tries`` draws all fall short, and refuses a ``gap_min`` of 1 or more.
+    ``max_tries`` draws all fall short, and refuses a ``gap_min`` of 1 or more
+    and more than 5*10**6 tries, the work budget, before the first try.
     """
     if not 2 <= dim <= 6:
         raise ValidationError(f"dim must be in [2, 6], got {dim}")
@@ -146,6 +149,8 @@ def find_counterexample(dim: int, seed: int, gap_min: float = DEFAULT_GAP_MIN,
         raise ValidationError(f"gap_min must be below 1, which no gap exceeds, got {gap_min}")
     if max_tries < 1:
         raise ValidationError(f"max_tries must be at least 1, got {max_tries}")
+    if max_tries > _MAX_TRIES:
+        raise ValidationError(f"max_tries must be at most 5*10**6, the work budget, got {max_tries}")
     for t in range(max_tries):
         rng = substream(seed, t)
         a = random_ket(rng, dim)

@@ -6,9 +6,10 @@ observable, postselect).  Its decoherence functional is
     D(i, j) = Tr(P_b P_i P_a P_j) = x_i conj(x_j),  x_i = <b|P_i|a>
 
 whose diagonal holds the joint probabilities of the chain; a family takes
-``x`` and |<b|a>|^2 once, at construction, from the states that span its
-projectors (``from_context``: the context's kets) and the amplitude kernel
-:mod:`ablkit.abl` uses, so the disturbed probability is bit for bit the ABL
+``x`` and |<b|a>|^2 (through ``Ket._inner``) once, at construction, from the
+states that span its projectors (``from_context``: the context's kets) and
+the amplitude kernel :mod:`ablkit.abl` uses; its disturbed probability sums
+``ObservableDecomposition._weights(x)``, so it is bit for bit the ABL
 denominator.  It is consistent (medium decoherence) when every off-diagonal
 entry vanishes, under the weak criterion when their real parts do.  A consistent family satisfies the
 disturbance identity sum_j D(j, j) = |<b|a>|^2 (measuring in between leaves
@@ -27,7 +28,7 @@ import numpy as np
 
 from .abl import PrePostContext
 from .errors import TooManyBranchesError, ValidationError, DimensionMismatchError
-from .linalg import ObservableDecomposition, Projector
+from .linalg import Ket, ObservableDecomposition, Projector
 
 #: Default tolerance for consistency verdicts and the disturbance identity.
 CONSISTENCY_TOL = 1e-9
@@ -75,7 +76,7 @@ class HistoryFamily:
         x = ObservableDecomposition._amplitudes(self.intermediate.stack, pre, post)
         x.setflags(write=False)
         self.__dict__.update(_pre=pre, _post=post, _x=x,
-                             _undisturbed=float(abs(np.vdot(post, pre)) ** 2))
+                             _undisturbed=float(abs(Ket._inner(post, pre)) ** 2))
 
     def __reduce__(self):
         return type(self), (self.initial, self.intermediate, self.final)
@@ -145,7 +146,7 @@ def disturbance_check(family: HistoryFamily, *, tol: float = CONSISTENCY_TOL) ->
     if not tol >= 0.0:
         raise ValidationError(f"tolerance must be non-negative, got {tol}")
     x, undisturbed = family._x, family._undisturbed
-    disturbed = float((x.real ** 2 + x.imag ** 2).sum())
+    disturbed = float(ObservableDecomposition._weights(x).sum())
     return DisturbanceCheck(undisturbed, disturbed, abs(undisturbed - disturbed) <= tol)
 
 
@@ -218,7 +219,7 @@ def coarse_graining_table(family: HistoryFamily, *, criterion: str = "medium",
     masks, sums = _coarse_blocks(family.intermediate)
     x = ObservableDecomposition._amplitudes(sums, family._pre, family._post)[masks]
     d, violations, consistent = _decoherence(x, criterion, tol)
-    disturbed = (x.real ** 2 + x.imag ** 2).sum(axis=1).tolist()
+    disturbed = ObservableDecomposition._weights(x).sum(axis=1).tolist()
     return (_set_partitions(masks.shape[1], masks), d, violations.tolist(), consistent.tolist(),
             disturbed, [abs(family._undisturbed - s) <= tol for s in disturbed])
 

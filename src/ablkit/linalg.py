@@ -6,6 +6,10 @@ and traces of operator products.  A decomposition also carries its branch
 projectors as one stacked array, which the probability kernels work on, the
 one projection ``_born`` giving every ``P_j a`` and Born weight, and the one
 routine that takes every rank-1 amplitude ``<b|P_j|a>`` from it.
+Three primitives hold the vector arithmetic, so how each rounds is one
+decision: ``Ket._inner`` (``np.vdot``) is every inner product, ``Ket._norm``
+every vector norm, and ``ObservableDecomposition._weights`` every weight
+``|z|^2 = re^2 + im^2``.
 Every rank-1 ``|q><q|`` comes from ``Projector._rank1``: bases built in
 process keep its signed zeros; spans, one-ket branches read from a file and
 decoherence matrices read +0.0.
@@ -54,16 +58,8 @@ def _as_vector(values) -> np.ndarray:
     return arr
 
 
-def _norm(v: np.ndarray) -> float:
-    # np.linalg.norm's arithmetic for a 1-d complex vector, without its
-    # dispatch.  np.vdot takes the same dot product as x.dot but checks no
-    # floating-point flags, so an overflow gives inf without a warning.
-    v = v.ravel(order="K")
-    return math.sqrt(np.vdot(v.real, v.real) + np.vdot(v.imag, v.imag))
-
-
 def _checked_unit(arr: np.ndarray) -> np.ndarray:
-    norm_sq = float(np.vdot(arr, arr).real)
+    norm_sq = float(Ket._inner(arr, arr).real)
     if abs(norm_sq - 1.0) > NORM_TOL:
         raise ValidationError(f"ket norm^2 = {norm_sq!r}, expected 1 within {NORM_TOL}")
     return arr
@@ -101,6 +97,17 @@ class Ket:
 
     amplitudes: np.ndarray
 
+    #: <x|y>, conjugate-linear in x: every inner product's one source, an alias for no extra call.
+    _inner = staticmethod(np.vdot)
+
+    @staticmethod
+    def _norm(v: np.ndarray) -> float:
+        # np.linalg.norm's arithmetic for a 1-d complex vector, without its
+        # dispatch.  np.vdot takes the same dot product as x.dot but checks no
+        # floating-point flags, so an overflow gives inf without a warning.
+        v = v.ravel(order="K")
+        return math.sqrt(Ket._inner(v.real, v.real) + Ket._inner(v.imag, v.imag))
+
     def __post_init__(self):
         arr = _checked_unit(_as_vector(self.amplitudes).copy())
         arr.setflags(write=False)
@@ -121,7 +128,7 @@ class Ket:
     def _unit(a: np.ndarray) -> np.ndarray:
         # The finite vector ``a`` checked as Ket(a) checks it, and scaled to
         # unit norm with the bits of orthonormalize([a])[0].
-        return a / _norm(_checked_unit(a))
+        return a / Ket._norm(_checked_unit(a))
 
     @property
     def dim(self) -> int:
@@ -137,7 +144,7 @@ class Ket:
     def _scaled(cls, arr: np.ndarray) -> "Ket":
         # ``arr / |arr|`` for a finite, nonempty 1-d complex vector: within the
         # norm's checked range the quotient is a unit vector to rounding.
-        norm = _norm(arr)
+        norm = Ket._norm(arr)
         if not _MIN_NORM <= norm < math.inf:
             raise ValidationError("cannot normalize a vector whose norm overflows"
                                   if norm == math.inf else
@@ -371,7 +378,11 @@ class ObservableDecomposition:
         if a.size != self.dim:
             raise DimensionMismatchError(f"state dim {a.size} != observable dim {self.dim}")
         projected = self.stack @ a
-        return projected, (projected.real ** 2 + projected.imag ** 2).sum(axis=1)
+        return projected, self._weights(projected).sum(axis=1)
+
+    @staticmethod
+    def _weights(z: np.ndarray) -> np.ndarray:
+        return z.real ** 2 + z.imag ** 2  # |z|^2 elementwise: every Born weight's one rule
 
     @staticmethod
     def _amplitudes(stack: np.ndarray, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
@@ -402,7 +413,7 @@ def inner(x: Ket, y: Ket) -> complex:
     """Inner product <x|y>, conjugate-linear in the first argument."""
     if x.dim != y.dim:
         raise DimensionMismatchError(f"kets of dimension {x.dim} and {y.dim}")
-    return complex(np.vdot(x.amplitudes, y.amplitudes))
+    return complex(Ket._inner(x.amplitudes, y.amplitudes))
 
 
 def apply_operator(op, state: Ket) -> np.ndarray:
@@ -434,8 +445,8 @@ def _project_out(w: np.ndarray, basis: Sequence[np.ndarray], tol: float,
     # second time.
     for _ in range(2):
         for q in basis:
-            w -= q * np.vdot(q, w)
-        norm = _norm(w)
+            w -= q * Ket._inner(q, w)
+        norm = Ket._norm(w)
         if norm <= tol or norm * norm >= again_below_sq:
             break
     return norm
@@ -466,7 +477,7 @@ def orthonormalize(vectors: Sequence[np.ndarray], *, tol: float = SPAN_TOL) -> l
         if basis and w.shape != basis[0].shape:
             raise DimensionMismatchError(
                 f"vector {k} has length {w.size}, vector 0 has length {basis[0].size}")
-        size_sq = np.vdot(w, w).real
+        size_sq = Ket._inner(w, w).real
         if not math.isfinite(size_sq):
             raise ValidationError(f"vector {k} is finite, but its norm overflows"
                                   if np.isfinite(w).all() else

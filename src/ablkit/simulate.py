@@ -1,15 +1,16 @@
 """Monte Carlo simulation of pre/postselected runs.
 
 Each trial prepares the preselected state, optionally measures the
-intermediate observable (Born draw, then Lüders collapse onto a renormalized
-``P_j a``, both from ``observable._born(a)``), and finally measures a basis
-containing the postselection state; the trial is postselected when that
-final outcome is branch 0.  Trial ``i`` of a run draws all its randomness
-from the first Philox block of substream ``(seed, i)``, at counter
-``[1, 0, 0, i]``, so ensembles are bit-reproducible for a given (seed,
-trials).  Ensembles are drawn ``CHUNK`` trials at a time with
+intermediate observable (Born draw, then Lüders collapse onto ``P_j a``
+renormalized by ``Ket._norm``, both from ``observable._born(a)``), and
+finally measures a basis containing the postselection state; the trial is
+postselected when that final outcome is branch 0.  Trial ``i`` of a run
+draws all its randomness from the first Philox block of substream ``(seed,
+i)``, at counter ``[1, 0, 0, i]``, so ensembles are bit-reproducible for a
+given (seed, trials).  Ensembles are drawn ``CHUNK`` trials at a time with
 ``substream_uniforms`` and tallied with array operations; ``run_trial`` on
-``substream(seed, i)`` is the same trial drawn one at a time.  The
+``substream(seed, i)`` is the same trial drawn one at a time.  A run of more
+than 10**10 trials, the work budget, is refused before any is drawn.  The
 ``workers`` keyword is validated and otherwise changes nothing.
 """
 
@@ -22,11 +23,13 @@ import numpy as np
 # born_distribution and substream are unused here; bench/workloads.py's tracer rebinds them.
 from .abl import DIV_TOL, PrePostContext, born_distribution  # noqa: F401
 from .errors import NoPostselectedTrialsError, ValidationError
-from .linalg import ObservableDecomposition, complete_basis
+from .linalg import Ket, ObservableDecomposition, complete_basis
 from .sampling import substream, substream_uniforms  # noqa: F401
 
 #: Trials drawn and tallied per array pass; bounds the temporaries' size.
 CHUNK = 1 << 16
+#: Trials one run may ask for: about 18 minutes at 9.3e6 trials/s (README).
+_MAX_TRIALS = 10 ** 10
 
 
 @dataclass(frozen=True)
@@ -80,11 +83,12 @@ class _TrialSampler:
             collapsed, born = observable._born(a)
             self.intermediate_cum = born.cumsum()
             # Branches of Born weight ~0 are never drawn; their rows stay 0.
-            norms = np.array([np.linalg.norm(c) for c in collapsed])
+            norms = np.array([Ket._norm(c) for c in collapsed])
             live = norms > DIV_TOL
             unit = collapsed[live] / norms[live, None]
         # These thresholds decide counts: per-row norms and stacked matvecs
         # keep them bitwise those of collapsing one branch at a time.
+        # Their np.abs(...) ** 2 is not _weights's re^2 + im^2: counts rest on its bits.
         self.final_cums = np.zeros((len(live), dim))
         self.final_cums[live] = (
             np.abs(final_states.conj() @ unit[:, :, None])[:, :, 0] ** 2).cumsum(axis=1)
@@ -126,8 +130,8 @@ def _ensemble_counts(ctx: PrePostContext, observable: ObservableDecomposition | 
                      trials: int, seed: int, workers: int) -> np.ndarray:
     if trials < 1:
         raise ValidationError(f"trials must be at least 1, got {trials}")
-    if trials > 2 ** 64:
-        raise ValidationError(f"trials must be at most 2**64 (one substream each), got {trials}")
+    if trials > _MAX_TRIALS:
+        raise ValidationError(f"trials must be at most 10**10, the work budget, got {trials}")
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
     sampler = _TrialSampler(ctx, observable)

@@ -24,7 +24,8 @@ from ablkit.errors import (
     ZeroProjectionError,
 )
 from ablkit.histories import HistoryFamily, decoherence_matrix, disturbance_check
-from ablkit.linalg import Ket, ObservableDecomposition, basis_containing, projector_from_kets
+from ablkit.linalg import (Ket, ObservableDecomposition, apply_operator, basis_containing,
+                           projector_from_kets)
 from ablkit.sampling import random_basis, random_ket
 from ablkit.scenarios import spin, three_box
 
@@ -243,6 +244,25 @@ def test_luders_update_unit_norm_random():
         proj = projector_from_kets(random_basis(rng, 4)[:2])
         out = luders_update(state, proj)
         assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_luders_update_divides_by_numpy_norm_bit_for_bit(dim):
+    # Each branch of a Haar basis and the span of its first two kets, on a
+    # Haar state: the norm is np.linalg.norm's to the last bit.
+    rng = np.random.default_rng(3800 + dim)
+    state = random_ket(rng, dim)
+    basis = random_basis(rng, dim)
+    for proj in [k.projector() for k in basis] + [projector_from_kets(basis[:2])]:
+        projected = apply_operator(proj, state)
+        want = Ket(projected / np.linalg.norm(projected)).amplitudes
+        assert luders_update(state, proj).amplitudes.tobytes() == want.tobytes()
+    # A branch of Born weight 0: the state has no amplitude on the last axis.
+    flat = Ket.normalized(np.append(random_ket(rng, dim - 1).amplitudes, 0.0))
+    axis = Ket(np.eye(dim)[-1])
+    assert np.linalg.norm(apply_operator(axis.projector(), flat)) == 0.0
+    with pytest.raises(ZeroProjectionError):
+        luders_update(flat, axis.projector())
 
 
 def test_luders_update_orthogonal_raises():

@@ -23,7 +23,7 @@ from ablkit.abl import DIV_TOL
 from ablkit.counterfactual import _mix
 from ablkit.errors import UndefinedTermError, ValidationError
 from ablkit.histories import HistoryFamily, disturbance_check
-from ablkit.linalg import (SPAN_TOL, Ket, ObservableDecomposition, Projector, _norm,
+from ablkit.linalg import (SPAN_TOL, Ket, ObservableDecomposition, Projector,
                            basis_containing, complete_basis, orthonormalize, projector_from_kets)
 from ablkit.sampling import random_basis, random_ket, substream
 
@@ -91,7 +91,7 @@ def _ref_orthonormalize(vectors) -> list[np.ndarray]:
         for _ in range(2):
             for q in basis:
                 w = w - q * np.vdot(q, w)
-            norm = _norm(w)
+            norm = Ket._norm(w)
             if norm <= SPAN_TOL or 2.0 * norm * norm >= input_sq:
                 break
         assert norm > SPAN_TOL
@@ -110,7 +110,7 @@ def _ref_complete_basis(vectors, dim: int) -> list[np.ndarray]:
         for _ in range(2):
             for q in basis:
                 w = w - q * np.vdot(q, w)
-            norm = _norm(w)
+            norm = Ket._norm(w)
             if norm <= SPAN_TOL or norm * norm >= 1e-3:
                 break
         if norm > SPAN_TOL:

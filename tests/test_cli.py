@@ -3,11 +3,13 @@ import json
 import math
 import pathlib
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import ablkit.cli
+import ablkit.counterfactual
 import ablkit.simulate
 from ablkit.abl import abl_distribution
 from ablkit.cli import main
@@ -495,12 +497,26 @@ def test_simulate_seed_out_of_range_exit_1(capsys, seed):
     assert err == f"error: seed must be in [0, 2**128), got {seed}\n"
 
 
-def test_simulate_trials_beyond_the_index_space_exit_1(capsys, monkeypatch):
+@pytest.mark.parametrize("argv, message", [
+    (("simulate", "--builtin", "three-box", "--trials", str(10 ** 10 + 1)),
+     f"trials must be at most 10**10, the work budget, got {10 ** 10 + 1}"),
+    (("simulate", "--builtin", "three-box", "--no-intermediate", "--trials", str(2 ** 64 + 1)),
+     f"trials must be at most 10**10, the work budget, got {2 ** 64 + 1}"),
+    (("counterexample", "--dim", "6", "--max-tries", str(5 * 10 ** 6 + 1)),
+     f"max_tries must be at most 5*10**6, the work budget, got {5 * 10 ** 6 + 1}"),
+], ids=["trials", "trials-no-intermediate", "max-tries"])
+def test_work_beyond_the_budget_exits_1_before_it_starts(capsys, monkeypatch, argv, message):
+    # Each cap is about 20 minutes of work; the refusal must cost none of it.
     drawn = _count_substreams(monkeypatch)
-    code, out, err = run(capsys, "simulate", "--builtin", "three-box",
-                         "--trials", str(2 ** 64 + 1))
-    assert (code, out, drawn) == (1, "", [])
-    assert err == f"error: trials must be at most 2**64 (one substream each), got {2 ** 64 + 1}\n"
+
+    def unreachable(*args):
+        raise AssertionError("a counterexample try was drawn")
+    monkeypatch.setattr(ablkit.counterfactual, "substream", unreachable)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    elapsed = time.perf_counter() - start
+    assert (code, out, err, drawn) == (1, "", f"error: {message}\n", [])
+    assert elapsed < 0.1
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -245,6 +245,20 @@ def test_search_arguments_raise_validation_error(bad):
         find_counterexample(**kwargs)
 
 
+def test_tries_beyond_the_budget_are_refused_before_the_first(monkeypatch):
+    # 5*10**6 tries, about 15 minutes, is the cap; the cap itself reaches the first draw.
+    from ablkit import counterfactual
+
+    def unreachable(*args):
+        raise AssertionError("a try was drawn")
+    monkeypatch.setattr(counterfactual, "substream", unreachable)
+    with pytest.raises(ValidationError, match=r"^max_tries must be at most 5\*10\*\*6, "
+                                              r"the work budget, got 5000001$"):
+        find_counterexample(6, seed=0, max_tries=5 * 10 ** 6 + 1)
+    with pytest.raises(AssertionError, match="a try was drawn"):
+        find_counterexample(6, seed=0, max_tries=5 * 10 ** 6)
+
+
 def test_search_skips_a_try_whose_totals_are_undefined(monkeypatch):
     from ablkit import counterfactual
     calls = []

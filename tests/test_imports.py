@@ -4,10 +4,14 @@ Read from its source with ``ast``: no module reaches into a private name of
 a sibling module, and every name a module imports is used there or rebound
 on it by the benchmark's tracer (``bench/run.py --trace 1``), and no module
 calls one of NumPy's Python-level wrappers that an array method replaces
-with the same bits, the broadcast rank-1 product ``q q^dagger`` is
-written only in ``Projector._rank1``, and the branch projection
-``<expr>.stack @ <expr>`` only in ``ObservableDecomposition._born``.  This
-reads ``bench/`` and changes nothing there.
+with the same bits.  One table gives each piece of arithmetic its one home:
+the broadcast rank-1 product ``q q^dagger`` is written only in
+``Projector._rank1``, the branch projection ``<expr>.stack @ <expr>`` only
+in ``ObservableDecomposition._born``, ``np.vdot`` only in ``Ket._inner``,
+the weight ``z.real ** 2 + z.imag ** 2`` only in
+``ObservableDecomposition._weights``, and ``np.linalg.norm`` nowhere (its
+arithmetic is ``Ket._norm``).  This reads ``bench/`` and changes nothing
+there.
 
 Run in fresh interpreters: importing ``ablkit.cli`` loads no library module,
 each command loads only the modules it runs, and ``python -m ablkit.cli``
@@ -21,6 +25,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from typing import Callable, NamedTuple
 
 import pytest
 
@@ -161,69 +166,138 @@ def _broadcasts(node: ast.AST) -> bool:
     return any(isinstance(e, ast.Constant) and e.value is None for e in index)
 
 
-def _nodes_in(tree: ast.Module, cls_name: str, fn_name: str) -> set[int]:
-    # The ids of every node inside method ``cls_name.fn_name``.
+def _squared_part(node: ast.AST) -> bool:
+    # ``<expr>.real ** 2`` or ``<expr>.imag ** 2``.
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(node.left, ast.Attribute) and node.left.attr in ("real", "imag")
+            and isinstance(node.right, ast.Constant) and node.right.value == 2)
+
+
+def _rank1_product(node: ast.AST) -> bool:
+    # q[..., :, None] * q.conj()[..., None, :], with its zero-sign rule.
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and _broadcasts(node.left) and _broadcasts(node.right))
+
+
+def _stack_projection(node: ast.AST) -> bool:
+    # <expr>.stack @ <expr>, the projection of a state onto each branch.
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+            and isinstance(node.left, ast.Attribute) and node.left.attr == "stack")
+
+
+def _vdot(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "vdot"
+
+
+def _numpy_norm(node: ast.AST) -> bool:
+    # <expr>.linalg.norm
+    return (isinstance(node, ast.Attribute) and node.attr == "norm"
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg")
+
+
+def _born_weight(node: ast.AST) -> bool:
+    # re^2 + im^2, or either square alone.
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return _squared_part(node.left) and _squared_part(node.right)
+    return _squared_part(node)
+
+
+class _Home(NamedTuple):
+    what: str
+    matches: Callable[[ast.AST], bool]
+    #: The routine ``Class.name`` that holds the arithmetic, the one place the
+    #: pattern may be written unless ``nowhere``.
+    use: str
+    nowhere: bool = False
+
+
+#: Arithmetic written in one place only, so that how it rounds is one decision.
+_HOMES = [
+    _Home("rank-1 product", _rank1_product, "Projector._rank1"),
+    _Home("stack projection", _stack_projection, "ObservableDecomposition._born"),
+    _Home("inner product", _vdot, "Ket._inner"),
+    _Home("vector norm", _numpy_norm, "Ket._norm", nowhere=True),
+    _Home("Born weight", _born_weight, "ObservableDecomposition._weights"),
+]
+
+
+def _nodes_in(tree: ast.Module, cls_name: str, name: str) -> set[int]:
+    # The ids of every node inside ``cls_name.name``, a method or a class-level assignment.
     return {id(node) for cls in tree.body
             if isinstance(cls, ast.ClassDef) and cls.name == cls_name
-            for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == fn_name
-            for node in ast.walk(fn)}
+            for member in cls.body
+            if (isinstance(member, ast.FunctionDef) and member.name == name)
+            or (isinstance(member, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == name for t in member.targets))
+            for node in ast.walk(member)}
 
 
-def _rank1_products(tree: ast.Module) -> list[str]:
-    # Every product of two new-axis subscripts, the broadcast outer product
-    # q[..., :, None] * q.conj()[..., None, :], outside Projector._rank1: the
-    # one place the product and its zero-sign rule live.
-    builder = _nodes_in(tree, "Projector", "_rank1")
-    return [f"line {node.lineno}: rank-1 product: use Projector._rank1"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
-            and id(node) not in builder and _broadcasts(node.left) and _broadcasts(node.right)]
+def _outside_home(tree: ast.Module, row: _Home) -> list[str]:
+    # Every match of the row's pattern outside its home routine; a match
+    # inside another (the squares of re^2 + im^2) counts with it.
+    home = set() if row.nowhere else _nodes_in(tree, *row.use.split("."))
+    matches = [node for node in ast.walk(tree) if id(node) not in home and row.matches(node)]
+    nested = {id(inner) for node in matches for inner in ast.walk(node) if inner is not node}
+    return [f"line {node.lineno}: {row.what}: use {row.use}" for node in matches
+            if id(node) not in nested]
 
 
+@pytest.mark.parametrize("row", _HOMES, ids=lambda row: row.what)
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_the_rank1_product_is_written_only_in_the_builder(path):
-    assert _rank1_products(_tree(path)) == []
+def test_each_pattern_is_written_only_in_its_home(path, row):
+    assert _outside_home(_tree(path), row) == []
 
 
-def test_the_rank1_rule_names_a_planted_product():
-    tree = ast.parse("class Projector:\n"
-                     "    def _rank1(rows):\n"
-                     "        return rows[..., :, None] * rows.conj()[..., None, :]\n"
-                     "def f(a, x, conj):\n"
-                     "    p = a[:, None] * a.conj()[None, :]\n"
-                     "    d = x.conj()[:, None, :] * x[:, :, None] + 0.0\n"
-                     "    s = a[:, :, None] * conj[:, None, :]\n"
-                     "    return a * a.conj()[:, None], a.conj() * a, a[1:] * a[:-1]\n")
-    assert sorted(_rank1_products(tree)) == [f"line {n}: rank-1 product: use Projector._rank1"
-                                             for n in (5, 6, 7)]
+#: A planted tree per row, with its home routine, and the lines the rule must name.
+_PLANTED = {
+    "rank-1 product": ("class Projector:\n"
+                       "    def _rank1(rows):\n"
+                       "        return rows[..., :, None] * rows.conj()[..., None, :]\n"
+                       "def f(a, x, conj):\n"
+                       "    p = a[:, None] * a.conj()[None, :]\n"
+                       "    d = x.conj()[:, None, :] * x[:, :, None] + 0.0\n"
+                       "    s = a[:, :, None] * conj[:, None, :]\n"
+                       "    return a * a.conj()[:, None], a.conj() * a, a[1:] * a[:-1]\n", (5, 6, 7)),
+    "stack projection": ("class ObservableDecomposition:\n"
+                         "    def _born(self, a):\n"
+                         "        return self.stack @ a\n"
+                         "def f(obs, a, stack, p):\n"
+                         "    x = obs.stack @ a\n"
+                         "    y = obs.final.stack @ (a + a)\n"
+                         "    return p @ stack, p @ obs.stack, stack[0] @ a, obs.stacks @ a\n",
+                         (5, 6)),
+    "inner product": ("import numpy as np\n"
+                      "class Ket:\n"
+                      "    _inner = staticmethod(np.vdot)\n"
+                      "    def _norm(v):\n"
+                      "        return np.vdot(v.real, v.real) + np.vdot(v.imag, v.imag)\n"
+                      "def f(a, b, xp):\n"
+                      "    return xp.vdot(a, b), Ket._inner(a, b), a.dot(b), np.inner(a, b)\n",
+                      (5, 5, 7)),
+    "vector norm": ("import numpy as np\n"
+                    "class Ket:\n"
+                    "    def _norm(v):\n"
+                    "        return np.linalg.norm(v)\n"
+                    "def f(v, np2):\n"
+                    "    return np2.linalg.norm(v, axis=1), Ket._norm(v), np.linalg.qr(v)\n",
+                    (4, 6)),
+    "Born weight": ("class ObservableDecomposition:\n"
+                    "    def _weights(z):\n"
+                    "        return z.real ** 2 + z.imag ** 2\n"
+                    "def f(x, w):\n"
+                    "    s = (x.real ** 2 + x.imag ** 2).sum()\n"
+                    "    t = w.imag ** 2 + w.real ** 2\n"
+                    "    u = x.real ** 2\n"
+                    "    return abs(x) ** 2, x.real ** 3, x.imag * x.imag, x.real * 2\n",
+                    (5, 6, 7)),
+}
 
 
-def _stack_projections(tree: ast.Module) -> list[str]:
-    # Every ``<expr>.stack @ <expr>``, the projection of a state onto each
-    # branch, outside ObservableDecomposition._born: the one place it lives.
-    born = _nodes_in(tree, "ObservableDecomposition", "_born")
-    return [f"line {node.lineno}: stack projection: use ObservableDecomposition._born"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
-            and id(node) not in born
-            and isinstance(node.left, ast.Attribute) and node.left.attr == "stack"]
-
-
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_the_stack_projection_is_written_only_in_born(path):
-    assert _stack_projections(_tree(path)) == []
-
-
-def test_the_projection_rule_names_a_planted_product():
-    tree = ast.parse("class ObservableDecomposition:\n"
-                     "    def _born(self, a):\n"
-                     "        return self.stack @ a\n"
-                     "def f(obs, a, stack, p):\n"
-                     "    x = obs.stack @ a\n"
-                     "    y = obs.final.stack @ (a + a)\n"
-                     "    return p @ stack, p @ obs.stack, stack[0] @ a, obs.stacks @ a\n")
-    assert sorted(_stack_projections(tree)) == [
-        f"line {n}: stack projection: use ObservableDecomposition._born" for n in (5, 6)]
+@pytest.mark.parametrize("row", _HOMES, ids=lambda row: row.what)
+def test_each_home_rule_names_its_planted_sites(row):
+    source, lines = _PLANTED[row.what]
+    assert sorted(_outside_home(ast.parse(source), row)) == [
+        f"line {n}: {row.what}: use {row.use}" for n in lines]
 
 
 def _unresolved_cli_reads(tree: ast.Module, exported) -> list[str]:

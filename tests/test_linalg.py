@@ -22,7 +22,7 @@ from ablkit.linalg import (
     projector_from_kets,
     trace_product,
 )
-from ablkit.linalg import _norm, _project_out
+from ablkit.linalg import _project_out
 
 from conftest import OVERFLOWING_HERMITIAN, mixed_rank_decomposition, near_axis_ket
 
@@ -551,13 +551,13 @@ def test_norm_equals_numpy_norm_bit_for_bit():
             raw = rng.standard_normal(3 * dim) + 1j * rng.standard_normal(3 * dim)
             raw *= 10.0 ** rng.integers(-6, 7)
             for v in (raw[:dim], raw[::3], raw[dim - 1::-1]):
-                assert _norm(v) == float(np.linalg.norm(v))
+                assert Ket._norm(v) == float(np.linalg.norm(v))
 
 
 def test_norm_overflows_like_numpy_norm():
     v = np.array([1e200, 1e200j, 3.0])
     with np.errstate(over="ignore"):
-        assert _norm(v) == float(np.linalg.norm(v)) == np.inf
+        assert Ket._norm(v) == float(np.linalg.norm(v)) == np.inf
 
 
 def test_ket_projector_in_the_norm_band():

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import ablkit.simulate
 
-from ablkit.abl import DIV_TOL, PrePostContext, abl_distribution, disturbed_final_probability
+from ablkit.abl import (DIV_TOL, PrePostContext, abl_distribution, born_distribution,
+                        disturbed_final_probability)
 from ablkit.errors import NoPostselectedTrialsError, ValidationError
 from ablkit.linalg import ALG_TOL, Ket, ObservableDecomposition, basis_containing, complete_basis
 from ablkit.sampling import random_basis, random_ket, substream
@@ -139,7 +140,7 @@ def test_input_validation():
 
 @pytest.mark.parametrize("trials, workers, message", [
     (0, 1, "trials must be at least 1, got 0"),
-    (2 ** 64 + 1, 1, r"trials must be at most 2\*\*64"),
+    (10 ** 10 + 1, 1, r"trials must be at most 10\*\*10, the work budget"),
     (10, 0, "workers must be at least 1, got 0"),
 ])
 def test_bad_counts_are_refused_before_the_sampler_is_built(trials, workers, message):
@@ -199,9 +200,18 @@ def test_ensemble_counts_cross_a_chunk_boundary():
     _assert_counts_match(CTX, C, trials, seed, _scalar_counts(records, len(C)))
 
 
-def test_trials_beyond_the_index_space_are_refused():
-    with pytest.raises(ValidationError, match=r"trials must be at most 2\*\*64"):
-        estimate_abl(CTX, C, 2 ** 64 + 1, 0)
+def test_trials_beyond_the_budget_are_refused():
+    # 10**10 trials, about 20 minutes, is the cap, far inside the 2**64
+    # substream indices.  The cap itself passes to the sampler's tables.
+    def unreachable(*args):
+        raise AssertionError("complete_basis called")
+    with mock.patch.object(ablkit.simulate, "complete_basis", unreachable):
+        for trials in (10 ** 10 + 1, 2 ** 64 + 1):
+            with pytest.raises(ValidationError, match=rf"^trials must be at most 10\*\*10, "
+                                                      rf"the work budget, got {trials}$"):
+                estimate_abl(CTX, C, trials, 0)
+        with pytest.raises(AssertionError, match="complete_basis called"):
+            estimate_abl(CTX, C, 10 ** 10, 0)
     with pytest.raises(ValidationError, match=r"seed must be in \[0, 2\*\*128\)"):
         estimate_final_probability(CTX, None, 10, 2 ** 128)
 
@@ -263,6 +273,22 @@ def test_sampler_tables_match_per_branch_collapse_on_random_draws(data, dim, see
     else:
         observable = None
     _assert_tables_bitwise(ctx, observable)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_sampler_tables_match_numpy_norm_on_haar_draws(dim):
+    # _tables_oracle divides each collapse by np.linalg.norm.  A Haar context
+    # and observable, then a state with no amplitude on the last axis, whose
+    # axis branch has Born weight 0 and keeps its row at 0.
+    rng = np.random.default_rng(3810 + dim)
+    ctx = PrePostContext(random_ket(rng, dim), random_ket(rng, dim))
+    _assert_tables_bitwise(ctx, ObservableDecomposition.from_eigenbasis(random_basis(rng, dim)))
+    flat = Ket.normalized(np.append(random_ket(rng, dim - 1).amplitudes, 0.0))
+    axes = ObservableDecomposition.from_eigenbasis([Ket(row) for row in np.eye(dim)[::-1]])
+    flat_ctx = PrePostContext(flat, ctx.postselection)
+    assert born_distribution(flat, axes)[0] == 0.0
+    assert not _TrialSampler(flat_ctx, axes).final_cums[0].any()
+    _assert_tables_bitwise(flat_ctx, axes)
 
 
 @pytest.mark.parametrize("angle", [1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
