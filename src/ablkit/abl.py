@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, ImpossiblePostselectionError, ValidationError,
                      ZeroProjectionError)
-from .linalg import Ket, ObservableDecomposition, apply_operator, operator_matrix
+from .linalg import Ket, ObservableDecomposition, Projector, operator_matrix
 
 #: Denominators at or below this threshold count as zero.
 DIV_TOL = 1e-12
@@ -143,8 +143,12 @@ def abl_distribution(ctx: PrePostContext, observable: ObservableDecomposition) -
 
 
 def luders_update(state: Ket, projector) -> Ket:
-    """State after a projective outcome: project and renormalize."""
-    projected = apply_operator(projector, state)
+    """State after a projective outcome: project and renormalize.  Only a raw
+    matrix goes through the :class:`Projector` checks."""
+    m = operator_matrix(projector, dim=state.dim)
+    if not isinstance(projector, Projector):
+        Projector._checked(m.copy())  # a copy: the checks leave it read-only
+    projected = m @ state.amplitudes
     norm = Ket._norm(projected)
     if norm <= DIV_TOL:
         raise ZeroProjectionError("state is orthogonal to the outcome subspace")

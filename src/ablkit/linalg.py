@@ -13,11 +13,14 @@ every vector norm, and ``ObservableDecomposition._weights`` every weight
 Every rank-1 ``|q><q|`` comes from ``Projector._rank1``: bases built in
 process keep its signed zeros; spans, one-ket branches read from a file and
 decoherence matrices read +0.0.
-Validation happens once, at construction from raw numbers; what is derived
-from validated objects (a ket's projector, the projector onto a span of
-kets, a complement, a coarse-graining) or built orthonormal (a vector scaled
-to unit norm, a completed basis, a Haar-random ket or counterexample basis)
-is valid by construction and not checked again.  A basis of kets is checked
+Validation happens once, at construction from raw numbers, by each check's
+one home, which the constructors and the scenario parser share: the unit
+norm in ``Ket._checked``, the Hermitian, idempotent and trace checks in
+``Projector._checked``.  What is derived from validated objects (a ket's
+projector, the projector onto a span of kets, a complement, a
+coarse-graining) or built orthonormal (a vector scaled to unit norm, a
+completed basis, a Haar-random ket or counterexample basis) is valid by
+construction and not checked again.  A basis of kets is checked
 from its amplitudes alone: for rows ``a_i`` of ``A`` and
 ``P_i = a_i a_i^dagger``, ``sum_i P_i = A^T conj(A)`` and
 ``max|P_i P_j| = |<a_i|a_j>| max|a_i| max|a_j|``, so the checks cost two
@@ -55,13 +58,6 @@ def _as_vector(values) -> np.ndarray:
         raise ValidationError(f"expected a nonempty 1-d amplitude vector, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValidationError("amplitudes must be finite")
-    return arr
-
-
-def _checked_unit(arr: np.ndarray) -> np.ndarray:
-    norm_sq = float(Ket._inner(arr, arr).real)
-    if abs(norm_sq - 1.0) > NORM_TOL:
-        raise ValidationError(f"ket norm^2 = {norm_sq!r}, expected 1 within {NORM_TOL}")
     return arr
 
 
@@ -109,9 +105,15 @@ class Ket:
         return math.sqrt(Ket._inner(v.real, v.real) + Ket._inner(v.imag, v.imag))
 
     def __post_init__(self):
-        arr = _checked_unit(_as_vector(self.amplitudes).copy())
-        arr.setflags(write=False)
-        object.__setattr__(self, "amplitudes", arr)
+        self.__dict__.update(Ket._checked(_as_vector(self.amplitudes).copy()).__dict__)
+
+    @classmethod
+    def _checked(cls, arr: np.ndarray) -> "Ket":
+        # The unit-norm check's one home; ``arr``, finite, 1-d, nonempty, becomes the amplitudes.
+        norm_sq = float(Ket._inner(arr, arr).real)
+        if abs(norm_sq - 1.0) > NORM_TOL:
+            raise ValidationError(f"ket norm^2 = {norm_sq!r}, expected 1 within {NORM_TOL}")
+        return cls._validated(arr)
 
     @classmethod
     def _validated(cls, amplitudes: np.ndarray) -> "Ket":
@@ -123,12 +125,6 @@ class Ket:
 
     def __reduce__(self):
         return type(self)._validated, (self.amplitudes,)
-
-    @staticmethod
-    def _unit(a: np.ndarray) -> np.ndarray:
-        # The finite vector ``a`` checked as Ket(a) checks it, and scaled to
-        # unit norm with the bits of orthonormalize([a])[0].
-        return a / Ket._norm(_checked_unit(a))
 
     @property
     def dim(self) -> int:
@@ -172,9 +168,13 @@ class Projector:
     rank: int | None = None
 
     def __post_init__(self):
-        m = operator_matrix(self.matrix).copy()
-        # An overflowing m - m^dagger or m @ m gives an inf or NaN residue,
-        # which the checks refuse without a numpy warning.
+        self.__dict__.update(Projector._checked(operator_matrix(self.matrix).copy(), self.rank).__dict__)
+
+    @classmethod
+    def _checked(cls, m: np.ndarray, rank: int | None = None) -> "Projector":
+        # The projector checks' one home; ``m``, finite and square, becomes the
+        # matrix.  An overflowing m - m^dagger or m @ m gives an inf or NaN
+        # residue, which the checks refuse without a numpy warning.
         with np.errstate(over="ignore", invalid="ignore"):
             if not _max_abs(m - m.conj().T) <= ALG_TOL:
                 raise ValidationError("projector matrix is not Hermitian")
@@ -182,14 +182,12 @@ class Projector:
         if not residue <= ALG_TOL:
             raise ValidationError("projector matrix is not idempotent")
         trace = float(m.trace().real)
-        rank = int(round(trace)) if self.rank is None else int(self.rank)
+        rank = int(round(trace)) if rank is None else int(rank)
         if rank <= 0:
             raise ValidationError("projector rank must be a positive integer")
         if abs(trace - rank) > ALG_TOL * m.shape[0]:
             raise ValidationError(f"projector trace {trace!r} does not match rank {rank}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "rank", rank)
+        return cls._validated(m, rank)
 
     @classmethod
     def _validated(cls, matrix: np.ndarray, rank: int) -> "Projector":
@@ -198,8 +196,7 @@ class Projector:
         # norm^2 - 1, within NORM_TOL), a sum of orthonormal |q><q|, or I - P.
         matrix.setflags(write=False)
         proj = object.__new__(cls)
-        object.__setattr__(proj, "matrix", matrix)
-        object.__setattr__(proj, "rank", rank)
+        proj.__dict__.update(matrix=matrix, rank=rank)
         return proj
 
     def __reduce__(self):

@@ -17,7 +17,9 @@ Schema (complex numbers are two-element ``[re, im]`` arrays)::
       "default_observable": "C"         // optional; first named otherwise
     }
 
-Parsed values go through the same validation as directly constructed ones.
+Parsed values go through the checks of directly constructed ones, from
+their one homes, ``Ket._checked`` and ``Projector._checked``, called on the
+arrays that the parser's own conversion already made finite and shaped.
 A key repeated within one object is refused, not overwritten.  An
 observable's kets and matrix rows are converted in one flat numpy call,
 after one pass per nesting level over the lists; only when that fails is
@@ -148,10 +150,6 @@ def _built(path: str, construct: Callable, *args):
         raise _fail(path, str(err)) from err
 
 
-def _ket(node, path: str, dim: int) -> Ket:
-    return _built(path, Ket, _array(node, path, (dim,)))
-
-
 def _spec(node, path: str, dim: int) -> tuple[float, str, list]:
     # The branch's eigenvalue, its form ("kets" or "matrix") and that list,
     # after every check that reads no amplitude.
@@ -194,14 +192,14 @@ def _branches(nodes: list, path: str, dim: int) -> list[tuple[float, Projector |
         if form == "matrix":  # _array names a block of other than dim rows
             matrix = (amps[k:k + n] if amps is not None and n == dim
                       else _array(entry, field, (dim, dim)))
-            branch = _built(at, Projector, matrix)
+            branch = _built(at, Projector._checked, matrix)
         else:
             kets = []
             for j, ket in enumerate(entry):  # each ket read, then checked, in turn
                 a = amps[k + j] if amps is not None else _array(ket, f"{field}[{j}]", (dim,))
-                kets.append((a, _built(f"{field}[{j}]", Ket._unit, a)))
-            branch = kets[0][1] if n == 1 else _built(
-                at, projector_from_kets, [Ket._validated(a) for a, _ in kets])
+                kets.append(_built(f"{field}[{j}]", Ket._checked, a))
+            # One ket's unit vector has the bits of orthonormalize([a])[0].
+            branch = a / Ket._norm(a) if n == 1 else _built(at, projector_from_kets, kets)
         branches.append((eigenvalue, branch))
         k += n
     return branches
@@ -254,8 +252,8 @@ def parse_scenario(text: str, *, fallback_name: str = "scenario") -> Scenario:
         raise _fail("dim", f"expected a positive integer, got {top['dim']!r}")
     if dim > MAX_DIM:
         raise _fail("dim", f"{dim} exceeds the largest supported dimension {MAX_DIM}")
-    preselection = _ket(top["preselection"], "preselection", dim)
-    postselection = _ket(top["postselection"], "postselection", dim)
+    preselection, postselection = (_built(key, Ket._checked, _array(top[key], key, (dim,)))
+                                   for key in ("preselection", "postselection"))
     observables: dict[str, ObservableDecomposition] = {}
     obs_node = _expect(top["observables"], "observables", dict)
     if not obs_node:

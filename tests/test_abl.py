@@ -265,6 +265,26 @@ def test_luders_update_divides_by_numpy_norm_bit_for_bit(dim):
         luders_update(flat, axis.projector())
 
 
+@pytest.mark.parametrize("matrix, check", [
+    (2 * np.eye(2), "not idempotent"),
+    (np.full((2, 2), 1e200), "not idempotent"),
+    (np.array([[1, 1], [0, 0]]), "not Hermitian"),
+])
+def test_luders_update_refuses_a_raw_matrix_that_is_not_a_projector(matrix, check):
+    with pytest.raises(ValidationError, match=f"^projector matrix is {check}$"):
+        luders_update(Ket([1, 0]), matrix)
+
+
+def test_luders_update_takes_a_raw_projector_as_its_projector():
+    # The same bits, and the caller's array is left writable.
+    proj = projector_from_kets([Ket.normalized([1, 1j, 0])])
+    state = Ket.normalized([1, 2, 3])
+    matrix = np.array(proj.matrix)
+    want = luders_update(state, proj).amplitudes
+    assert luders_update(state, matrix).amplitudes.tobytes() == want.tobytes()
+    assert matrix.flags.writeable
+
+
 def test_luders_update_orthogonal_raises():
     perp = Ket.normalized([-1, 1, 0])
     with pytest.raises(ZeroProjectionError):

@@ -1,12 +1,14 @@
 import dataclasses
+import json
 import warnings
 
 import numpy as np
 import pytest
 
-from ablkit import linalg
+from ablkit import linalg, scenario_io
 from ablkit.abl import abl_probabilities
-from ablkit.errors import DegenerateSpanError, DimensionMismatchError, ValidationError
+from ablkit.errors import (DegenerateSpanError, DimensionMismatchError, ScenarioParseError,
+                           ValidationError)
 from ablkit.histories import enumerate_coarse_grainings
 from ablkit.linalg import (
     ALG_TOL,
@@ -23,6 +25,7 @@ from ablkit.linalg import (
     trace_product,
 )
 from ablkit.linalg import _project_out
+from ablkit.scenario_io import parse_scenario
 
 from conftest import OVERFLOWING_HERMITIAN, mixed_rank_decomposition, near_axis_ket
 
@@ -207,7 +210,32 @@ def test_orthonormalize_names_a_vector_of_near_zero_norm(vectors, k):
     assert str(err.value) == f"vector {k} has (near-)zero norm"
 
 
-def test_unit_checks_as_ket_and_scales_as_orthonormalize():
+def _pairs(v) -> list:
+    return [[float(z.real), float(z.imag)] for z in v]
+
+
+def _one_ket_document(row: np.ndarray) -> str:
+    # Observable X of dim 5: the one-ket branch ``row``, then the matrix
+    # branch completing it.
+    q = orthonormalize([row])[0]
+    rest = np.eye(5) - np.outer(q, q.conj())
+    axis = _pairs(np.eye(5)[0])
+    return json.dumps({"dim": 5, "preselection": axis, "postselection": axis,
+                       "observables": {"X": [{"eigenvalue": 0, "kets": [_pairs(row)]},
+                                             {"eigenvalue": 1, "matrix": [_pairs(r) for r in rest]}]}})
+
+
+def test_one_ket_branch_checks_as_ket_and_scales_as_orthonormalize(monkeypatch):
+    # The unit vector the parser makes of a one-ket branch, as _observable
+    # receives it.
+    seen = []
+
+    def observable(branches):
+        seen.append(branches[0][1])
+        return original(branches)
+
+    original = scenario_io._observable
+    monkeypatch.setattr(scenario_io, "_observable", observable)
     rng = np.random.default_rng(30)
     rows = _gauss(rng, (6, 5))
     rows[1, 2] = complex(-0.0, 0.0)
@@ -215,14 +243,15 @@ def test_unit_checks_as_ket_and_scales_as_orthonormalize():
     rows /= np.linalg.norm(rows, axis=1)[:, None]
     rows[3] *= 1 + 4e-10
     for row in rows:
+        parse_scenario(_one_ket_document(row))
         expected = orthonormalize([Ket(row).amplitudes])[0]
-        assert Ket._unit(row).tobytes() == expected.tobytes()
+        assert seen.pop().tobytes() == expected.tobytes()
     rows[4] *= 1.1
     with pytest.raises(ValidationError) as expected:
         Ket(rows[4])
-    with pytest.raises(ValidationError) as err:
-        Ket._unit(rows[4])
-    assert str(err.value) == str(expected.value)
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario(_one_ket_document(rows[4]))
+    assert str(err.value) == f"observables.X[0].kets[0]: {expected.value}"
 
 
 def _near_dependent_kets(seed: int, r: float):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import pathlib
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ablkit import scenario_io
+from ablkit import linalg, scenario_io
 from ablkit.abl import PrePostContext, abl_distribution
+from ablkit.cli import main
 from ablkit.counterfactual import find_counterexample, mixing_report
 from ablkit.errors import ScenarioParseError
 from ablkit.linalg import Ket, basis_containing, projector_from_kets
@@ -24,7 +26,7 @@ from ablkit.scenario_io import (
 from ablkit.scenarios import BUILTIN_NAMES, Scenario, builtin
 
 from conftest import mixed_rank_decomposition
-from test_parse_oracle import valid_documents
+from test_parse_oracle import ORACLE as PARSE_ORACLE, valid_documents, valid_outcome
 
 MINIMAL = """
 {
@@ -554,6 +556,42 @@ def test_valid_files_are_never_walked_branch_by_branch(monkeypatch):
     doc["observables"]["X"][1]["kets"][0][1] = [0.5]
     _expect_error(json.dumps(doc), "observables.X[1].kets[0][1]: expected a [re, im] pair")
     assert "observables.X[0].kets[0]" in read
+
+
+def _refuse_coercion(monkeypatch):
+    # The coercions in front of the public Ket and Projector constructors'
+    # checks: a parsed array is already finite and shaped.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a parsed array was coerced and checked again")
+
+    for name in ("operator_matrix", "_as_vector"):
+        monkeypatch.setattr(linalg, name, refuse)
+
+
+_CLI_ORACLE = pathlib.Path(__file__).with_name("cli_oracle")
+_VALIDATE_CAPTURES = {case["argv"][2]: case
+                      for case in json.loads((_CLI_ORACLE / "captured.json").read_text())
+                      if case["argv"][:2] == ["scenario", "validate"] and len(case["argv"]) == 3}
+
+
+@pytest.mark.parametrize("name", sorted(_VALIDATE_CAPTURES))
+def test_scenario_validate_checks_each_value_once(capsys, monkeypatch, name):
+    # Each value is checked once, by Ket._checked or Projector._checked, and
+    # the output is the captured one.
+    assert set(_VALIDATE_CAPTURES) == {p.name for p in _CLI_ORACLE.glob("*.json")} - {"captured.json"}
+    monkeypatch.chdir(_CLI_ORACLE)
+    _refuse_coercion(monkeypatch)
+    assert main(["scenario", "validate", name]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == _VALIDATE_CAPTURES[name]["stdout_sha256"]
+
+
+def test_mixed_branch_files_parse_with_each_value_checked_once(monkeypatch):
+    # The parse oracle's files mix one-ket, multi-ket and matrix branches.
+    expected = json.loads(PARSE_ORACLE.read_text())["valid"]
+    _refuse_coercion(monkeypatch)
+    for name, text in valid_documents().items():
+        assert valid_outcome(text) == expected[name], name
 
 
 @pytest.mark.parametrize("dim", [MAX_DIM + 1, 10 ** 12])
